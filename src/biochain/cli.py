@@ -13,7 +13,10 @@ State lives in the output directory (default ``./runs``):
     timings.txt       measured wall-clock costs (not deterministic)
 
 A deployment is rebuilt deterministically from (gallery, fanout, seed),
-so no key material needs to be stored between commands.
+so no key material is stored between commands. The seed in
+``config.json`` regenerates every private key, the matching tree's
+decision keys included, so anyone who can read the state directory can
+forge consensus: keep the directory secret.
 """
 
 from __future__ import annotations
@@ -293,8 +296,11 @@ def restore_cmd(ctx):
         _save_chain_params(out / CHAIN_FILE, system.chain)
     if findings.tree_locators:
         restore_leaves(system.tree, findings.tree_locators, system.archive)
-        save_gallery(out / GALLERY_FILE, system.tree.templates())
         click.echo(f"restored {len(findings.tree_locators)} templates")
+    if findings.store_count_mismatch:
+        click.echo(f"restored the live store to {len(system.archive)} records")
+    if findings.tree_locators or findings.store_count_mismatch:
+        save_gallery(out / GALLERY_FILE, system.tree.templates())
     post = run_audit(_load_system(out, config))
     click.echo("post-restore audit: " + ("clean" if post.clean else "STILL TAMPERED"))
     system.ledger.close()

@@ -397,6 +397,26 @@ def _auth_token(cycle_id: str) -> bytes:
     return AUTH_MESSAGE + cycle_id.encode("utf-8")
 
 
+def _publish(
+    ledger: Ledger,
+    cycle_id: str,
+    payload: bytes,
+    sym_key: bytes,
+    recipient: bytes,
+    signing_key: bytes,
+) -> LedgerEntry:
+    """Append one hop: the payload under the sender's symmetric key, that
+    key and the turn marker wrapped for the recipient, and the sender's
+    signature over the cycle-bound message."""
+    return ledger.append(
+        cycle_id,
+        ed=crypto.sym_encrypt(payload, sym_key),
+        ek=crypto.asym_encrypt(sym_key, recipient),
+        em=crypto.asym_encrypt(_turn_token(cycle_id), recipient),
+        sig=crypto.sign(signing_key, _auth_token(cycle_id)),
+    )
+
+
 def notary_begin_cycle(
     notary: NotaryBlock, ledger: Ledger, captured: bytes
 ) -> LedgerEntry:
@@ -413,13 +433,8 @@ def notary_begin_cycle(
     x0 = crypto.asym_decrypt(captured, notary.keys.private)
     cycle_id = secrets.token_hex(16)
     ledger.append(cycle_id, ed=captured)
-    first = notary.route[0]
-    entry = ledger.append(
-        cycle_id,
-        ed=crypto.sym_encrypt(x0, notary.sym_key),
-        ek=crypto.asym_encrypt(notary.sym_key, first),
-        em=crypto.asym_encrypt(_turn_token(cycle_id), first),
-        sig=crypto.sign(notary.keys.private, _auth_token(cycle_id)),
+    entry = _publish(
+        ledger, cycle_id, x0, notary.sym_key, notary.route[0], notary.keys.private
     )
     notary.progress[cycle_id] = 0
     return entry
@@ -450,13 +465,9 @@ def block_handle_update(
     payload_key = crypto.asym_decrypt(entry.ek, block.keys.private)
     x = decode_vector(crypto.sym_decrypt(entry.ed, payload_key))
     out = apply_stage(x, block.params)
-    out_bytes = encode_vector(out)
-    return ledger.append(
-        cycle_id,
-        ed=crypto.sym_encrypt(out_bytes, block.sym_key),
-        ek=crypto.asym_encrypt(block.sym_key, block.notary_public),
-        em=crypto.asym_encrypt(_turn_token(cycle_id), block.notary_public),
-        sig=crypto.sign(block.keys.private, _auth_token(cycle_id)),
+    return _publish(
+        ledger, cycle_id, encode_vector(out), block.sym_key, block.notary_public,
+        block.keys.private,
     )
 
 
@@ -485,25 +496,14 @@ def notary_handle_update(
     payload = crypto.sym_decrypt(entry.ed, payload_key)
     pos += 1
     notary.progress[cycle_id] = pos
-    if pos < len(notary.route):
-        recipient = notary.route[pos]
-        result = ledger.append(
-            cycle_id,
-            ed=crypto.sym_encrypt(payload, notary.sym_key),
-            ek=crypto.asym_encrypt(notary.sym_key, recipient),
-            em=crypto.asym_encrypt(_turn_token(cycle_id), recipient),
-            sig=crypto.sign(notary.keys.private, _auth_token(cycle_id)),
-        )
-        return result
-    result = ledger.append(
-        cycle_id,
-        ed=crypto.sym_encrypt(payload, notary.sym_key),
-        ek=crypto.asym_encrypt(notary.sym_key, notary.matcher_root_public),
-        em=crypto.asym_encrypt(_turn_token(cycle_id), notary.matcher_root_public),
-        sig=crypto.sign(notary.keys.private, _auth_token(cycle_id)),
+    last_hop = pos == len(notary.route)
+    recipient = notary.matcher_root_public if last_hop else notary.route[pos]
+    result = _publish(
+        ledger, cycle_id, payload, notary.sym_key, recipient, notary.keys.private
     )
-    ledger.close_cycle(cycle_id)
-    del notary.progress[cycle_id]
+    if last_hop:
+        ledger.close_cycle(cycle_id)
+        del notary.progress[cycle_id]
     return result
 
 

@@ -356,14 +356,17 @@ def tamper_extractor_block(chain: ExtractorChain, index: int, epsilon: float) ->
 class AuditReport:
     chain_first_tampered: Optional[int]
     tree_locators: list[LeafLocator]
+    store_count_mismatch: bool  # live store and archive hold different record counts
     clean: bool
     lines: list[str]
 
 
 def audit(system: EnrolledSystem) -> AuditReport:
-    """Run both integrity checks and describe what they found."""
+    """Run both integrity checks, compare the live store's record count
+    with the archive's, and describe what they found."""
     chain_result = system.chain.verify()
     locators = verify_tree(system.tree)
+    store_count_mismatch = len(system.flat_store) != len(system.archive)
     lines = []
     if chain_result is None:
         lines.append("chain: intact")
@@ -380,10 +383,16 @@ def audit(system: EnrolledSystem) -> AuditReport:
                 f"tree: tampered leaf chief={loc.chief_index} leaf={loc.leaf_index} "
                 f"identity={loc.identity}; restore from archive index {loc.global_index}"
             )
-    clean = chain_result is None and not locators
+    if store_count_mismatch:
+        lines.append(
+            f"store: {len(system.flat_store)} live records, archive holds "
+            f"{len(system.archive)}; restore rewrites the store from the tree"
+        )
+    clean = chain_result is None and not locators and not store_count_mismatch
     return AuditReport(
         chain_first_tampered=chain_result,
         tree_locators=locators,
+        store_count_mismatch=store_count_mismatch,
         clean=clean,
         lines=lines,
     )
@@ -414,6 +423,15 @@ class Report:
     traditional_seconds: float
     proposed_seconds: float
 
+    def _rows(self) -> list[tuple[str, str, ArmResult]]:
+        """The four (architecture, condition, arm) results, in report order."""
+        return [
+            ("traditional", "before_tamper", self.before_traditional),
+            ("proposed", "before_tamper", self.before_proposed),
+            ("traditional", "after_tamper", self.after_traditional),
+            ("proposed", "after_tamper", self.after_proposed),
+        ]
+
     def to_text(self) -> str:
         """Deterministic report: a pure function of (config, seed)."""
         cfg = self.config
@@ -430,12 +448,7 @@ class Report:
         out.append(f"tampered_templates: {len(self.tampered_indices)}")
         out.append("")
         out.append("architecture | condition | rank1")
-        rows = [
-            ("traditional", "before_tamper", self.before_traditional),
-            ("proposed", "before_tamper", self.before_proposed),
-            ("traditional", "after_tamper", self.after_traditional),
-            ("proposed", "after_tamper", self.after_proposed),
-        ]
+        rows = self._rows()
         for arch, cond, arm in rows:
             out.append(f"{arch} | {cond} | {arm.rank1:.17g}")
         out.append("")
@@ -451,30 +464,15 @@ class Report:
         return "\n".join(out) + "\n"
 
     def to_json_dict(self) -> dict:
+        results: dict[str, dict] = {}
+        for arch, cond, arm in self._rows():
+            results.setdefault(cond, {})[arch] = {
+                "rank1": arm.rank1,
+                "cmc": list(arm.cmc.accuracy),
+            }
         return {
             "config": self.config.to_dict(),
-            "results": {
-                "before_tamper": {
-                    "traditional": {
-                        "rank1": self.before_traditional.rank1,
-                        "cmc": list(self.before_traditional.cmc.accuracy),
-                    },
-                    "proposed": {
-                        "rank1": self.before_proposed.rank1,
-                        "cmc": list(self.before_proposed.cmc.accuracy),
-                    },
-                },
-                "after_tamper": {
-                    "traditional": {
-                        "rank1": self.after_traditional.rank1,
-                        "cmc": list(self.after_traditional.cmc.accuracy),
-                    },
-                    "proposed": {
-                        "rank1": self.after_proposed.rank1,
-                        "cmc": list(self.after_proposed.cmc.accuracy),
-                    },
-                },
-            },
+            "results": results,
             "tampered_templates": len(self.tampered_indices),
             "audit": self.audit_lines,
         }

@@ -23,12 +23,17 @@ own decision key pair whose private half is split into ``2n + 1`` shards
 
 An honest document collects all ``n`` leaf shards; with the chief's and
 the root's that meets the threshold exactly, and reconstruction is
-checked by signing a fresh nonce against the stored public half. A chief
-that drafts a document worse than some leaf's own score loses that
-leaf's shard, can never reach threshold, and triggers scrutiny: the root
-reads the dissenting (flagged) leaves directly and repairs the decision
-for that path. A dissent against a genuinely best document also triggers
-scrutiny, which then simply confirms the document.
+checked by deriving the public half from the rebuilt key and comparing
+it with the stored one. A chief that drafts a document worse than some
+leaf's own score loses that leaf's shard, can never reach threshold, and
+triggers scrutiny: the root reads the dissenting leaves' scores directly
+and repairs the decision for that path. A dissent against a genuinely
+best document also triggers scrutiny, which then simply confirms the
+document.
+
+A round keeps no state on the tree: each chief's leaf scores travel as
+one float64 array, and consent yields the pooled shards plus a boolean
+dissent mask over the chief's leaves.
 
 Probe fan-out is encrypted: per-link channel keys are established at
 build time by wrapping them asymmetrically for each node, and every
@@ -38,7 +43,6 @@ probe travels the links under those keys.
 from __future__ import annotations
 
 import math
-import secrets
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -58,10 +62,6 @@ DEFAULT_FANOUT = 50
 
 
 class EmptyGallery(Exception):
-    pass
-
-
-class MissingScores(Exception):
     pass
 
 
@@ -121,11 +121,8 @@ class LeafBlock:
     channel_key: bytes = b""
     shard: Optional[Shard] = None
     hash: bytes = b""  # enrollment-time hash
-    flag: bool = False
-    last_score: Optional[float] = None
-    last_cycle: Optional[str] = None
     # Fault-injection toggle for simulations: a compromised leaf withholds
-    # its shard and raises its flag no matter what the document says.
+    # its shard and dissents no matter what the document says.
     always_dissent: bool = False
 
     def current_hash(self) -> bytes:
@@ -164,7 +161,7 @@ class DecisionDocument:
 @dataclass
 class ShardPool:
     shards: list[Shard]
-    consent_count: int
+    dissent: np.ndarray  # bool, one entry per leaf of the chief
 
 
 @dataclass(frozen=True)
@@ -329,134 +326,82 @@ def build_tree(
 # Scoring and consensus
 # ---------------------------------------------------------------------------
 
-def leaf_score(
-    leaf: LeafBlock,
-    probe: np.ndarray,
-    metric: str,
-    cycle_id: Optional[str] = None,
-    scratch: Optional[np.ndarray] = None,
-) -> float:
-    """Score a probe against the leaf's template and remember the result.
-
-    ``scratch`` is an optional preallocated work buffer for the euclidean
-    difference; it changes nothing about the result (same operations in
-    the same order) but lets a caller scoring a large gallery avoid one
-    temporary allocation per leaf.
-    """
-    template = leaf.template.vector
-    if (
-        metric == "euclidean"
-        and scratch is not None
-        and isinstance(probe, np.ndarray)
-        and probe.dtype == np.float64
-        and probe.shape == template.shape
-    ):
-        np.subtract(template, probe, out=scratch)
-        score = float(math.sqrt(float(np.dot(scratch, scratch))))
-    else:
-        score = get_metric(metric)(template, probe)
-    leaf.last_score = score
-    leaf.last_cycle = cycle_id
-    return score
+def _leaf_document(
+    chief: ChiefBlock, scores: np.ndarray, leaf_index: int, cycle_id: str, metric: str
+) -> DecisionDocument:
+    return DecisionDocument(
+        chief_id=chief.index,
+        cycle_id=cycle_id,
+        identity=chief.leaves[leaf_index].template.identity,
+        score=float(scores[leaf_index]),
+        metric=metric,
+        leaf_index=leaf_index,
+    )
 
 
 def chief_draft_document(
-    chief: ChiefBlock, cycle_id: str, metric: str
+    chief: ChiefBlock, scores: np.ndarray, cycle_id: str, metric: str
 ) -> DecisionDocument:
-    """Draft the path decision: the identity with the best (lowest) score
-    among the chief's leaves, ties broken by lowest leaf index.
-
-    Raises:
-        MissingScores: some leaf has not scored this cycle.
-    """
-    for leaf in chief.leaves:
-        if leaf.last_cycle != cycle_id or leaf.last_score is None:
-            raise MissingScores(
-                f"leaf {leaf.index} of chief {chief.index} has no score for {cycle_id}"
-            )
-    best = min(chief.leaves, key=lambda leaf: (leaf.last_score, leaf.index))
-    document = DecisionDocument(
-        chief_id=chief.index,
-        cycle_id=cycle_id,
-        identity=best.template.identity,
-        score=best.last_score,
-        metric=metric,
-        leaf_index=best.index,
-    )
+    """Draft the path decision from the chief's leaf scores: the identity
+    with the best (lowest) score, ties broken by lowest leaf index."""
+    document = _leaf_document(chief, scores, int(np.argmin(scores)), cycle_id, metric)
     if chief.tamper_document is not None:
         document = chief.tamper_document(document)
     return document
 
 
-def collect_consent(chief: ChiefBlock, document: DecisionDocument) -> ShardPool:
+def collect_consent(
+    chief: ChiefBlock, document: DecisionDocument, scores: np.ndarray
+) -> ShardPool:
     """Ask every leaf to endorse the document.
 
     A leaf consents, adding its shard to the pool, when the document's
     score is at least as good as its own; otherwise it withholds the
-    shard and raises its flag. The chief always adds its retained shard.
+    shard and dissents. The chief always adds its retained shard.
     """
-    shards = []
-    consents = 0
-    for leaf in chief.leaves:
-        if not leaf.always_dissent and document.score <= leaf.last_score:
-            shards.append(leaf.shard)
-            consents += 1
-        else:
-            leaf.flag = True
+    # Negated rather than ">" so an incomparable (NaN) score also dissents.
+    dissent = ~(document.score <= scores)
+    dissent |= np.array([leaf.always_dissent for leaf in chief.leaves], dtype=bool)
+    shards = [leaf.shard for leaf, refused in zip(chief.leaves, dissent) if not refused]
     shards.append(chief.retained_shard)
-    return ShardPool(shards=shards, consent_count=consents)
+    return ShardPool(shards=shards, dissent=dissent)
 
 
-def root_finalize(
-    tree: MatcherTree, chief: ChiefBlock, document: DecisionDocument, pool: ShardPool
-) -> ConsensusResult:
+def root_finalize(tree: MatcherTree, chief: ChiefBlock, pool: ShardPool) -> ConsensusResult:
     """Add the root's contribution shard and try to reach consensus.
 
     Consensus requires the pooled shards to reconstruct the link's
-    decision private key, proven by signing a fresh nonce that verifies
-    under the stored public half. Anything else (short pool, corrupted
-    shard) triggers scrutiny.
+    decision private key, proven by deriving its public half and
+    comparing it with the stored one. Anything else (short pool,
+    corrupted shard) triggers scrutiny.
     """
-    shards = list(pool.shards) + [tree.contribution_shards[chief.index]]
+    shards = pool.shards + [tree.contribution_shards[chief.index]]
     try:
         secret = crypto.shamir_reconstruct(shards, chief.sharing)
-        if crypto.derive_public(secret) != tree.decision_publics[chief.index]:
-            return ConsensusResult.SCRUTINY
-        nonce = secrets.token_bytes(16)
-        signature = crypto.sign(secret, nonce)
+        if crypto.derive_public(secret) == tree.decision_publics[chief.index]:
+            return ConsensusResult.ACCEPTED
     except (crypto.CryptoError, ValueError):
-        return ConsensusResult.SCRUTINY
-    if crypto.verify(tree.decision_publics[chief.index], signature, nonce):
-        return ConsensusResult.ACCEPTED
+        pass
     return ConsensusResult.SCRUTINY
 
 
 def root_scrutinize(
-    tree: MatcherTree, chief: ChiefBlock, document: DecisionDocument
+    chief: ChiefBlock, document: DecisionDocument, scores: np.ndarray, pool: ShardPool
 ) -> DecisionDocument:
-    """Resolve a failed consensus by reading the flagged leaves directly.
+    """Resolve a failed consensus by reading the dissenting leaves' scores.
 
-    The best flagged score beats the document only if strictly better;
-    otherwise the document stands (a dissent against a genuinely best
-    document, or a corrupted shard with no dissent at all). Flags are
-    cleared when scrutiny ends.
+    The best dissenting score (ties to the lowest leaf index) beats the
+    document only if strictly better; otherwise the document stands (a
+    dissent against a genuinely best document, or a corrupted shard with
+    no dissent at all).
     """
-    flagged = [leaf for leaf in chief.leaves if leaf.flag]
-    corrected = document
-    if flagged:
-        best = min(flagged, key=lambda leaf: (leaf.last_score, leaf.index))
-        if best.last_score < document.score:
-            corrected = DecisionDocument(
-                chief_id=chief.index,
-                cycle_id=document.cycle_id,
-                identity=best.template.identity,
-                score=best.last_score,
-                metric=document.metric,
-                leaf_index=best.index,
-            )
-    for leaf in flagged:
-        leaf.flag = False
-    return corrected
+    dissenters = np.flatnonzero(pool.dissent)
+    if dissenters.size == 0:
+        return document
+    best = int(dissenters[np.argmin(scores[dissenters])])
+    if not scores[best] < document.score:
+        return document
+    return _leaf_document(chief, scores, best, document.cycle_id, document.metric)
 
 
 # ---------------------------------------------------------------------------
@@ -488,46 +433,56 @@ def identify(
 
     # Fan the probe down the encrypted channels: root to chiefs, chiefs to
     # leaves, each leaf decrypting and parsing its own copy.
-    per_leaf_probes: list[tuple[LeafBlock, np.ndarray]] = []
+    per_chief_probes: list[list[np.ndarray]] = []
     for chief in tree.chiefs:
         for_chief = crypto.sym_encrypt(probe_bytes, chief.channel_key)
         at_chief = crypto.sym_decrypt(for_chief, chief.channel_key)
+        probes = []
         for leaf in chief.leaves:
             for_leaf = crypto.sym_encrypt(at_chief, leaf.channel_key)
-            per_leaf_probes.append(
-                (leaf, decode_vector(crypto.sym_decrypt(for_leaf, leaf.channel_key)))
-            )
+            probes.append(decode_vector(crypto.sym_decrypt(for_leaf, leaf.channel_key)))
+        per_chief_probes.append(probes)
     t1 = time.perf_counter()
 
-    scratch = np.empty(per_leaf_probes[0][1].shape[0]) if per_leaf_probes else None
-    for leaf, probe in per_leaf_probes:
-        leaf_score(leaf, probe, metric, cycle_id, scratch)
+    score = get_metric(metric)
+    chief_scores = [
+        np.array(
+            [score(leaf.template.vector, probe) for leaf, probe in zip(chief.leaves, probes)],
+            dtype=np.float64,
+        )
+        for chief, probes in zip(tree.chiefs, per_chief_probes)
+    ]
     t2 = time.perf_counter()
 
-    drafts = [chief_draft_document(chief, cycle_id, metric) for chief in tree.chiefs]
+    drafts = [
+        chief_draft_document(chief, scores, cycle_id, metric)
+        for chief, scores in zip(tree.chiefs, chief_scores)
+    ]
     t3 = time.perf_counter()
 
     sharing_time = 0.0
     decisions: list[DecisionDocument] = []
     scrutinized: list[int] = []
-    for chief, document in zip(tree.chiefs, drafts):
-        pool = collect_consent(chief, document)
+    for chief, scores, document in zip(tree.chiefs, chief_scores, drafts):
+        pool = collect_consent(chief, document, scores)
         s0 = time.perf_counter()
-        outcome = root_finalize(tree, chief, document, pool)
+        outcome = root_finalize(tree, chief, pool)
         sharing_time += time.perf_counter() - s0
         if outcome is ConsensusResult.SCRUTINY:
-            document = root_scrutinize(tree, chief, document)
+            document = root_scrutinize(chief, document, scores, pool)
             scrutinized.append(chief.index)
         decisions.append(document)
     t4 = time.perf_counter()
 
     best = min(decisions, key=lambda d: (d.score, d.chief_id))
-    scored = sorted(
-        ((leaf.last_score, leaf.global_index, leaf.template.identity)
-         for leaf in tree.leaves()),
-        key=lambda t: (t[0], t[1]),
-    )
-    candidates = [MatchScore(identity=i, score=s, metric=metric) for s, _, i in scored]
+    # Enrollment order, so the stable sort breaks ties by global index.
+    all_scores = np.concatenate(chief_scores)
+    values = all_scores.tolist()
+    leaves = tree.leaves()
+    candidates = [
+        MatchScore(identity=leaves[i].template.identity, score=values[i], metric=metric)
+        for i in np.argsort(all_scores, kind="stable").tolist()
+    ]
     t5 = time.perf_counter()
 
     if timings is not None:
@@ -621,16 +576,6 @@ def restore_leaves(
     for locator in locators:
         leaf = tree.chiefs[locator.chief_index].leaves[locator.leaf_index]
         leaf.template = archive.get(locator.global_index).copy()
-
-
-def shard_census(tree: MatcherTree, chief: ChiefBlock) -> dict[str, int]:
-    """Count where every shard of one root-chief link currently lives."""
-    return {
-        "leaves": sum(1 for leaf in chief.leaves if leaf.shard is not None),
-        "chief": 1 if chief.retained_shard is not None else 0,
-        "root_contribution": 1 if chief.index in tree.contribution_shards else 0,
-        "root_retained": len(tree.retained_shards.get(chief.index, [])),
-    }
 
 
 def admin_recover_decision_key(tree: MatcherTree, chief: ChiefBlock) -> bytes:

@@ -42,13 +42,11 @@ from biochain.matcher import (
     chief_draft_document,
     collect_consent,
     identify_vector,
-    leaf_score,
     restore_leaves,
     root_finalize,
-    root_scrutinize,
     verify_tree,
 )
-from biochain.metrics import flat_oracle_identify, flat_rank, rank_k_accuracy
+from biochain.metrics import euclidean, flat_oracle_identify, flat_rank, rank_k_accuracy
 
 
 @contextmanager
@@ -94,11 +92,10 @@ def test_criterion_2_forged_documents_never_reach_consensus():
             for trial in range(per_shape):
                 probe = rng.normal(size=8) * 3
                 cycle = f"h-{n}-{trial}"
-                for leaf in chief.leaves:
-                    leaf_score(leaf, probe, "euclidean", cycle)
-                honest = chief_draft_document(chief, cycle, "euclidean")
-                pool = collect_consent(chief, honest)
-                if root_finalize(tree, chief, honest, pool) is ConsensusResult.ACCEPTED:
+                scores = np.array([euclidean(leaf.template.vector, probe) for leaf in chief.leaves])
+                honest = chief_draft_document(chief, scores, cycle, "euclidean")
+                pool = collect_consent(chief, honest, scores)
+                if root_finalize(tree, chief, pool) is ConsensusResult.ACCEPTED:
                     honest_accepts += 1
                 honest_trials += 1
 
@@ -107,12 +104,11 @@ def test_criterion_2_forged_documents_never_reach_consensus():
                     honest.score + float(rng.uniform(1e-9, 3.0)),
                     honest.metric, honest.leaf_index,
                 )
-                pool = collect_consent(chief, forged)
+                pool = collect_consent(chief, forged, scores)
                 # the chief can gather at most n shards for a faulty document
                 assert len(pool.shards) <= n
-                if root_finalize(tree, chief, forged, pool) is ConsensusResult.ACCEPTED:
+                if root_finalize(tree, chief, pool) is ConsensusResult.ACCEPTED:
                     forged_successes += 1
-                root_scrutinize(tree, chief, forged)  # clear flags
                 forged_trials += 1
         assert forged_trials >= 3000 and honest_trials >= 3000  # 1000 per shape
         assert forged_successes == 0

@@ -118,6 +118,21 @@ class TestTamperAuditRestore:
         assert "post-restore audit: clean" in restore_result.output
         invoke(runner, out, "audit")
 
+    def test_deleted_gallery_records_found_and_restored(self, runner, tmp_path):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        lines = (out / "gallery.txt").read_text().splitlines()
+        header = lines[0].split()
+        header[3] = "35"
+        (out / "gallery.txt").write_text("\n".join([" ".join(header), *lines[1:-5]]) + "\n")
+        audit_result = runner.invoke(main, ["--out", str(out), "audit"])
+        assert audit_result.exit_code == 1
+        assert "store: 35 live records, archive holds 40" in audit_result.output
+        restore_result = invoke(runner, out, "restore")
+        assert "post-restore audit: clean" in restore_result.output
+        assert (out / "gallery.txt").read_bytes() == (out / "archive.txt").read_bytes()
+        invoke(runner, out, "audit")
+
     def test_chain_tamper_cycle(self, runner, tmp_path):
         out = tmp_path / "run"
         bootstrap(runner, out)

@@ -1,5 +1,7 @@
 """Gallery generation, enrollment, tamper injection, audits, experiments."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,12 @@ from biochain.matcher import verify_tree
 from biochain.metrics import flat_oracle_identify
 from biochain import crypto
 from biochain.encoding import decode_vector
+
+
+# Reference to_text() and to_json() of run_experiment(small_config()): the
+# report is a pure function of the config, so any byte that moves is a
+# behaviour change.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def small_config(**overrides):
@@ -189,6 +197,13 @@ class TestAudit:
         assert not report.clean
         assert len(report.lines) == 2
 
+    def test_store_record_count_mismatch(self):
+        system = enroll(generate_synthetic_gallery(small_config()), seed=19)
+        del system.flat_store[-5:]
+        report = audit(system)
+        assert report.store_count_mismatch and not report.clean
+        assert report.lines[-1].startswith("store: 25 live records, archive holds 30;")
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -229,6 +244,10 @@ class TestExperiment:
     def test_audit_recorded_restore_clean(self, report):
         assert report.audit_lines[-1] == "after restore: clean"
         assert any("tampered leaf" in line for line in report.audit_lines)
+
+    def test_report_matches_golden_files(self, report):
+        assert report.to_text().encode() == (GOLDEN / "report.txt").read_bytes()
+        assert report.to_json().encode() == (GOLDEN / "summary.json").read_bytes()
 
     def test_timings_populated(self, report):
         assert report.timings.probes == 30 * 2 * 2  # both proposed passes

@@ -11,7 +11,6 @@ from biochain.matcher import (
     DecisionDocument,
     EmptyGallery,
     MatcherTree,
-    MissingScores,
     Template,
     TemplateArchive,
     build_tree,
@@ -19,15 +18,13 @@ from biochain.matcher import (
     collect_consent,
     identify_vector,
     leaf_hash,
-    leaf_score,
     node_hash,
     restore_leaves,
     root_finalize,
     root_scrutinize,
-    shard_census,
     verify_tree,
 )
-from biochain.metrics import DimensionMismatch, flat_oracle_identify
+from biochain.metrics import DimensionMismatch, flat_oracle_identify, flat_rank
 
 
 def make_gallery(n, d=8, seed=0, scale=3.0):
@@ -35,10 +32,9 @@ def make_gallery(n, d=8, seed=0, scale=3.0):
     return [Template(f"id{i:03d}", rng.normal(size=d) * scale) for i in range(n)]
 
 
-def score_all(tree, probe, metric="euclidean", cycle="cycle-1"):
-    for leaf in tree.leaves():
-        leaf_score(leaf, probe, metric, cycle)
-    return cycle
+def chief_scores(chief, probe, metric="euclidean"):
+    score = metrics.get_metric(metric)
+    return np.array([score(leaf.template.vector, probe) for leaf in chief.leaves])
 
 
 class TestBuildTree:
@@ -72,24 +68,20 @@ class TestBuildTree:
 class TestShardAllocation:
     def test_n50_link_holds_101_shards(self):
         tree = build_tree(make_gallery(50), fanout=50)
-        census = shard_census(tree, tree.chiefs[0])
-        assert census == {
-            "leaves": 50,
-            "chief": 1,
-            "root_contribution": 1,
-            "root_retained": 49,
-        }
-        assert sum(census.values()) == 2 * 50 + 1
+        chief = tree.chiefs[0]
+        assert all(leaf.shard is not None for leaf in chief.leaves)
+        assert chief.retained_shard is not None
+        assert chief.index in tree.contribution_shards
+        assert len(tree.retained_shards[chief.index]) == 49
+        assert len(chief.leaves) + 1 + 1 + 49 == 2 * 50 + 1
 
     def test_n1_link_root_keeps_only_its_contribution(self):
         tree = build_tree(make_gallery(1))
-        census = shard_census(tree, tree.chiefs[0])
-        assert census == {
-            "leaves": 1,
-            "chief": 1,
-            "root_contribution": 1,
-            "root_retained": 0,
-        }
+        chief = tree.chiefs[0]
+        assert chief.leaves[0].shard is not None
+        assert chief.retained_shard is not None
+        assert chief.index in tree.contribution_shards
+        assert tree.retained_shards[chief.index] == []
 
     @pytest.mark.parametrize("n", [1, 2, 5, 20])
     def test_indices_partition_the_full_range(self, n):
@@ -128,198 +120,186 @@ class TestNodeHash:
 
 class TestLeafScore:
     def test_own_template_euclidean_zero(self):
-        tree = build_tree(make_gallery(5), fanout=5)
-        leaf = tree.chiefs[0].leaves[2]
-        assert leaf_score(leaf, leaf.template.vector.copy(), "euclidean") == 0.0
+        gallery = make_gallery(5)
+        tree = build_tree(gallery, fanout=5)
+        result = identify_vector(tree, gallery[2].vector.copy(), "euclidean")
+        assert (result.identity, result.score) == ("id002", 0.0)
 
     def test_scaled_probe_cosine_zero(self):
-        tree = build_tree(make_gallery(5), fanout=5)
-        leaf = tree.chiefs[0].leaves[0]
-        score = leaf_score(leaf, 2.0 * leaf.template.vector, "cosine")
-        assert score == pytest.approx(0.0, abs=1e-12)
+        gallery = make_gallery(5)
+        tree = build_tree(gallery, fanout=5)
+        result = identify_vector(tree, 2.0 * gallery[0].vector, "cosine")
+        assert result.identity == "id000"
+        assert result.score == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_standalone_metric(self):
-        tree = build_tree(make_gallery(5), fanout=5)
+        # Candidates equal the flat scan's bit for bit, in the same order,
+        # with tied scores (duplicated templates) kept in enrollment order.
+        gallery = make_gallery(12, seed=3)
+        gallery += [Template(f"dup{t.identity}", t.vector.copy()) for t in gallery[::3]]
+        tree = build_tree(gallery, fanout=5)
         rng = np.random.default_rng(3)
         for metric in ("euclidean", "cosine"):
-            for leaf in tree.leaves():
+            for _ in range(10):
                 probe = rng.normal(size=8)
-                expected = metrics.get_metric(metric)(leaf.template.vector, probe)
-                assert abs(leaf_score(leaf, probe, metric) - expected) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        tree = build_tree(make_gallery(2), fanout=2)
-        with pytest.raises(DimensionMismatch):
-            leaf_score(tree.chiefs[0].leaves[0], np.ones(3), "euclidean")
+                got = identify_vector(tree, probe, metric).candidates
+                assert got == flat_rank(gallery, probe, metric)
+                assert all(type(c.score) is float for c in got)
 
 
 class TestDraftDocument:
     def _scored_chief(self, scores):
         tree = build_tree(make_gallery(len(scores), d=2, seed=9), fanout=len(scores))
-        chief = tree.chiefs[0]
-        for leaf, s in zip(chief.leaves, scores):
-            leaf.last_score = s
-            leaf.last_cycle = "c"
-        return tree, chief
+        return tree, tree.chiefs[0], np.array(scores)
 
     def test_argmin(self):
-        _, chief = self._scored_chief([0.9, 0.1, 0.5])
-        doc = chief_draft_document(chief, "c", "euclidean")
+        _, chief, scores = self._scored_chief([0.9, 0.1, 0.5])
+        doc = chief_draft_document(chief, scores, "c", "euclidean")
         assert doc.identity == chief.leaves[1].template.identity
         assert doc.score == 0.1
 
     def test_tie_breaks_to_lowest_leaf_index(self):
-        _, chief = self._scored_chief([0.3, 0.3])
-        doc = chief_draft_document(chief, "c", "euclidean")
+        _, chief, scores = self._scored_chief([0.3, 0.3])
+        doc = chief_draft_document(chief, scores, "c", "euclidean")
         assert doc.identity == chief.leaves[0].template.identity
         assert doc.leaf_index == 0
 
-    def test_missing_scores(self):
-        tree = build_tree(make_gallery(3), fanout=3)
-        with pytest.raises(MissingScores):
-            chief_draft_document(tree.chiefs[0], "never-scored", "euclidean")
-
     def test_compromised_chief_can_draft_anything(self):
-        tree, chief = self._scored_chief([0.9, 0.1, 0.5])
+        tree, chief, scores = self._scored_chief([0.9, 0.1, 0.5])
         chief.tamper_document = lambda doc: DecisionDocument(
             doc.chief_id, doc.cycle_id, "intruder", 0.7, doc.metric, doc.leaf_index
         )
-        doc = chief_draft_document(chief, "c", "euclidean")
+        doc = chief_draft_document(chief, scores, "c", "euclidean")
         assert (doc.identity, doc.score) == ("intruder", 0.7)
         # constructible, but consensus will fail
-        pool = collect_consent(chief, doc)
-        assert root_finalize(tree, chief, doc, pool) is ConsensusResult.SCRUTINY
+        pool = collect_consent(chief, doc, scores)
+        assert root_finalize(tree, chief, pool) is ConsensusResult.SCRUTINY
 
 
 class TestConsent:
     def _tree(self, n=5):
         tree = build_tree(make_gallery(n, seed=4), fanout=n)
-        probe = tree.chiefs[0].leaves[0].template.vector + 0.25
-        score_all(tree, probe)
-        return tree, tree.chiefs[0]
+        chief = tree.chiefs[0]
+        return tree, chief, chief_scores(chief, chief.leaves[0].template.vector + 0.25)
 
     def test_honest_document_collects_all_shards(self):
-        tree, chief = self._tree()
-        doc = chief_draft_document(chief, "cycle-1", "euclidean")
-        pool = collect_consent(chief, doc)
-        assert pool.consent_count == 5
+        tree, chief, scores = self._tree()
+        doc = chief_draft_document(chief, scores, "cycle-1", "euclidean")
+        pool = collect_consent(chief, doc, scores)
         assert len(pool.shards) == 5 + 1  # every leaf plus the chief
-        assert all(not leaf.flag for leaf in chief.leaves)
+        assert pool.dissent.tolist() == [False] * 5
 
     def test_forged_document_loses_dissenting_shards(self):
-        tree, chief = self._tree()
-        honest = chief_draft_document(chief, "cycle-1", "euclidean")
+        tree, chief, scores = self._tree()
+        honest = chief_draft_document(chief, scores, "cycle-1", "euclidean")
         forged = DecisionDocument(
             honest.chief_id, honest.cycle_id, "intruder",
             honest.score + 0.5, honest.metric, honest.leaf_index,
         )
-        pool = collect_consent(chief, forged)
-        dissenters = [leaf for leaf in chief.leaves if leaf.flag]
-        assert dissenters  # at least the true best leaf refuses
+        pool = collect_consent(chief, forged, scores)
+        assert pool.dissent.any()  # at least the true best leaf refuses
+        assert pool.dissent[honest.leaf_index]
         assert len(pool.shards) <= len(chief.leaves)  # at most n, chief included
-        assert pool.consent_count <= len(chief.leaves) - 1
+        assert len(pool.shards) == 1 + int((~pool.dissent).sum())
 
     def test_tied_leaves_both_consent(self):
         tree = build_tree(make_gallery(3, d=2, seed=6), fanout=3)
         chief = tree.chiefs[0]
-        for leaf, s in zip(chief.leaves, [0.2, 0.2, 0.9]):
-            leaf.last_score = s
-            leaf.last_cycle = "c"
-        doc = chief_draft_document(chief, "c", "euclidean")
+        scores = np.array([0.2, 0.2, 0.9])
+        doc = chief_draft_document(chief, scores, "c", "euclidean")
         assert doc.score == 0.2
-        pool = collect_consent(chief, doc)
-        assert pool.consent_count == 3
-        assert not chief.leaves[0].flag and not chief.leaves[1].flag
+        pool = collect_consent(chief, doc, scores)
+        assert len(pool.shards) == 3 + 1
+        assert not pool.dissent.any()
 
 
 class TestFinalize:
     def _scored(self, n=5):
         tree = build_tree(make_gallery(n, seed=11), fanout=n)
-        probe = tree.chiefs[0].leaves[2].template.vector + 0.1
-        score_all(tree, probe)
-        return tree, tree.chiefs[0]
+        chief = tree.chiefs[0]
+        return tree, chief, chief_scores(chief, chief.leaves[2].template.vector + 0.1)
 
     def test_honest_pool_accepted(self):
-        tree, chief = self._scored()
-        doc = chief_draft_document(chief, "cycle-1", "euclidean")
-        pool = collect_consent(chief, doc)
-        assert root_finalize(tree, chief, doc, pool) is ConsensusResult.ACCEPTED
+        tree, chief, scores = self._scored()
+        doc = chief_draft_document(chief, scores, "cycle-1", "euclidean")
+        pool = collect_consent(chief, doc, scores)
+        assert root_finalize(tree, chief, pool) is ConsensusResult.ACCEPTED
 
     def test_forged_pool_triggers_scrutiny(self):
-        tree, chief = self._scored()
-        honest = chief_draft_document(chief, "cycle-1", "euclidean")
+        tree, chief, scores = self._scored()
+        honest = chief_draft_document(chief, scores, "cycle-1", "euclidean")
         forged = DecisionDocument(
             honest.chief_id, honest.cycle_id, "intruder",
             honest.score + 1.0, honest.metric, honest.leaf_index,
         )
-        pool = collect_consent(chief, forged)
-        assert root_finalize(tree, chief, forged, pool) is ConsensusResult.SCRUTINY
+        pool = collect_consent(chief, forged, scores)
+        assert root_finalize(tree, chief, pool) is ConsensusResult.SCRUTINY
 
     def test_corrupted_shard_fails_key_check(self):
-        tree, chief = self._scored()
-        doc = chief_draft_document(chief, "cycle-1", "euclidean")
-        pool = collect_consent(chief, doc)
+        tree, chief, scores = self._scored()
+        doc = chief_draft_document(chief, scores, "cycle-1", "euclidean")
+        pool = collect_consent(chief, doc, scores)
         damaged = bytearray(pool.shards[0].payload)
         damaged[0] ^= 0xFF
         pool.shards[0] = Shard(pool.shards[0].index, bytes(damaged))
-        assert root_finalize(tree, chief, doc, pool) is ConsensusResult.SCRUTINY
+        assert root_finalize(tree, chief, pool) is ConsensusResult.SCRUTINY
 
     def test_shards_are_reusable_across_cycles(self):
-        tree, chief = self._scored()
+        tree, chief, _ = self._scored()
+        held = [leaf.shard for leaf in chief.leaves]
         for cycle in ("cycle-1", "cycle-2", "cycle-3"):
-            probe = tree.chiefs[0].leaves[1].template.vector + 0.05
-            score_all(tree, probe, cycle=cycle)
-            doc = chief_draft_document(chief, cycle, "euclidean")
-            pool = collect_consent(chief, doc)
-            assert root_finalize(tree, chief, doc, pool) is ConsensusResult.ACCEPTED
-            assert sum(shard_census(tree, chief).values()) == 2 * len(chief.leaves) + 1
+            scores = chief_scores(chief, chief.leaves[1].template.vector + 0.05)
+            doc = chief_draft_document(chief, scores, cycle, "euclidean")
+            pool = collect_consent(chief, doc, scores)
+            assert root_finalize(tree, chief, pool) is ConsensusResult.ACCEPTED
+            assert [leaf.shard for leaf in chief.leaves] == held
+            assert chief.retained_shard is not None
+            assert chief.index in tree.contribution_shards
+            assert len(tree.retained_shards[chief.index]) == len(chief.leaves) - 1
 
 
 class TestScrutiny:
     def test_forged_document_corrected_to_flagged_minimum(self):
         tree = build_tree(make_gallery(4, seed=13), fanout=4)
         chief = tree.chiefs[0]
-        for leaf, s in zip(chief.leaves, [0.1, 0.4, 0.6, 0.9]):
-            leaf.last_score = s
-            leaf.last_cycle = "c"
+        scores = np.array([0.1, 0.4, 0.6, 0.9])
         forged = DecisionDocument(0, "c", "intruder", 0.8, "euclidean", 3)
-        collect_consent(chief, forged)  # flags every leaf scoring under 0.8
-        corrected = root_scrutinize(tree, chief, forged)
+        pool = collect_consent(chief, forged, scores)
+        assert pool.dissent.tolist() == [True, True, True, False]  # every score under 0.8
+        corrected = root_scrutinize(chief, forged, scores, pool)
         assert corrected.identity == chief.leaves[0].template.identity
         assert corrected.score == 0.1
-        assert all(not leaf.flag for leaf in chief.leaves)
 
     def test_valid_document_survives_compromised_leaf(self):
         tree = build_tree(make_gallery(4, seed=14), fanout=4)
         chief = tree.chiefs[0]
-        probe = chief.leaves[1].template.vector + 0.01
-        score_all(tree, probe)
+        scores = chief_scores(chief, chief.leaves[1].template.vector + 0.01)
         chief.leaves[3].always_dissent = True
-        doc = chief_draft_document(chief, "cycle-1", "euclidean")
-        pool = collect_consent(chief, doc)
-        assert root_finalize(tree, chief, doc, pool) is ConsensusResult.SCRUTINY
-        corrected = root_scrutinize(tree, chief, doc)
+        doc = chief_draft_document(chief, scores, "cycle-1", "euclidean")
+        pool = collect_consent(chief, doc, scores)
+        assert pool.dissent.tolist() == [False, False, False, True]
+        assert root_finalize(tree, chief, pool) is ConsensusResult.SCRUTINY
+        corrected = root_scrutinize(chief, doc, scores, pool)
         assert corrected == doc
 
     def test_multiple_flagged_min_wins_tie_by_index(self):
         tree = build_tree(make_gallery(4, seed=15), fanout=4)
         chief = tree.chiefs[0]
-        for leaf, s in zip(chief.leaves, [0.3, 0.3, 0.5, 0.9]):
-            leaf.last_score = s
-            leaf.last_cycle = "c"
+        scores = np.array([0.3, 0.3, 0.5, 0.9])
         forged = DecisionDocument(0, "c", "intruder", 0.7, "euclidean", 3)
-        collect_consent(chief, forged)
-        corrected = root_scrutinize(tree, chief, forged)
+        pool = collect_consent(chief, forged, scores)
+        corrected = root_scrutinize(chief, forged, scores, pool)
         assert corrected.identity == chief.leaves[0].template.identity
         assert corrected.leaf_index == 0
 
     def test_no_flags_means_document_stands(self):
         tree = build_tree(make_gallery(3, seed=16), fanout=3)
         chief = tree.chiefs[0]
-        probe = chief.leaves[0].template.vector
-        score_all(tree, probe)
-        doc = chief_draft_document(chief, "cycle-1", "euclidean")
-        assert root_scrutinize(tree, chief, doc) == doc
+        scores = chief_scores(chief, chief.leaves[0].template.vector)
+        doc = chief_draft_document(chief, scores, "cycle-1", "euclidean")
+        pool = collect_consent(chief, doc, scores)
+        assert not pool.dissent.any()
+        assert root_scrutinize(chief, doc, scores, pool) == doc
 
 
 class TestIdentify:
@@ -393,8 +373,7 @@ class TestIdentify:
             via_tree = identify_vector(tree, probe, "euclidean")
             via_scan = flat_oracle_identify(gallery, probe, "euclidean")
             assert via_tree.identity == via_scan.identity
-        # consent flags never persist past scrutiny
-        assert all(not leaf.flag for leaf in tree.leaves())
+            assert via_tree.scrutinized_chiefs == (0, 1, 2)
 
 
 class TestForgeryNeverReconstructs:
@@ -405,17 +384,16 @@ class TestForgeryNeverReconstructs:
         for trial in range(200):
             probe = rng.normal(size=8) * 3
             cycle = f"trial-{trial}"
-            score_all(tree, probe, cycle=cycle)
-            honest = chief_draft_document(chief, cycle, "euclidean")
+            scores = chief_scores(chief, probe)
+            honest = chief_draft_document(chief, scores, cycle, "euclidean")
             forged = DecisionDocument(
                 honest.chief_id, cycle, "intruder",
                 honest.score + float(rng.uniform(1e-9, 2.0)),
                 honest.metric, honest.leaf_index,
             )
-            pool = collect_consent(chief, forged)
+            pool = collect_consent(chief, forged, scores)
             assert len(pool.shards) + 1 <= chief.sharing.threshold - 1 + 1
-            assert root_finalize(tree, chief, forged, pool) is ConsensusResult.SCRUTINY
-            root_scrutinize(tree, chief, forged)  # reset flags
+            assert root_finalize(tree, chief, pool) is ConsensusResult.SCRUTINY
 
 
 class TestAdminRecovery:
