@@ -287,6 +287,10 @@ def restore_cmd(ctx):
     system = _load_system(out, config)
     findings = run_audit(system)
     if findings.chain_first_tampered is not None:
+        if not findings.snapshot_consistent:
+            raise click.ClickException(
+                f"{SNAPSHOT_FILE} fails its self-check; refusing to restore the chain from it"
+            )
         while True:
             index = system.chain.verify()
             if index is None:

@@ -303,6 +303,8 @@ def open_envelope(envelope: Envelope, private: bytes) -> bytes:
 # Field tables for the AES polynomial x^8 + x^4 + x^3 + x + 1 (0x11B).
 _GF_EXP = np.zeros(512, dtype=np.uint8)
 _GF_LOG = np.zeros(256, dtype=np.int64)
+# Full 256 x 256 product table (64 KiB); row and column 0 stay zero.
+_GF_MUL = np.zeros((256, 256), dtype=np.uint8)
 
 
 def _init_tables() -> None:
@@ -316,32 +318,19 @@ def _init_tables() -> None:
             doubled ^= 0x11B
         x = doubled ^ x
     _GF_EXP[255:510] = _GF_EXP[:255]
+    for a in range(1, 256):  # by rows: no 256 x 256 index temporary
+        _GF_MUL[a, 1:] = _GF_EXP[_GF_LOG[a] + _GF_LOG[1:]]
 
 
 _init_tables()
 
 
-def _gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return int(_GF_EXP[_GF_LOG[a] + _GF_LOG[b]])
-
-
-def _gf_div(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("division by zero in GF(2^8)")
-    if a == 0:
-        return 0
-    return int(_GF_EXP[(_GF_LOG[a] - _GF_LOG[b]) % 255])
-
-
-def _gf_mul_vec(vec: np.ndarray, scalar: int) -> np.ndarray:
-    """Multiply every byte of ``vec`` by ``scalar`` in GF(2^8)."""
-    if scalar == 0:
-        return np.zeros_like(vec)
-    out = _GF_EXP[(_GF_LOG[vec] + _GF_LOG[scalar]) % 255]
-    out[vec == 0] = 0
-    return out
+def _gf_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """GF(2^8) product, elementwise over broadcastable uint8 arrays; a
+    flat ``take`` at ``256 a + b`` is twice as fast as a 2-D index."""
+    index = np.left_shift(a, 8, dtype=np.intp)
+    index |= b
+    return _GF_MUL.take(index)
 
 
 @dataclass(frozen=True)
@@ -390,7 +379,9 @@ def shamir_split(
 
     Each byte of the secret becomes the constant term of a random
     polynomial of degree ``threshold - 1``; shard ``i`` holds the
-    polynomial values at field point ``i``.
+    polynomial values at field point ``i``. Horner's rule runs once over a
+    (total, len) accumulator with the points ``1..total`` as a column, so
+    the split takes ``threshold`` table gathers, not ``total * threshold``.
     """
     config.validate()
     if not secret:
@@ -402,32 +393,32 @@ def shamir_split(
     coeffs[1:] = np.frombuffer(rand, dtype=np.uint8).reshape(
         config.threshold - 1, length
     )
-    shards = []
-    for x in range(1, config.total + 1):
-        acc = np.zeros(length, dtype=np.uint8)
-        for row in coeffs[::-1]:
-            acc = _gf_mul_vec(acc, x) ^ row
-        shards.append(Shard(index=x, payload=acc.tobytes()))
-    return shards
+    points = np.arange(1, config.total + 1, dtype=np.uint8)[:, None]
+    acc = np.zeros((config.total, length), dtype=np.uint8)
+    for row in coeffs[::-1]:
+        acc = _gf_mul(acc, points)
+        acc ^= row
+    return [Shard(index=x, payload=values.tobytes()) for x, values in enumerate(acc, 1)]
 
 
 @lru_cache(maxsize=4096)
 def _lagrange_weights(indices: tuple[int, ...]) -> tuple[int, ...]:
-    """Lagrange basis values at zero for the given field points."""
-    weights = []
-    for i, xi in enumerate(indices):
-        num, den = 1, 1
-        for j, xj in enumerate(indices):
-            if i == j:
-                continue
-            num = _gf_mul(num, xj)
-            den = _gf_mul(den, xi ^ xj)
-        weights.append(_gf_div(num, den))
-    return tuple(weights)
+    """Lagrange basis values at zero for distinct nonzero field points.
+
+    Weight i is the product over j != i of x_j / (x_i ^ x_j), taken as a
+    sum of logarithms."""
+    x = np.array(indices)
+    diffs = x[:, None] ^ x[None, :]
+    np.fill_diagonal(diffs, 1)  # log 1 = 0 drops the j == i factor
+    logs = _GF_LOG[x].sum() - _GF_LOG[x] - _GF_LOG[diffs].sum(axis=1)
+    return tuple(_GF_EXP[logs % 255].tolist())
 
 
 def shamir_reconstruct(shards: Sequence[Shard], config: SharingConfig) -> bytes:
     """Recombine shards into the original secret.
+
+    One table gather multiplies the (k, len) payload matrix by the
+    Lagrange weights at zero, row by row, and an XOR over rows follows.
 
     Rejection below threshold happens by count, before any interpolation,
     so an under-sized pool can never "accidentally" reconstruct.
@@ -450,8 +441,7 @@ def shamir_reconstruct(shards: Sequence[Shard], config: SharingConfig) -> bytes:
     lengths = {len(s.payload) for s in shards}
     if len(lengths) != 1:
         raise InvalidConfig("shard payloads must have equal length")
-    weights = _lagrange_weights(indices)
-    secret = np.zeros(lengths.pop(), dtype=np.uint8)
-    for shard, w in zip(shards, weights):
-        secret ^= _gf_mul_vec(np.frombuffer(shard.payload, dtype=np.uint8), w)
-    return secret.tobytes()
+    payloads = np.frombuffer(b"".join(s.payload for s in shards), dtype=np.uint8)
+    weights = np.array(_lagrange_weights(indices), dtype=np.uint8)[:, None]
+    products = _gf_mul(payloads.reshape(len(shards), lengths.pop()), weights)
+    return np.bitwise_xor.reduce(products, axis=0).tobytes()

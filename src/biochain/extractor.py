@@ -245,10 +245,15 @@ class StableSnapshot:
     timestamp: float
 
     def self_check(self) -> bool:
-        """Recompute every hash from the stored parameters."""
+        """Recompute every hash from the stored parameters; False when one
+        differs or a parameter blob does not parse."""
         prev = GENESIS_DIGEST
         for index, stored_hash, params_bytes in self.blocks:
-            recomputed = compute_block_hash(prev, StageParams.from_canonical(params_bytes))
+            try:
+                params = StageParams.from_canonical(params_bytes)
+            except ValueError:
+                return False
+            recomputed = compute_block_hash(prev, params)
             if recomputed != stored_hash:
                 return False
             prev = recomputed
@@ -514,11 +519,14 @@ def run_query_cycle(
 
     The returned entry's payload is the feature vector encrypted to the
     matching tree's root key. The chain must verify intact against its
-    snapshot before the cycle starts.
+    snapshot before the cycle starts. A cycle that fails after it opens
+    (a bad probe, a rejected update) is closed before the error
+    propagates, so it cannot block later cycles on the same ledger.
 
     Raises:
         IntegrityFailure: the chain failed its pre-check.
         SignatureRejected: a protocol step saw an illegitimate update.
+        ShapeMismatch: the input does not fit a stage.
     """
     if chain.verify() is not None:
         raise IntegrityFailure("chain does not match its stable snapshot")
@@ -528,15 +536,20 @@ def run_query_cycle(
     )
     entry = notary_begin_cycle(chain.notary, ledger, captured)
     cycle_id = entry.cycle_id
-    for _ in range(len(chain.blocks)):
-        acted = None
-        for block in chain.blocks:
-            acted = block_handle_update(block, ledger, cycle_id)
-            if acted is not None:
-                break
-        if acted is None:
-            raise SignatureRejected("no block recognized the pending update")
-        entry = notary_handle_update(chain.notary, ledger, cycle_id)
+    try:
+        for _ in range(len(chain.blocks)):
+            acted = None
+            for block in chain.blocks:
+                acted = block_handle_update(block, ledger, cycle_id)
+                if acted is not None:
+                    break
+            if acted is None:
+                raise SignatureRejected("no block recognized the pending update")
+            entry = notary_handle_update(chain.notary, ledger, cycle_id)
+    except BaseException:
+        ledger.close_cycle(cycle_id)
+        chain.notary.progress.pop(cycle_id, None)
+        raise
     return entry
 
 

@@ -147,15 +147,36 @@ def generate_synthetic_gallery(config: ExperimentConfig) -> list[Template]:
     centers = rng.normal(scale=scale, size=(n, d))
     if n > 1 and bound > 0:
         for _ in range(1000):
-            dists = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
-            np.fill_diagonal(dists, np.inf)
-            bad = np.flatnonzero(dists.min(axis=1) < bound)
-            if bad.size == 0:
+            bad = _first_crowded_row(centers, bound)
+            if bad is None:
                 break
-            centers[bad[0]] = rng.normal(scale=scale, size=d)
+            centers[bad] = rng.normal(scale=scale, size=d)
         else:
             raise InvalidConfig("could not separate gallery centers; lower gallery_size")
     return [Template(f"id{i:04d}", centers[i]) for i in range(n)]
+
+
+# Elements of one block of the row-by-row difference array (2 MiB of
+# float64), so separation checks never hold an N x N x d array.
+_SCAN_ELEMENTS = 1 << 18
+
+
+def _first_crowded_row(centers: np.ndarray, bound: float) -> Optional[int]:
+    """Lowest index of a center closer than ``bound`` to another, or None.
+
+    Rows are scanned in blocks, stopping at the first block that holds
+    one; each distance is computed as a full N x N matrix would compute
+    it, so the answer is the same."""
+    n, d = centers.shape
+    step = max(1, _SCAN_ELEMENTS // (n * d))
+    for lo in range(0, n, step):
+        block = centers[lo:lo + step]
+        dists = np.linalg.norm(block[:, None, :] - centers[None, :, :], axis=2)
+        dists[np.arange(len(block)), np.arange(lo, lo + len(block))] = np.inf
+        bad = np.flatnonzero(dists.min(axis=1) < bound)
+        if bad.size:
+            return lo + int(bad[0])
+    return None
 
 
 def save_gallery(path: Path, templates: Sequence[Template]) -> None:
@@ -357,14 +378,17 @@ class AuditReport:
     chain_first_tampered: Optional[int]
     tree_locators: list[LeafLocator]
     store_count_mismatch: bool  # live store and archive hold different record counts
+    snapshot_consistent: bool  # the snapshot's parameters reproduce its hashes
     clean: bool
     lines: list[str]
 
 
 def audit(system: EnrolledSystem) -> AuditReport:
     """Run both integrity checks, compare the live store's record count
-    with the archive's, and describe what they found."""
+    with the archive's, self-check the chain snapshot, and describe what
+    they found."""
     chain_result = system.chain.verify()
+    snapshot_consistent = system.chain.snapshot.self_check()
     locators = verify_tree(system.tree)
     store_count_mismatch = len(system.flat_store) != len(system.archive)
     lines = []
@@ -388,11 +412,20 @@ def audit(system: EnrolledSystem) -> AuditReport:
             f"store: {len(system.flat_store)} live records, archive holds "
             f"{len(system.archive)}; restore rewrites the store from the tree"
         )
-    clean = chain_result is None and not locators and not store_count_mismatch
+    if not snapshot_consistent:
+        lines.append(
+            "snapshot: stored parameters do not reproduce the stored hashes; "
+            "the chain cannot be restored from it"
+        )
+    clean = (
+        chain_result is None and not locators and not store_count_mismatch
+        and snapshot_consistent
+    )
     return AuditReport(
         chain_first_tampered=chain_result,
         tree_locators=locators,
         store_count_mismatch=store_count_mismatch,
+        snapshot_consistent=snapshot_consistent,
         clean=clean,
         lines=lines,
     )

@@ -1,11 +1,17 @@
 """End-to-end command-line flows against a temporary state directory."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import biochain
 from biochain.cli import main
+from biochain.extractor import StableSnapshot, StageParams
 
 
 @pytest.fixture
@@ -145,6 +151,31 @@ class TestTamperAuditRestore:
         assert blocked.exit_code != 0
         invoke(runner, out, "restore")
         invoke(runner, out, "identify", "--identity", "id0001")
+
+    def test_corrupted_snapshot_audited_and_restore_refused(self, runner, tmp_path):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        # change block 0's stored parameters but keep its stored hash
+        snapshot = StableSnapshot.load(out / "snapshot.bin")
+        index, stored_hash, params_bytes = snapshot.blocks[0]
+        params = StageParams.from_canonical(params_bytes)
+        params.weights.flat[0] += 1.0
+        snapshot.blocks[0] = (index, stored_hash, params.canonical_bytes())
+        snapshot.save(out / "snapshot.bin")
+        audit_result = runner.invoke(main, ["--out", str(out), "audit"])
+        assert audit_result.exit_code == 1
+        assert "chain: intact" in audit_result.output
+        assert any(line.startswith("snapshot:") for line in audit_result.output.splitlines())
+        invoke(runner, out, "tamper", "--block", "0")
+        # a subprocess with a timeout, so a restore that never ends fails the test
+        env = dict(os.environ, PYTHONPATH=str(Path(biochain.__file__).parents[1]))
+        restore = subprocess.run(
+            [sys.executable, "-m", "biochain.cli", "--out", str(out), "restore"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert restore.returncode == 1
+        assert "refusing to restore the chain" in restore.stderr
+        assert "restored chain stage" not in restore.stdout
 
     def test_tamper_requires_a_target(self, runner, tmp_path):
         out = tmp_path / "run"

@@ -1,5 +1,6 @@
 """Crypto primitive contracts: round trips, failure modes, sharing arithmetic."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -270,3 +271,110 @@ class TestShamir:
         cfg = SharingConfig.for_group(n)
         shards = crypto.shamir_split(data, cfg)
         assert crypto.shamir_reconstruct(shards[: cfg.threshold], cfg) == data
+
+
+# Scalar reference for the sharing arithmetic: one field point and one byte
+# at a time, with carry-less multiplication instead of the module's tables.
+
+def _ref_gf_mul(a, b):
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11B
+        b >>= 1
+    return product
+
+
+def _ref_gf_inv(a):
+    return next(b for b in range(1, 256) if _ref_gf_mul(a, b) == 1)
+
+
+def _ref_split(secret, cfg, rng):
+    rand = rng.bytes((cfg.threshold - 1) * len(secret))
+    coeffs = [secret] + [
+        rand[k * len(secret):(k + 1) * len(secret)] for k in range(cfg.threshold - 1)
+    ]
+    shards = []
+    for x in range(1, cfg.total + 1):
+        payload = bytearray(len(secret))
+        for j in range(len(secret)):
+            acc = 0
+            for row in reversed(coeffs):
+                acc = _ref_gf_mul(acc, x) ^ row[j]
+            payload[j] = acc
+        shards.append(Shard(index=x, payload=bytes(payload)))
+    return shards
+
+
+def _ref_reconstruct(shards):
+    secret = bytearray(len(shards[0].payload))
+    for shard in shards:
+        num, den = 1, 1
+        for other in shards:
+            if other.index != shard.index:
+                num = _ref_gf_mul(num, other.index)
+                den = _ref_gf_mul(den, shard.index ^ other.index)
+        weight = _ref_gf_mul(num, _ref_gf_inv(den))
+        for j, byte in enumerate(shard.payload):
+            secret[j] ^= _ref_gf_mul(byte, weight)
+    return bytes(secret)
+
+
+class TestShamirPins:
+    """Seeded sharing output pinned byte for byte: a kernel rewrite must
+    produce the same shards and consume the same rng stream."""
+
+    @pytest.mark.parametrize(
+        "n,shards_sha256,rng_after",
+        [
+            (1, "b7bf638ab04477f836342e10bee0619b8a408379a3983aceac83bef61b6a9ff5",
+             "0b8216fa818e5022"),
+            (50, "3cc66face7a2aef28dd2d07adfacf1d9d4760443cf599d9c475ebb3bf37e9c37",
+             "23b4c62dbb872ad1"),
+            (127, "b03b761a4d920a81390ca547a559ccd4b843808935a7d01d289b77d9439d05f7",
+             "d97a47534ac42a54"),
+        ],
+    )
+    def test_seeded_split_bytes_pinned(self, n, shards_sha256, rng_after):
+        cfg = SharingConfig.for_group(n)
+        rng = np.random.default_rng(n)
+        secret = bytes(range(64))
+        shards = crypto.shamir_split(secret, cfg, rng)
+        assert [s.index for s in shards] == list(range(1, cfg.total + 1))
+        blob = b"".join(bytes([s.index]) + s.payload for s in shards)
+        assert hashlib.sha256(blob).hexdigest() == shards_sha256
+        assert rng.bytes(8).hex() == rng_after
+        order = np.random.default_rng(n + 1000).permutation(cfg.total)
+        subset = [shards[i] for i in order[: cfg.threshold]]
+        assert crypto.shamir_reconstruct(subset, cfg) == secret
+
+    @given(
+        secret=st.binary(min_size=1, max_size=64),
+        n=st.integers(min_value=1, max_value=7),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_reference(self, secret, n, seed, data):
+        cfg = SharingConfig.for_group(n)
+        shards = crypto.shamir_split(secret, cfg, np.random.default_rng(seed))
+        assert shards == _ref_split(secret, cfg, np.random.default_rng(seed))
+        picks = data.draw(
+            st.lists(
+                st.sampled_from(range(cfg.total)),
+                min_size=cfg.threshold,
+                max_size=cfg.threshold,
+                unique=True,
+            )
+        )
+        subset = [shards[i] for i in picks]
+        assert crypto.shamir_reconstruct(subset, cfg) == secret
+        # a corrupted pool reconstructs the reference's (wrong) bytes exactly
+        flip = data.draw(st.integers(min_value=1, max_value=255))
+        payload = bytearray(subset[0].payload)
+        payload[-1] ^= flip
+        subset[0] = Shard(subset[0].index, bytes(payload))
+        assert crypto.shamir_reconstruct(subset, cfg) == _ref_reconstruct(subset)

@@ -293,6 +293,19 @@ class TestRunQueryCycle:
             for block in chain.blocks:
                 block_handle_update(block, ledger, cid)
 
+    def test_bad_probe_does_not_wedge_later_cycles(self):
+        chain, root = build_chain(identity_stages(4))
+        ledger = Ledger()
+        with pytest.raises(ShapeMismatch):
+            run_query_cycle(chain, ledger, np.ones(5))
+        assert chain.notary.progress == {}
+        x = np.array([0.5, -1.0, 2.0, 0.0])
+        final = run_query_cycle(chain, ledger, x)
+        feature = decode_vector(crypto.open_envelope(handoff_envelope(final), root.private))
+        assert np.array_equal(feature, x)
+        cycles = {e.cycle_id for e in ledger.entries()}
+        assert len(cycles) == 2 and all(ledger.is_closed(c) for c in cycles)
+
     def test_tampered_chain_refuses_to_run(self):
         chain, _ = build_chain(identity_stages(4))
         chain.blocks[1].params.weights[0, 0] += 1.0

@@ -1,12 +1,18 @@
 """Gallery generation, enrollment, tamper injection, audits, experiments."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from biochain.crypto import InvalidConfig
-from biochain.extractor import IndexOutOfRange, handoff_envelope, run_query_cycle
+from biochain.extractor import (
+    IndexOutOfRange,
+    StageParams,
+    handoff_envelope,
+    run_query_cycle,
+)
 from biochain.harness import (
     ExperimentConfig,
     audit,
@@ -51,6 +57,46 @@ class TestGalleryGeneration:
         g1 = generate_synthetic_gallery(small_config(seed=1))
         g2 = generate_synthetic_gallery(small_config(seed=2))
         assert not np.array_equal(g1[0].vector, g2[0].vector)
+
+    @staticmethod
+    def _full_matrix_gallery(config):
+        # the generator as first written: one N x N x d difference array per pass
+        rng = np.random.default_rng([config.seed, 0])
+        n, d = config.gallery_size, config.template_dim
+        bound = config.separation_bound()
+        scale = max(bound, 1.0)
+        centers = rng.normal(scale=scale, size=(n, d))
+        for _ in range(1000):
+            dists = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
+            np.fill_diagonal(dists, np.inf)
+            bad = np.flatnonzero(dists.min(axis=1) < bound)
+            if bad.size == 0:
+                return centers
+            centers[bad[0]] = rng.normal(scale=scale, size=d)
+        raise InvalidConfig("could not separate")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("size,dim,sigma", [(300, 8, 0.3), (120, 6, 0.3), (300, 16, 0.1)])
+    def test_block_scan_matches_full_matrix(self, seed, size, dim, sigma):
+        config = small_config(seed=seed, gallery_size=size, template_dim=dim,
+                              probe_noise_sigma=sigma)
+        expected = self._full_matrix_gallery(config)
+        got = np.array([t.vector for t in generate_synthetic_gallery(config)])
+        assert np.array_equal(got, expected)
+
+    def test_unseparable_gallery_still_rejected(self):
+        with pytest.raises(InvalidConfig):
+            generate_synthetic_gallery(small_config(gallery_size=200, template_dim=2))
+
+    def test_memory_bounded(self):
+        config = small_config(seed=5, gallery_size=1500, template_dim=16)
+        tracemalloc.start()
+        try:
+            generate_synthetic_gallery(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_pairwise_separation_bound(self):
         config = ExperimentConfig(seed=3, gallery_size=120, template_dim=16)
@@ -203,6 +249,23 @@ class TestAudit:
         report = audit(system)
         assert report.store_count_mismatch and not report.clean
         assert report.lines[-1].startswith("store: 25 live records, archive holds 30;")
+
+    @pytest.mark.parametrize("unparseable", [False, True])
+    def test_inconsistent_snapshot_is_a_finding(self, unparseable):
+        system = enroll(generate_synthetic_gallery(small_config()), seed=19)
+        index, stored_hash, params_bytes = system.chain.snapshot.blocks[0]
+        if unparseable:
+            params_bytes = params_bytes[:-3]
+        else:
+            params = StageParams.from_canonical(params_bytes)
+            params.weights.flat[0] += 0.5
+            params_bytes = params.canonical_bytes()
+        system.chain.snapshot.blocks[0] = (index, stored_hash, params_bytes)
+        report = audit(system)
+        assert report.chain_first_tampered is None
+        assert not report.snapshot_consistent and not report.clean
+        assert report.lines[:2] == ["chain: intact", "tree: intact"]
+        assert report.lines[2].startswith("snapshot: ")
 
 
 @pytest.fixture(scope="module")
