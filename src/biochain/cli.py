@@ -76,9 +76,13 @@ def _save_config(out: Path, config: ExperimentConfig) -> None:
     (out / CONFIG_FILE).write_text(json.dumps(config.to_dict(), indent=2) + "\n")
 
 
-def _save_chain_params(path: Path, chain: ExtractorChain) -> None:
-    blob = b"".join(lp(b.params.canonical_bytes()) for b in chain.blocks)
-    path.write_bytes(blob)
+def _save_chain_params(path: Path, params: list[bytes]) -> None:
+    """Write canonical stage-parameter blobs, in chain order."""
+    path.write_bytes(b"".join(lp(blob) for blob in params))
+
+
+def _chain_params(chain: ExtractorChain) -> list[bytes]:
+    return [block.params.canonical_bytes() for block in chain.blocks]
 
 
 def _load_chain_params(path: Path) -> list[StageParams]:
@@ -98,8 +102,11 @@ def _load_system(out: Path, config: ExperimentConfig) -> EnrolledSystem:
     live_templates = load_gallery(out / GALLERY_FILE)
     keys_rng = enrollment_keys_rng(config.seed)
     tree = build_tree(archive_templates, fanout=config.fanout, rng=keys_rng)
-    stages = _load_chain_params(out / CHAIN_FILE)
-    chain = ExtractorChain.build(stages, tree.public_key, rng=keys_rng)
+    try:
+        stages = _load_chain_params(out / CHAIN_FILE)
+        chain = ExtractorChain.build(stages, tree.public_key, rng=keys_rng)
+    except ValueError as exc:
+        raise click.ClickException(f"{CHAIN_FILE} holds no usable stage list: {exc}")
     chain.snapshot = StableSnapshot.load(out / SNAPSHOT_FILE)
     # Load the live (possibly tampered) templates over the enrollment tree.
     for leaf, template in zip(tree.leaves(), live_templates):
@@ -176,7 +183,7 @@ def enroll_cmd(ctx):
     system = enroll(templates, config.chain_spec, fanout=config.fanout,
                     seed=config.seed, ledger=Ledger(ledger_path))
     save_gallery(out / ARCHIVE_FILE, templates)
-    _save_chain_params(out / CHAIN_FILE, system.chain)
+    _save_chain_params(out / CHAIN_FILE, _chain_params(system.chain))
     system.chain.snapshot.save(out / SNAPSHOT_FILE)
     _save_config(out, config)
     click.echo(f"enrolled {len(templates)} templates: "
@@ -255,7 +262,7 @@ def tamper_cmd(ctx, fraction, sigma, block_index, epsilon):
             tamper_extractor_block(system.chain, block_index, epsilon)
         except (ValueError, IndexOutOfRange) as exc:
             raise click.ClickException(str(exc))
-        _save_chain_params(out / CHAIN_FILE, system.chain)
+        _save_chain_params(out / CHAIN_FILE, _chain_params(system.chain))
         click.echo(f"perturbed chain stage {block_index} by {epsilon}")
         did = True
     if not did:
@@ -291,13 +298,21 @@ def restore_cmd(ctx):
             raise click.ClickException(
                 f"{SNAPSHOT_FILE} fails its self-check; refusing to restore the chain from it"
             )
-        while True:
-            index = system.chain.verify()
-            if index is None:
-                break
-            system.chain.restore_block(index)
-            click.echo(f"restored chain stage {index}")
-        _save_chain_params(out / CHAIN_FILE, system.chain)
+        if findings.chain_stage_mismatch:
+            snapshot_params = [params for _, _, params in system.chain.snapshot.blocks]
+            _save_chain_params(out / CHAIN_FILE, snapshot_params)
+            click.echo(
+                f"restored the chain's {len(snapshot_params)} stages from the snapshot "
+                f"(the chain held {len(system.chain.blocks)})"
+            )
+        else:
+            while True:
+                index = system.chain.verify()
+                if index is None:
+                    break
+                system.chain.restore_block(index)
+                click.echo(f"restored chain stage {index}")
+            _save_chain_params(out / CHAIN_FILE, _chain_params(system.chain))
     if findings.tree_locators:
         restore_leaves(system.tree, findings.tree_locators, system.archive)
         click.echo(f"restored {len(findings.tree_locators)} templates")
@@ -305,9 +320,12 @@ def restore_cmd(ctx):
         click.echo(f"restored the live store to {len(system.archive)} records")
     if findings.tree_locators or findings.store_count_mismatch:
         save_gallery(out / GALLERY_FILE, system.tree.templates())
-    post = run_audit(_load_system(out, config))
-    click.echo("post-restore audit: " + ("clean" if post.clean else "STILL TAMPERED"))
     system.ledger.close()
+    del system  # one rebuilt deployment in memory at a time
+    system = _load_system(out, config)
+    post = run_audit(system)
+    system.ledger.close()
+    click.echo("post-restore audit: " + ("clean" if post.clean else "STILL TAMPERED"))
     if not post.clean:
         sys.exit(1)
 

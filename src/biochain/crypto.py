@@ -27,7 +27,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
@@ -179,13 +179,27 @@ def generate_sym_key(rng: Optional[np.random.Generator] = None) -> bytes:
     return _random_bytes(rng, SYM_KEY_LEN)
 
 
-def sym_encrypt(message: bytes, key: bytes) -> bytes:
-    """Encrypt with AES-256-GCM; output is nonce followed by ciphertext."""
+# A symmetric key with its AES-GCM key schedule already expanded,
+# ``SymCipher(key)``. A link that carries many messages prepares its
+# cipher once and passes it wherever a raw key is accepted; it lives
+# exactly as long as the object that holds it.
+SymCipher = AESGCM
+SymKey = Union[bytes, SymCipher]
+
+
+def _cipher(key: SymKey) -> SymCipher:
+    return key if isinstance(key, AESGCM) else AESGCM(key)
+
+
+def sym_encrypt(message: bytes, key: SymKey) -> bytes:
+    """Encrypt with AES-256-GCM under a fresh random nonce; output is the
+    nonce followed by the ciphertext. ``key`` is raw key bytes or a
+    prepared :data:`SymCipher`."""
     nonce = os.urandom(SYM_NONCE_LEN)
-    return nonce + AESGCM(key).encrypt(nonce, message, None)
+    return nonce + _cipher(key).encrypt(nonce, message, None)
 
 
-def sym_decrypt(ciphertext: bytes, key: bytes) -> bytes:
+def sym_decrypt(ciphertext: bytes, key: SymKey) -> bytes:
     """Invert :func:`sym_encrypt`.
 
     Raises:
@@ -195,7 +209,7 @@ def sym_decrypt(ciphertext: bytes, key: bytes) -> bytes:
         raise AuthenticationFailure("ciphertext too short")
     nonce, body = ciphertext[:SYM_NONCE_LEN], ciphertext[SYM_NONCE_LEN:]
     try:
-        return AESGCM(key).decrypt(nonce, body, None)
+        return _cipher(key).decrypt(nonce, body, None)
     except InvalidTag as exc:
         raise AuthenticationFailure("authentication tag mismatch") from exc
 

@@ -9,6 +9,7 @@ system reproducible across platforms.
 from __future__ import annotations
 
 import struct
+from typing import Sequence
 
 import numpy as np
 
@@ -45,10 +46,34 @@ def encode_vector(vector: np.ndarray) -> bytes:
 
 
 def decode_vector(data: bytes) -> np.ndarray:
-    reader = ByteReader(data)
-    n = reader.read_u32()
-    raw = reader.read(8 * n)
-    return np.frombuffer(raw, dtype=">f8").astype(np.float64)
+    """Invert :func:`encode_vector`.
+
+    Raises:
+        ValueError: the length header disagrees with the record's size.
+    """
+    return decode_vectors([data])[0]
+
+
+def decode_vectors(records: Sequence[bytes]) -> np.ndarray:
+    """Decode equal-size :func:`encode_vector` records as one (n, d)
+    matrix whose row i is parsed from ``records[i]`` alone.
+
+    Raises:
+        ValueError: no records, records of different sizes, or a length
+            header that disagrees with its record's size (a short record
+            or trailing bytes).
+    """
+    sizes = set(map(len, records))
+    if len(sizes) != 1:
+        raise ValueError(f"expected records of one size, got sizes {sorted(sizes)}")
+    size = sizes.pop()
+    dim, rest = divmod(size - 4, 8)
+    if size < 4 or rest:
+        raise ValueError(f"a {size}-byte record is not a vector record")
+    rows = np.frombuffer(b"".join(records), dtype=np.uint8).reshape(len(records), size)
+    if (rows[:, :4].view(">u4") != dim).any():
+        raise ValueError(f"length header disagrees with a {dim}-entry record")
+    return rows[:, 4:].view(">f8").astype(np.float64)
 
 
 class ByteReader:

@@ -357,8 +357,11 @@ class ExtractorChain:
     def verify(self) -> Optional[int]:
         """Compare current hashes against the snapshot.
 
-        Returns the smallest block index whose recomputed hash differs
-        from its snapshot value, or None when the chain is intact.
+        Returns the smallest block index at which the chain and the
+        snapshot disagree, or None when the chain is intact. They disagree
+        at a block whose recomputed hash differs from its snapshot value,
+        and at the first block present on one side only (a stage added to
+        or removed from the chain).
 
         Raises:
             NoSnapshot: no stable snapshot has been taken.
@@ -366,9 +369,12 @@ class ExtractorChain:
         if self.snapshot is None:
             raise NoSnapshot("take_snapshot has not been called")
         current = self.block_hashes()
-        for i, (_, stored_hash, _) in enumerate(self.snapshot.blocks):
-            if current[i] != stored_hash:
+        stored = [stored_hash for _, stored_hash, _ in self.snapshot.blocks]
+        for i, (now, then) in enumerate(zip(current, stored)):
+            if now != then:
                 return i
+        if len(current) != len(stored):
+            return min(len(current), len(stored))
         return None
 
     def restore_block(self, index: int, snapshot: Optional[StableSnapshot] = None) -> None:

@@ -376,6 +376,7 @@ def tamper_extractor_block(chain: ExtractorChain, index: int, epsilon: float) ->
 @dataclass
 class AuditReport:
     chain_first_tampered: Optional[int]
+    chain_stage_mismatch: bool  # the chain and its snapshot hold different stage counts
     tree_locators: list[LeafLocator]
     store_count_mismatch: bool  # live store and archive hold different record counts
     snapshot_consistent: bool  # the snapshot's parameters reproduce its hashes
@@ -385,15 +386,22 @@ class AuditReport:
 
 def audit(system: EnrolledSystem) -> AuditReport:
     """Run both integrity checks, compare the live store's record count
-    with the archive's, self-check the chain snapshot, and describe what
-    they found."""
+    with the archive's and the chain's stage count with the snapshot's,
+    self-check the chain snapshot, and describe what they found."""
     chain_result = system.chain.verify()
+    live_stages = len(system.chain.blocks)
+    snapshot_stages = len(system.chain.snapshot.blocks)
     snapshot_consistent = system.chain.snapshot.self_check()
     locators = verify_tree(system.tree)
     store_count_mismatch = len(system.flat_store) != len(system.archive)
     lines = []
     if chain_result is None:
         lines.append("chain: intact")
+    elif live_stages != snapshot_stages:
+        lines.append(
+            f"chain: {live_stages} stages, snapshot holds {snapshot_stages}; "
+            "restore rewrites the stage list from the snapshot"
+        )
     else:
         lines.append(
             f"chain: first tampered block index {chain_result}; "
@@ -423,6 +431,7 @@ def audit(system: EnrolledSystem) -> AuditReport:
     )
     return AuditReport(
         chain_first_tampered=chain_result,
+        chain_stage_mismatch=live_stages != snapshot_stages,
         tree_locators=locators,
         store_count_mismatch=store_count_mismatch,
         snapshot_consistent=snapshot_consistent,

@@ -35,9 +35,16 @@ A round keeps no state on the tree: each chief's leaf scores travel as
 one float64 array, and consent yields the pooled shards plus a boolean
 dissent mask over the chief's leaves.
 
-Probe fan-out is encrypted: per-link channel keys are established at
-build time by wrapping them asymmetrically for each node, and every
-probe travels the links under those keys.
+Probe fan-out is encrypted. Each root-chief and chief-leaf link gets its
+channel key at build time, in the paper's key-establishment step: the
+key is sealed to the receiving node's public key and opened with its
+private key. The link's AES-GCM cipher is prepared then, once. A query
+crosses every link as one ciphertext under a fresh nonce, and every leaf
+authenticates its own copy. Each chief then stacks its leaves' copies
+into one (n, d) probe matrix, row i parsed from leaf i's copy, and scores
+it against its stacked templates with one row kernel whose scores are
+bit-identical to the scalar metrics. Templates are stacked anew on every
+query, so a template edited or replaced between queries is always seen.
 """
 
 from __future__ import annotations
@@ -52,8 +59,8 @@ import numpy as np
 
 from . import crypto
 from .crypto import KeyPair, Shard, SharingConfig
-from .encoding import decode_vector, encode_vector, lp
-from .metrics import DimensionMismatch, MatchScore, get_metric
+from .encoding import decode_vectors, encode_vector, lp
+from .metrics import DimensionMismatch, MatchScore, get_row_metric
 
 _LEAF_HASH_TAG = b"biochain/leaf-hash/v1"
 _NODE_HASH_TAG = b"biochain/node-hash/v1"
@@ -118,7 +125,7 @@ class LeafBlock:
     global_index: int  # position in enrollment order
     template: Template
     keys: KeyPair
-    channel_key: bytes = b""
+    channel: Optional[crypto.SymCipher] = None  # chief-to-leaf link
     shard: Optional[Shard] = None
     hash: bytes = b""  # enrollment-time hash
     # Fault-injection toggle for simulations: a compromised leaf withholds
@@ -134,7 +141,7 @@ class ChiefBlock:
     index: int
     leaves: list[LeafBlock]
     keys: KeyPair
-    channel_key: bytes = b""
+    channel: Optional[crypto.SymCipher] = None  # root-to-chief link
     leaf_hash_copies: list[bytes] = field(default_factory=list)
     retained_shard: Optional[Shard] = None
     decision_public: bytes = b""
@@ -259,6 +266,17 @@ def setup_decision_keys(
     tree.decision_publics[chief.index] = decision_keys.public
 
 
+def _establish_channel(
+    keys: KeyPair, rng: Optional[np.random.Generator] = None
+) -> crypto.SymCipher:
+    """Key establishment for one delegation link, the paper's set-up
+    step: a fresh channel key is sealed to the receiving node's public key
+    and opened with its private key, so the key never travels in the
+    clear. The node prepares the link's cipher once, here."""
+    sealed = crypto.seal(crypto.generate_sym_key(rng), keys.public, rng=rng)
+    return crypto.SymCipher(crypto.open_envelope(sealed, keys.private))
+
+
 def build_tree(
     gallery: Sequence[Template],
     fanout: int = DEFAULT_FANOUT,
@@ -297,16 +315,10 @@ def build_tree(
         chief = ChiefBlock(index=c, leaves=leaves, keys=crypto.generate_keypair(rng))
         tree.chiefs.append(chief)
 
-    # Per-link channel keys, wrapped asymmetrically for each recipient so
-    # probe fan-out never travels in the clear.
     for chief in tree.chiefs:
-        chief_channel = crypto.generate_sym_key(rng)
-        sealed = crypto.seal(chief_channel, chief.keys.public, rng=rng)
-        chief.channel_key = crypto.open_envelope(sealed, chief.keys.private)
+        chief.channel = _establish_channel(chief.keys, rng)
         for leaf in chief.leaves:
-            leaf_channel = crypto.generate_sym_key(rng)
-            sealed = crypto.seal(leaf_channel, leaf.keys.public, rng=rng)
-            leaf.channel_key = crypto.open_envelope(sealed, leaf.keys.private)
+            leaf.channel = _establish_channel(leaf.keys, rng)
 
     for chief in tree.chiefs:
         setup_decision_keys(tree, chief, rng)
@@ -425,32 +437,34 @@ def identify(
 
     Raises:
         crypto.DecryptionFailure: payload not addressed to this tree.
+        ValueError: the probe's length header disagrees with its size.
         DimensionMismatch: probe dimension differs from the gallery's.
+        ZeroVector: a zero-norm probe or template under cosine.
     """
     t0 = time.perf_counter()
     probe_bytes = crypto.open_envelope(envelope, tree.keys.private)
     cycle_id = tree.next_cycle_id()
 
     # Fan the probe down the encrypted channels: root to chiefs, chiefs to
-    # leaves, each leaf decrypting and parsing its own copy.
-    per_chief_probes: list[list[np.ndarray]] = []
+    # leaves. Every leaf authenticates its own copy, and the chief stacks
+    # the copies so that row i of its probe matrix is parsed from leaf i's.
+    chief_probes: list[np.ndarray] = []
     for chief in tree.chiefs:
-        for_chief = crypto.sym_encrypt(probe_bytes, chief.channel_key)
-        at_chief = crypto.sym_decrypt(for_chief, chief.channel_key)
-        probes = []
-        for leaf in chief.leaves:
-            for_leaf = crypto.sym_encrypt(at_chief, leaf.channel_key)
-            probes.append(decode_vector(crypto.sym_decrypt(for_leaf, leaf.channel_key)))
-        per_chief_probes.append(probes)
+        at_chief = crypto.sym_decrypt(
+            crypto.sym_encrypt(probe_bytes, chief.channel), chief.channel
+        )
+        chief_probes.append(decode_vectors([
+            crypto.sym_decrypt(crypto.sym_encrypt(at_chief, leaf.channel), leaf.channel)
+            for leaf in chief.leaves
+        ]))
     t1 = time.perf_counter()
 
-    score = get_metric(metric)
+    # Templates are stacked anew on every query, so a template edited in
+    # place or replaced between queries is always seen.
+    score_rows = get_row_metric(metric)
     chief_scores = [
-        np.array(
-            [score(leaf.template.vector, probe) for leaf, probe in zip(chief.leaves, probes)],
-            dtype=np.float64,
-        )
-        for chief, probes in zip(tree.chiefs, per_chief_probes)
+        score_rows(np.stack([leaf.template.vector for leaf in chief.leaves]), probes)
+        for chief, probes in zip(tree.chiefs, chief_probes)
     ]
     t2 = time.perf_counter()
 
@@ -478,9 +492,9 @@ def identify(
     # Enrollment order, so the stable sort breaks ties by global index.
     all_scores = np.concatenate(chief_scores)
     values = all_scores.tolist()
-    leaves = tree.leaves()
+    identities = [leaf.template.identity for leaf in tree.leaves()]
     candidates = [
-        MatchScore(identity=leaves[i].template.identity, score=values[i], metric=metric)
+        MatchScore(identity=identities[i], score=values[i], metric=metric)
         for i in np.argsort(all_scores, kind="stable").tolist()
     ]
     t5 = time.perf_counter()

@@ -3,7 +3,9 @@
 Scores follow a single convention everywhere: lower is better. Cosine
 similarity is therefore reported as cosine distance (one minus the
 similarity). The flat linear-scan identifier here is the reference the
-matching tree is checked against, so it deliberately stays a plain loop.
+matching tree is checked against, so it deliberately stays a plain loop
+over the scalar metrics. The matching tree scores through the row
+kernels, which give the scalar metrics' bits for every row.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ class EmptyResults(Exception):
 
 
 def _check_dims(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    # C-contiguous, so the BLAS dot runs at unit stride whatever the
+    # caller's layout and a score depends on the values alone.
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
     return a, b
@@ -53,17 +57,60 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - float(np.dot(a, b)) / (na * nb)
 
 
+# Row kernels: entry i is the scalar metric of row i of each matrix, bit
+# for bit. ``np.vecdot`` runs the same BLAS dot per row that ``np.dot``
+# runs on one pair of vectors, and every other step is an IEEE operation
+# applied elementwise.
+
+def _check_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a, b = _check_dims(a, b)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected (rows, dim) matrices, got shape {a.shape}")
+    return a, b
+
+
+def euclidean_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`euclidean` of each row pair of two equal-shape matrices."""
+    a, b = _check_rows(a, b)
+    diff = a - b
+    return np.sqrt(np.vecdot(diff, diff))
+
+
+def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`cosine_distance` of each row pair of two equal-shape
+    matrices. Raises :class:`ZeroVector` when any row has zero norm."""
+    a, b = _check_rows(a, b)
+    na = np.sqrt(np.vecdot(a, a))
+    nb = np.sqrt(np.vecdot(b, b))
+    if (na == 0.0).any() or (nb == 0.0).any():
+        raise ZeroVector("cosine distance is undefined for zero vectors")
+    return 1.0 - np.vecdot(a, b) / (na * nb)
+
+
 METRICS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
     "euclidean": euclidean,
     "cosine": cosine_distance,
 }
 
+ROW_METRICS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    "euclidean": euclidean_rows,
+    "cosine": cosine_rows,
+}
+
 
 def get_metric(name: str) -> Callable[[np.ndarray, np.ndarray], float]:
+    return _lookup(METRICS, name)
+
+
+def get_row_metric(name: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    return _lookup(ROW_METRICS, name)
+
+
+def _lookup(table: dict, name: str):
     try:
-        return METRICS[name]
+        return table[name]
     except KeyError:
-        raise KeyError(f"unknown metric {name!r}, expected one of {sorted(METRICS)}")
+        raise KeyError(f"unknown metric {name!r}, expected one of {sorted(table)}")
 
 
 @dataclass(frozen=True)

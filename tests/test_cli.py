@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import biochain
 from biochain.cli import main
+from biochain.encoding import lp
 from biochain.extractor import StableSnapshot, StageParams
 
 
@@ -176,6 +177,40 @@ class TestTamperAuditRestore:
         assert restore.returncode == 1
         assert "refusing to restore the chain" in restore.stderr
         assert "restored chain stage" not in restore.stdout
+
+    @pytest.mark.parametrize("change", ["added", "removed"])
+    def test_stage_count_change_audited_and_restored(self, runner, tmp_path, change):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        path = out / "chain_params.bin"
+        enrolled = path.read_bytes()
+        snapshot = StableSnapshot.load(out / "snapshot.bin")
+        blobs = [params for _, _, params in snapshot.blocks]
+        changed = blobs + [blobs[-1]] if change == "added" else blobs[:-1]
+        path.write_bytes(b"".join(lp(blob) for blob in changed))
+        audit_result = runner.invoke(main, ["--out", str(out), "audit"])
+        assert audit_result.exit_code == 1, audit_result.output
+        chain_lines = [l for l in audit_result.output.splitlines() if l.startswith("chain:")]
+        assert chain_lines == [
+            f"chain: {len(changed)} stages, snapshot holds {len(blobs)}; "
+            "restore rewrites the stage list from the snapshot"
+        ]
+        blocked = runner.invoke(main, ["--out", str(out), "identify", "--identity", "id0001"])
+        assert blocked.exit_code == 1 and "chain integrity check failed" in blocked.output
+        restore_result = invoke(runner, out, "restore")
+        assert "post-restore audit: clean" in restore_result.output
+        assert path.read_bytes() == enrolled
+        invoke(runner, out, "audit")
+        invoke(runner, out, "identify", "--identity", "id0001")
+
+    def test_empty_stage_list_is_an_error_message(self, runner, tmp_path):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        (out / "chain_params.bin").write_bytes(b"")
+        result = runner.invoke(main, ["--out", str(out), "audit"])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "chain_params.bin holds no usable stage list" in result.output
 
     def test_tamper_requires_a_target(self, runner, tmp_path):
         out = tmp_path / "run"

@@ -94,6 +94,21 @@ class TestSymmetricCipher:
         assert crypto.sym_decrypt(crypto.sym_encrypt(message, key), key) == message
 
 
+    def test_prepared_cipher_interoperates_with_raw_key(self):
+        key = crypto.generate_sym_key()
+        cipher = crypto.SymCipher(key)
+        assert crypto.sym_decrypt(crypto.sym_encrypt(b"payload", cipher), key) == b"payload"
+        assert crypto.sym_decrypt(crypto.sym_encrypt(b"payload", key), cipher) == b"payload"
+        other = crypto.SymCipher(crypto.generate_sym_key())
+        with pytest.raises(AuthenticationFailure):
+            crypto.sym_decrypt(crypto.sym_encrypt(b"payload", cipher), other)
+
+    def test_prepared_cipher_draws_a_fresh_nonce_per_message(self):
+        cipher = crypto.SymCipher(crypto.generate_sym_key())
+        nonces = {crypto.sym_encrypt(b"same", cipher)[: crypto.SYM_NONCE_LEN] for _ in range(50)}
+        assert len(nonces) == 50
+
+
 class TestAsymmetricCipher:
     def test_round_trip(self):
         kp = crypto.generate_keypair()

@@ -375,6 +375,23 @@ class TestVerifyAndRestore:
         chain.restore_block(3)
         assert chain.verify() is None
 
+    @pytest.mark.parametrize("live_count, first_differing", [(4, 3), (2, 2)])
+    def test_stage_count_change_is_found(self, live_count, first_differing):
+        # A stage appended to, or dropped from, the chain its snapshot
+        # recorded: the prefix still hashes as before, so the first block
+        # present on one side only is where the two disagree.
+        rng = np.random.default_rng(36)
+        stages = [
+            StageParams(kind="dense", weights=rng.normal(size=(4, 4)), bias=rng.normal(size=4))
+            for _ in range(4)
+        ]
+        chain, root = build_chain(stages[:3])
+        changed = ExtractorChain.build(stages[:live_count], root.public)
+        changed.snapshot = chain.snapshot
+        assert changed.verify() == first_differing
+        with pytest.raises(IntegrityFailure):
+            run_query_cycle(changed, Ledger(), np.ones(4))
+
     def test_restore_recovers_exact_output(self):
         rng = np.random.default_rng(34)
         stages, _ = random_stages(rng)

@@ -250,6 +250,18 @@ class TestAudit:
         assert report.store_count_mismatch and not report.clean
         assert report.lines[-1].startswith("store: 25 live records, archive holds 30;")
 
+    def test_stage_count_mismatch_is_a_chain_finding(self):
+        system = enroll(generate_synthetic_gallery(small_config()), seed=19)
+        system.chain.blocks.pop()
+        report = audit(system)
+        assert report.chain_stage_mismatch and not report.clean
+        assert report.chain_first_tampered == len(system.chain.blocks)
+        chain_lines = [line for line in report.lines if line.startswith("chain:")]
+        assert chain_lines == [
+            f"chain: {len(system.chain.blocks)} stages, snapshot holds "
+            f"{len(system.chain.snapshot.blocks)}; restore rewrites the stage list from the snapshot"
+        ]
+
     @pytest.mark.parametrize("unparseable", [False, True])
     def test_inconsistent_snapshot_is_a_finding(self, unparseable):
         system = enroll(generate_synthetic_gallery(small_config()), seed=19)

@@ -376,6 +376,97 @@ class TestIdentify:
             assert via_tree.scrutinized_chiefs == (0, 1, 2)
 
 
+class TestIdentifyRegressions:
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_candidates_equal_flat_rank_with_partial_last_chief(self, metric):
+        gallery = make_gallery(23, seed=70)
+        gallery[9] = Template("twin", gallery[2].vector.copy())  # a tie across chiefs
+        tree = build_tree(gallery, fanout=5)
+        assert [len(c.leaves) for c in tree.chiefs] == [5, 5, 5, 5, 3]
+        rng = np.random.default_rng(71)
+        probes = [rng.normal(size=8) * 3 for _ in range(20)] + [gallery[2].vector * 2.0]
+        for probe in probes:
+            result = identify_vector(tree, probe, metric)
+            assert result.candidates == flat_rank(gallery, probe, metric)
+
+    def test_template_edits_after_a_query_are_seen(self):
+        gallery = make_gallery(12, seed=72)
+        tree = build_tree(gallery, fanout=5)
+        probe = gallery[4].vector.copy()
+        assert identify_vector(tree, probe, "euclidean").identity == "id004"
+        leaves = tree.leaves()
+        leaves[4].template.vector += 10.0  # changed in place
+        leaves[11].template = Template("rebound", probe.copy())  # replaced
+        result = identify_vector(tree, probe, "euclidean")
+        assert (result.identity, result.score) == ("rebound", 0.0)
+        live = [leaf.template for leaf in leaves]
+        assert result.candidates == flat_rank(live, probe, "euclidean")
+
+    def test_zero_probe_under_cosine(self):
+        tree = build_tree(make_gallery(12, seed=73), fanout=5)
+        with pytest.raises(metrics.ZeroVector):
+            identify_vector(tree, np.zeros(8), "cosine")
+        assert identify_vector(tree, np.ones(8), "cosine").candidates
+
+
+class TestDelegation:
+    @pytest.mark.parametrize("damage", ["short", "trailing"])
+    def test_payload_header_must_match_its_size(self, damage):
+        from biochain.encoding import encode_vector
+        from biochain.matcher import identify
+
+        gallery = make_gallery(12, seed=74)
+        tree = build_tree(gallery, fanout=5)
+        payload = encode_vector(gallery[3].vector)
+        payload = payload[:-8] if damage == "short" else payload + bytes(8)
+        with pytest.raises(ValueError):
+            identify(tree, crypto.seal(payload, tree.public_key), "euclidean")
+        # the failed query leaves nothing behind
+        assert identify_vector(tree, gallery[3].vector, "euclidean").identity == "id003"
+
+    def test_one_authenticated_hop_per_link(self, monkeypatch):
+        tree = build_tree(make_gallery(12, seed=75), fanout=5)
+        channels = [chief.channel for chief in tree.chiefs] + [
+            leaf.channel for leaf in tree.leaves()
+        ]
+        assert all(isinstance(c, crypto.SymCipher) for c in channels)
+        assert len({id(c) for c in channels}) == len(channels)
+        used = {"encrypt": [], "decrypt": []}
+
+        def recording(kind, fn):
+            def call(data, key):
+                used[kind].append(id(key))
+                return fn(data, key)
+            return call
+
+        monkeypatch.setattr(crypto, "sym_encrypt", recording("encrypt", crypto.sym_encrypt))
+        monkeypatch.setattr(crypto, "sym_decrypt", recording("decrypt", crypto.sym_decrypt))
+        identify_vector(tree, np.ones(8), "euclidean")
+        # the probe's own envelope is opened with a raw key, not a channel
+        channel_ids = sorted(id(c) for c in channels)
+        assert sorted(k for k in used["encrypt"] if k in channel_ids) == channel_ids
+        assert sorted(k for k in used["decrypt"] if k in channel_ids) == channel_ids
+        assert len(used["encrypt"]) == len(channels) + 1
+        assert len(used["decrypt"]) == len(channels) + 1
+
+    def test_leaf_copy_that_fails_authentication_stops_the_query(self, monkeypatch):
+        tree = build_tree(make_gallery(12, seed=76), fanout=5)
+        target = tree.chiefs[1].leaves[2].channel
+        real_encrypt = crypto.sym_encrypt
+
+        def flip_one(message, key):
+            out = real_encrypt(message, key)
+            if key is target:
+                out = out[:-1] + bytes([out[-1] ^ 1])
+            return out
+
+        monkeypatch.setattr(crypto, "sym_encrypt", flip_one)
+        with pytest.raises(crypto.AuthenticationFailure):
+            identify_vector(tree, np.ones(8), "euclidean")
+        monkeypatch.setattr(crypto, "sym_encrypt", real_encrypt)
+        assert identify_vector(tree, np.ones(8), "euclidean").candidates
+
+
 class TestForgeryNeverReconstructs:
     def test_randomized_forgeries_all_fail(self):
         tree = build_tree(make_gallery(10, seed=27), fanout=10)

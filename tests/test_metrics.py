@@ -16,7 +16,9 @@ from biochain.metrics import (
     ZeroVector,
     cmc_curve,
     cosine_distance,
+    cosine_rows,
     euclidean,
+    euclidean_rows,
     flat_oracle_identify,
     flat_rank,
     rank_k_accuracy,
@@ -92,6 +94,73 @@ class TestCosineDistance:
             return
         d = cosine_distance(a, b)
         assert -1e-9 <= d <= 2.0 + 1e-9
+
+
+def _layout(matrix, layout):
+    """The same values as ``matrix`` in another memory layout."""
+    if layout == "fortran":
+        return np.asfortranarray(matrix)
+    if layout == "strided":
+        wide = np.zeros((matrix.shape[0], 2 * matrix.shape[1]))
+        wide[:, ::2] = matrix
+        return wide[:, ::2]
+    if layout == "reversed":
+        return matrix[::-1, ::-1].copy()[::-1, ::-1]
+    return matrix
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestRowKernels:
+    @given(
+        dim=st.integers(1, 300),
+        rows=st.integers(1, 24),
+        duplicates=st.integers(0, 6),
+        one_probe=st.booleans(),
+        layouts=st.tuples(*[st.sampled_from(["c", "fortran", "strided", "reversed"])] * 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_scalar_metrics_bit_for_bit(
+        self, dim, rows, duplicates, one_probe, layouts, seed
+    ):
+        rng = np.random.default_rng(seed)
+
+        def draw(count):
+            # row magnitudes log-uniform over 1e-3 .. 1e3
+            return rng.normal(size=(count, dim)) * 10.0 ** rng.uniform(-3, 3, size=(count, 1))
+
+        templates = draw(rows)
+        copies = rng.integers(0, rows, size=(duplicates, 2))
+        templates[copies[:, 0]] = templates[copies[:, 1]]  # tied rows
+        probes = np.repeat(draw(1), rows, axis=0) if one_probe else draw(rows)
+        templates, probes = _layout(templates, layouts[0]), _layout(probes, layouts[1])
+
+        for rows_fn, scalar_fn in ((euclidean_rows, euclidean), (cosine_rows, cosine_distance)):
+            got = rows_fn(templates, probes)
+            expected = [scalar_fn(t, p) for t, p in zip(templates, probes)]
+            assert got.shape == (rows,)
+            np.testing.assert_array_equal(_bits(got), _bits(expected))
+
+    def test_zero_row_under_cosine(self):
+        rng = np.random.default_rng(40)
+        templates = rng.normal(size=(5, 7))
+        probes = rng.normal(size=(5, 7))
+        zeroed = templates.copy()
+        zeroed[3] = 0.0
+        with pytest.raises(ZeroVector):
+            cosine_rows(zeroed, probes)
+        with pytest.raises(ZeroVector):
+            cosine_rows(templates, np.zeros((5, 7)))
+        assert euclidean_rows(zeroed, probes)[3] == euclidean(np.zeros(7), probes[3])
+
+    def test_shapes_checked(self):
+        with pytest.raises(DimensionMismatch):
+            euclidean_rows(np.ones((3, 4)), np.ones((3, 5)))
+        with pytest.raises(DimensionMismatch):
+            cosine_rows(np.ones(4), np.ones(4))
 
 
 def small_gallery():
