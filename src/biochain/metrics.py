@@ -50,10 +50,16 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     """One minus cosine similarity; 0 for parallel vectors, 2 for
     antiparallel. Undefined for zero-norm inputs."""
     a, b = _check_dims(a, b)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
+    sa = float(np.abs(a).max(initial=0.0))
+    sb = float(np.abs(b).max(initial=0.0))
+    if sa == 0.0 or sb == 0.0:
         raise ZeroVector("cosine distance is undefined for zero vectors")
+    # Scaled to a largest entry of 1 first: the cosine does not change, and
+    # the squares can neither underflow (tiny vectors) nor overflow.
+    a = a / sa
+    b = b / sb
+    na = math.sqrt(float(np.dot(a, a)))
+    nb = math.sqrt(float(np.dot(b, b)))
     return 1.0 - float(np.dot(a, b)) / (na * nb)
 
 
@@ -80,10 +86,14 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """:func:`cosine_distance` of each row pair of two equal-shape
     matrices. Raises :class:`ZeroVector` when any row has zero norm."""
     a, b = _check_rows(a, b)
+    sa = np.abs(a).max(axis=1, initial=0.0)
+    sb = np.abs(b).max(axis=1, initial=0.0)
+    if (sa == 0.0).any() or (sb == 0.0).any():
+        raise ZeroVector("cosine distance is undefined for zero vectors")
+    a = a / sa[:, None]
+    b = b / sb[:, None]
     na = np.sqrt(np.vecdot(a, a))
     nb = np.sqrt(np.vecdot(b, b))
-    if (na == 0.0).any() or (nb == 0.0).any():
-        raise ZeroVector("cosine distance is undefined for zero vectors")
     return 1.0 - np.vecdot(a, b) / (na * nb)
 
 

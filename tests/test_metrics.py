@@ -81,6 +81,15 @@ class TestCosineDistance:
         v = np.array([1.0, 2.0])
         assert cosine_distance(v, -v) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("scale", [1.5e-161, 1e-300, 1e200])
+    def test_extreme_magnitudes(self, scale):
+        # Squares of these underflow or overflow; the distance must not.
+        a = np.array([scale, 0.0])
+        assert cosine_distance(a, np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
+        assert cosine_distance(a, np.array([0.0, 1.0])) == pytest.approx(1.0)
+        rows = cosine_rows(np.array([a, a]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert rows == pytest.approx([0.0, 1.0], abs=1e-15)
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             cosine_distance(np.zeros(3), np.ones(3))
