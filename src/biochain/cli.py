@@ -298,21 +298,14 @@ def restore_cmd(ctx):
             raise click.ClickException(
                 f"{SNAPSHOT_FILE} fails its self-check; refusing to restore the chain from it"
             )
-        if findings.chain_stage_mismatch:
-            snapshot_params = [params for _, _, params in system.chain.snapshot.blocks]
-            _save_chain_params(out / CHAIN_FILE, snapshot_params)
-            click.echo(
-                f"restored the chain's {len(snapshot_params)} stages from the snapshot "
-                f"(the chain held {len(system.chain.blocks)})"
-            )
-        else:
-            while True:
-                index = system.chain.verify()
-                if index is None:
-                    break
-                system.chain.restore_block(index)
+        # The snapshot passed its self-check, so its stage list is the chain:
+        # writing it back repairs a changed stage and an added or removed one.
+        live = _chain_params(system.chain)
+        snapshot_params = [params for _, _, params in system.chain.snapshot.blocks]
+        for index in range(max(len(live), len(snapshot_params))):
+            if live[index:index + 1] != snapshot_params[index:index + 1]:
                 click.echo(f"restored chain stage {index}")
-            _save_chain_params(out / CHAIN_FILE, _chain_params(system.chain))
+        _save_chain_params(out / CHAIN_FILE, snapshot_params)
     if findings.tree_locators:
         restore_leaves(system.tree, findings.tree_locators, system.archive)
         click.echo(f"restored {len(findings.tree_locators)} templates")

@@ -376,7 +376,6 @@ def tamper_extractor_block(chain: ExtractorChain, index: int, epsilon: float) ->
 @dataclass
 class AuditReport:
     chain_first_tampered: Optional[int]
-    chain_stage_mismatch: bool  # the chain and its snapshot hold different stage counts
     tree_locators: list[LeafLocator]
     store_count_mismatch: bool  # live store and archive hold different record counts
     snapshot_consistent: bool  # the snapshot's parameters reproduce its hashes
@@ -431,7 +430,6 @@ def audit(system: EnrolledSystem) -> AuditReport:
     )
     return AuditReport(
         chain_first_tampered=chain_result,
-        chain_stage_mismatch=live_stages != snapshot_stages,
         tree_locators=locators,
         store_count_mismatch=store_count_mismatch,
         snapshot_consistent=snapshot_consistent,

@@ -54,10 +54,11 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     sb = float(np.abs(b).max(initial=0.0))
     if sa == 0.0 or sb == 0.0:
         raise ZeroVector("cosine distance is undefined for zero vectors")
-    # Scaled to a largest entry of 1 first: the cosine does not change, and
-    # the squares can neither underflow (tiny vectors) nor overflow.
-    a = a / sa
-    b = b / sb
+    # Scaled by a power of two to a largest entry in [0.5, 1) first. That
+    # is exact, so the score keeps its bits, and the squares can neither
+    # underflow (tiny vectors) nor overflow.
+    a = np.ldexp(a, -np.frexp(sa)[1])
+    b = np.ldexp(b, -np.frexp(sb)[1])
     na = math.sqrt(float(np.dot(a, a)))
     nb = math.sqrt(float(np.dot(b, b)))
     return 1.0 - float(np.dot(a, b)) / (na * nb)
@@ -90,8 +91,8 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sb = np.abs(b).max(axis=1, initial=0.0)
     if (sa == 0.0).any() or (sb == 0.0).any():
         raise ZeroVector("cosine distance is undefined for zero vectors")
-    a = a / sa[:, None]
-    b = b / sb[:, None]
+    a = np.ldexp(a, -np.frexp(sa)[1][:, None])
+    b = np.ldexp(b, -np.frexp(sb)[1][:, None])
     na = np.sqrt(np.vecdot(a, a))
     nb = np.sqrt(np.vecdot(b, b))
     return 1.0 - np.vecdot(a, b) / (na * nb)

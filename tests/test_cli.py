@@ -150,7 +150,8 @@ class TestTamperAuditRestore:
         # a tampered chain refuses queries
         blocked = runner.invoke(main, ["--out", str(out), "identify", "--identity", "id0001"])
         assert blocked.exit_code != 0
-        invoke(runner, out, "restore")
+        restore_result = invoke(runner, out, "restore")
+        assert "restored chain stage 0" in restore_result.output.splitlines()
         invoke(runner, out, "identify", "--identity", "id0001")
 
     def test_corrupted_snapshot_audited_and_restore_refused(self, runner, tmp_path):
@@ -199,6 +200,8 @@ class TestTamperAuditRestore:
         assert blocked.exit_code == 1 and "chain integrity check failed" in blocked.output
         restore_result = invoke(runner, out, "restore")
         assert "post-restore audit: clean" in restore_result.output
+        restored = [l for l in restore_result.output.splitlines() if l.startswith("restored chain")]
+        assert restored == [f"restored chain stage {min(len(changed), len(blobs))}"]
         assert path.read_bytes() == enrolled
         invoke(runner, out, "audit")
         invoke(runner, out, "identify", "--identity", "id0001")

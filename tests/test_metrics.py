@@ -90,6 +90,24 @@ class TestCosineDistance:
         rows = cosine_rows(np.array([a, a]), np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert rows == pytest.approx([0.0, 1.0], abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "a, b, bits",
+        [
+            ([0.3, -1.4], [1.7, 4.8], "0x1.da0c737be34e7p+0"),
+            ([-4.3, 3.0, 3.9, -4.1, -10.0], [9.5, -4.0, -3.7, 7.8, 1.7], "0x1.ade20e9f4db9dp+0"),
+            ([3.2, 3.7, 6.4], [-1.4, 5.2, 7.6], "0x1.3d8112c41758cp-3"),
+            ([7.4, -4.5], [1.2, -2.0], "0x1.d67ee34cc2ec8p-4"),
+        ],
+    )
+    def test_ordinary_scores_keep_their_bits(self, a, b, bits):
+        # The bits of 1 - a.b / (|a| |b|) computed on the unscaled vectors:
+        # scaling for range must not round any entry.
+        a, b = np.array(a), np.array(b)
+        expected = float.fromhex(bits)
+        assert expected == 1.0 - np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        assert cosine_distance(a, b) == expected
+        assert cosine_rows(np.array([a, b]), np.array([b, a])).tolist() == [expected, expected]
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             cosine_distance(np.zeros(3), np.ones(3))
