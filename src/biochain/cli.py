@@ -93,8 +93,14 @@ def _load_chain_params(path: Path) -> list[StageParams]:
     return stages
 
 
-def _load_system(out: Path, config: ExperimentConfig) -> EnrolledSystem:
-    """Rebuild the enrolled deployment from the state directory."""
+def _load_system(
+    out: Path, config: ExperimentConfig, need_snapshot: bool = True
+) -> EnrolledSystem:
+    """Rebuild the enrolled deployment from the state directory.
+
+    A snapshot file that does not parse is a one-line error, unless
+    ``need_snapshot`` is False (audit and restore): the chain then has no
+    snapshot, which the audit reports as a finding."""
     for name in (GALLERY_FILE, ARCHIVE_FILE, CHAIN_FILE, SNAPSHOT_FILE):
         if not (out / name).exists():
             raise click.ClickException(f"missing {name} in {out}; run enroll first")
@@ -107,7 +113,11 @@ def _load_system(out: Path, config: ExperimentConfig) -> EnrolledSystem:
         chain = ExtractorChain.build(stages, tree.public_key, rng=keys_rng)
     except ValueError as exc:
         raise click.ClickException(f"{CHAIN_FILE} holds no usable stage list: {exc}")
-    chain.snapshot = StableSnapshot.load(out / SNAPSHOT_FILE)
+    try:
+        chain.snapshot = StableSnapshot.load(out / SNAPSHOT_FILE)
+    except ValueError as exc:
+        if need_snapshot:
+            raise click.ClickException(f"{SNAPSHOT_FILE} does not parse: {exc}; run audit")
     # Load the live (possibly tampered) templates over the enrollment tree.
     for leaf, template in zip(tree.leaves(), live_templates):
         leaf.template = template
@@ -276,7 +286,7 @@ def audit_cmd(ctx):
     """Check both integrity surfaces; exit nonzero when tampered."""
     out: Path = ctx.obj["out"]
     config: ExperimentConfig = ctx.obj["config"]
-    system = _load_system(out, config)
+    system = _load_system(out, config, need_snapshot=False)
     findings = run_audit(system)
     for line in findings.lines:
         click.echo(line)
@@ -291,7 +301,7 @@ def restore_cmd(ctx):
     """Repair whatever the audit locates, from snapshot and archive."""
     out: Path = ctx.obj["out"]
     config: ExperimentConfig = ctx.obj["config"]
-    system = _load_system(out, config)
+    system = _load_system(out, config, need_snapshot=False)
     findings = run_audit(system)
     if findings.chain_first_tampered is not None:
         if not findings.snapshot_consistent:

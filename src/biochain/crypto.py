@@ -16,9 +16,16 @@ Concrete choices (the rest of the package depends only on the contracts):
 A :class:`KeyPair` bundles an encryption half and a signing half so a
 single party identity can both receive wrapped keys and sign messages.
 
-All operations are stateless; pass a seeded ``numpy.random.Generator`` to
-the generators when reproducible key material is needed (enrollment does
-this so a deployment can be rebuilt from its seed).
+The operations keep no state between calls, with one exception: a
+:class:`KeyPair` that decrypts or signs parses its private halves on
+first use and keeps the parsed keys for its lifetime, because parsing a
+private key computes its public point, a full scalar multiplication.
+:func:`asym_decrypt`, :func:`open_envelope` and :func:`sign` take a key
+pair or raw private bytes, which are parsed on each call.
+
+Pass a seeded ``numpy.random.Generator`` to the generators when
+reproducible key material is needed (enrollment does this so a
+deployment can be rebuilt from its seed).
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -118,10 +125,29 @@ def digest_parts(*parts: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Composite key pair: 32 encryption bytes then 32 signing bytes."""
+    """Composite key pair: 32 encryption bytes then 32 signing bytes.
+
+    The parsed private halves are computed on first use, never at
+    generation, and kept for the object's lifetime (about 0.55 KB);
+    equality and hashing cover the two byte fields only.
+    """
 
     public: bytes
     private: bytes
+
+    @cached_property
+    def decryption_key(self) -> X25519PrivateKey:
+        return _enc_private(self.private)
+
+    @cached_property
+    def signing_key(self) -> Ed25519PrivateKey:
+        return _sig_private(self.private)
+
+
+# A private key: a :class:`KeyPair`, whose parsed halves are kept, or raw
+# private bytes, parsed on every call. A party that decrypts or signs
+# repeatedly passes its key pair.
+PrivateKey = Union[bytes, KeyPair]
 
 
 def generate_keypair(rng: Optional[np.random.Generator] = None) -> KeyPair:
@@ -159,7 +185,9 @@ def _enc_public(public: bytes) -> X25519PublicKey:
     return X25519PublicKey.from_public_bytes(public[:KEY_HALF_LEN])
 
 
-def _enc_private(private: bytes) -> X25519PrivateKey:
+def _enc_private(private: PrivateKey) -> X25519PrivateKey:
+    if isinstance(private, KeyPair):
+        return private.decryption_key
     return X25519PrivateKey.from_private_bytes(private[:KEY_HALF_LEN])
 
 
@@ -167,7 +195,9 @@ def _sig_public(public: bytes) -> Ed25519PublicKey:
     return Ed25519PublicKey.from_public_bytes(public[KEY_HALF_LEN:])
 
 
-def _sig_private(private: bytes) -> Ed25519PrivateKey:
+def _sig_private(private: PrivateKey) -> Ed25519PrivateKey:
+    if isinstance(private, KeyPair):
+        return private.signing_key
     return Ed25519PrivateKey.from_private_bytes(private[KEY_HALF_LEN:])
 
 
@@ -244,8 +274,9 @@ def asym_encrypt(message: bytes, public: bytes) -> bytes:
     return eph_pub + nonce + AESGCM(key).encrypt(nonce, message, eph_pub)
 
 
-def asym_decrypt(ciphertext: bytes, private: bytes) -> bytes:
-    """Invert :func:`asym_encrypt` with the matching private key.
+def asym_decrypt(ciphertext: bytes, private: PrivateKey) -> bytes:
+    """Invert :func:`asym_encrypt` with the matching private key, a
+    :class:`KeyPair` or raw private bytes.
 
     Raises:
         DecryptionFailure: wrong private key or damaged ciphertext.
@@ -268,7 +299,9 @@ def asym_decrypt(ciphertext: bytes, private: bytes) -> bytes:
         raise DecryptionFailure("not the intended recipient") from exc
 
 
-def sign(private: bytes, message: bytes) -> bytes:
+def sign(private: PrivateKey, message: bytes) -> bytes:
+    """Ed25519 signature (deterministic) with a :class:`KeyPair` or raw
+    private bytes."""
     return _sig_private(private).sign(message)
 
 
@@ -305,7 +338,7 @@ def seal(
     return Envelope(ed=sym_encrypt(payload, key), ek=asym_encrypt(key, recipient_public))
 
 
-def open_envelope(envelope: Envelope, private: bytes) -> bytes:
+def open_envelope(envelope: Envelope, private: PrivateKey) -> bytes:
     key = asym_decrypt(envelope.ek, private)
     return sym_decrypt(envelope.ed, key)
 

@@ -18,7 +18,12 @@ A query cycle runs entirely through the ledger:
 2. Each block polls the newest entry. It acts only if the turn marker
    decrypts under its private key; it refuses outright if the update was
    not signed by the notary. It then runs its stage and publishes the
-   result wrapped back to the notary, signed with its own key.
+   result wrapped back to the notary, signed with its own key. The
+   sequential driver, :func:`run_query_cycle`, polls the blocks for hop
+   ``k`` in the order ``k, k+1, ..., 0, ..., k-1``: every block still
+   tries the marker and refuses one it cannot open, and only one key
+   opens it, so the block that acts is the same as in any other order;
+   in an honest cycle it is found on the first trial.
 3. The notary forwards the output to the next block in the route, and
    after the last stage hands the finished feature vector off encrypted
    to the matching tree's root key, closing the cycle.
@@ -271,6 +276,12 @@ class StableSnapshot:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "StableSnapshot":
+        """Invert :meth:`to_bytes`.
+
+        Raises:
+            ValueError: the record is truncated, holds trailing bytes, or
+                its timestamp is not a single value.
+        """
         reader = ByteReader(data)
         count = reader.read_u32()
         blocks = []
@@ -280,8 +291,10 @@ class StableSnapshot:
             pb = reader.read_lp()
             blocks.append((index, h, pb))
         notary_hash = reader.read_lp()
-        timestamp = float(reader.read_f64_array()[0])
-        return cls(blocks=blocks, notary_hash=notary_hash, timestamp=timestamp)
+        timestamp = reader.read_f64_array()
+        if timestamp.shape != (1,) or not reader.exhausted:
+            raise ValueError("malformed snapshot record")
+        return cls(blocks=blocks, notary_hash=notary_hash, timestamp=float(timestamp[0]))
 
     def save(self, path: Path) -> None:
         Path(path).write_bytes(self.to_bytes())
@@ -414,7 +427,7 @@ def _publish(
     payload: bytes,
     sym_key: bytes,
     recipient: bytes,
-    signing_key: bytes,
+    signer: KeyPair,
 ) -> LedgerEntry:
     """Append one hop: the payload under the sender's symmetric key, that
     key and the turn marker wrapped for the recipient, and the sender's
@@ -424,7 +437,7 @@ def _publish(
         ed=crypto.sym_encrypt(payload, sym_key),
         ek=crypto.asym_encrypt(sym_key, recipient),
         em=crypto.asym_encrypt(_turn_token(cycle_id), recipient),
-        sig=crypto.sign(signing_key, _auth_token(cycle_id)),
+        sig=crypto.sign(signer, _auth_token(cycle_id)),
     )
 
 
@@ -441,12 +454,10 @@ def notary_begin_cycle(
     Raises:
         DecryptionFailure: the capture was not encrypted to the notary.
     """
-    x0 = crypto.asym_decrypt(captured, notary.keys.private)
+    x0 = crypto.asym_decrypt(captured, notary.keys)
     cycle_id = secrets.token_hex(16)
     ledger.append(cycle_id, ed=captured)
-    entry = _publish(
-        ledger, cycle_id, x0, notary.sym_key, notary.route[0], notary.keys.private
-    )
+    entry = _publish(ledger, cycle_id, x0, notary.sym_key, notary.route[0], notary.keys)
     notary.progress[cycle_id] = 0
     return entry
 
@@ -466,19 +477,18 @@ def block_handle_update(
     """
     entry = ledger.latest(cycle_id)
     try:
-        marker = crypto.asym_decrypt(entry.em, block.keys.private)
+        marker = crypto.asym_decrypt(entry.em, block.keys)
     except DecryptionFailure:
         return None
     if marker != _turn_token(cycle_id):
         return None
     if not crypto.verify(block.notary_public, entry.sig, _auth_token(cycle_id)):
         raise SignatureRejected(f"block {block.index}: update not signed by the notary")
-    payload_key = crypto.asym_decrypt(entry.ek, block.keys.private)
+    payload_key = crypto.asym_decrypt(entry.ek, block.keys)
     x = decode_vector(crypto.sym_decrypt(entry.ed, payload_key))
     out = apply_stage(x, block.params)
     return _publish(
-        ledger, cycle_id, encode_vector(out), block.sym_key, block.notary_public,
-        block.keys.private,
+        ledger, cycle_id, encode_vector(out), block.sym_key, block.notary_public, block.keys
     )
 
 
@@ -498,20 +508,18 @@ def notary_handle_update(
     """
     pos = notary.progress[cycle_id]
     entry = ledger.latest(cycle_id)
-    marker = crypto.asym_decrypt(entry.em, notary.keys.private)
+    marker = crypto.asym_decrypt(entry.em, notary.keys)
     if marker != _turn_token(cycle_id):
         raise SignatureRejected("stale or foreign turn marker")
     if not crypto.verify(notary.route[pos], entry.sig, _auth_token(cycle_id)):
         raise SignatureRejected(f"update not signed by block {pos}")
-    payload_key = crypto.asym_decrypt(entry.ek, notary.keys.private)
+    payload_key = crypto.asym_decrypt(entry.ek, notary.keys)
     payload = crypto.sym_decrypt(entry.ed, payload_key)
     pos += 1
     notary.progress[cycle_id] = pos
     last_hop = pos == len(notary.route)
     recipient = notary.matcher_root_public if last_hop else notary.route[pos]
-    result = _publish(
-        ledger, cycle_id, payload, notary.sym_key, recipient, notary.keys.private
-    )
+    result = _publish(ledger, cycle_id, payload, notary.sym_key, recipient, notary.keys)
     if last_hop:
         ledger.close_cycle(cycle_id)
         del notary.progress[cycle_id]
@@ -543,9 +551,11 @@ def run_query_cycle(
     entry = notary_begin_cycle(chain.notary, ledger, captured)
     cycle_id = entry.cycle_id
     try:
-        for _ in range(len(chain.blocks)):
+        for hop in range(len(chain.blocks)):
+            # The hop's own block first: in an honest cycle it is the one
+            # whose key opens the marker, so it acts on the first trial.
             acted = None
-            for block in chain.blocks:
+            for block in chain.blocks[hop:] + chain.blocks[:hop]:
                 acted = block_handle_update(block, ledger, cycle_id)
                 if acted is not None:
                     break

@@ -375,10 +375,12 @@ def tamper_extractor_block(chain: ExtractorChain, index: int, epsilon: float) ->
 
 @dataclass
 class AuditReport:
+    # First block index where chain and snapshot disagree; 0 when there is
+    # no readable snapshot to verify the chain against.
     chain_first_tampered: Optional[int]
     tree_locators: list[LeafLocator]
     store_count_mismatch: bool  # live store and archive hold different record counts
-    snapshot_consistent: bool  # the snapshot's parameters reproduce its hashes
+    snapshot_consistent: bool  # readable, and its parameters reproduce its hashes
     clean: bool
     lines: list[str]
 
@@ -386,19 +388,28 @@ class AuditReport:
 def audit(system: EnrolledSystem) -> AuditReport:
     """Run both integrity checks, compare the live store's record count
     with the archive's and the chain's stage count with the snapshot's,
-    self-check the chain snapshot, and describe what they found."""
-    chain_result = system.chain.verify()
+    self-check the chain snapshot, and describe what they found.
+
+    A chain without a snapshot (its stored copy did not parse) cannot be
+    verified: that is a ``snapshot:`` finding, and the chain counts as
+    tampered from block 0."""
+    snapshot = system.chain.snapshot
+    if snapshot is None:
+        chain_result, snapshot_consistent = 0, False
+    else:
+        chain_result = system.chain.verify()
+        snapshot_consistent = snapshot.self_check()
     live_stages = len(system.chain.blocks)
-    snapshot_stages = len(system.chain.snapshot.blocks)
-    snapshot_consistent = system.chain.snapshot.self_check()
     locators = verify_tree(system.tree)
     store_count_mismatch = len(system.flat_store) != len(system.archive)
     lines = []
-    if chain_result is None:
+    if snapshot is None:
+        lines.append("chain: not verified, there is no readable snapshot")
+    elif chain_result is None:
         lines.append("chain: intact")
-    elif live_stages != snapshot_stages:
+    elif live_stages != len(snapshot.blocks):
         lines.append(
-            f"chain: {live_stages} stages, snapshot holds {snapshot_stages}; "
+            f"chain: {live_stages} stages, snapshot holds {len(snapshot.blocks)}; "
             "restore rewrites the stage list from the snapshot"
         )
     else:
@@ -419,7 +430,11 @@ def audit(system: EnrolledSystem) -> AuditReport:
             f"store: {len(system.flat_store)} live records, archive holds "
             f"{len(system.archive)}; restore rewrites the store from the tree"
         )
-    if not snapshot_consistent:
+    if snapshot is None:
+        lines.append(
+            "snapshot: does not parse; the chain cannot be verified or restored from it"
+        )
+    elif not snapshot_consistent:
         lines.append(
             "snapshot: stored parameters do not reproduce the stored hashes; "
             "the chain cannot be restored from it"

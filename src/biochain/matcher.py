@@ -442,7 +442,7 @@ def identify(
         ZeroVector: a zero-norm probe or template under cosine.
     """
     t0 = time.perf_counter()
-    probe_bytes = crypto.open_envelope(envelope, tree.keys.private)
+    probe_bytes = crypto.open_envelope(envelope, tree.keys)
     cycle_id = tree.next_cycle_id()
 
     # Fan the probe down the encrypted channels: root to chiefs, chiefs to
@@ -494,7 +494,7 @@ def identify(
     values = all_scores.tolist()
     identities = [leaf.template.identity for leaf in tree.leaves()]
     candidates = [
-        MatchScore(identity=identities[i], score=values[i], metric=metric)
+        MatchScore(identities[i], values[i], metric)
         for i in np.argsort(all_scores, kind="stable").tolist()
     ]
     t5 = time.perf_counter()

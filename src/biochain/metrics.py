@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,8 +124,10 @@ def _lookup(table: dict, name: str):
         raise KeyError(f"unknown metric {name!r}, expected one of {sorted(table)}")
 
 
-@dataclass(frozen=True)
-class MatchScore:
+class MatchScore(NamedTuple):
+    """One scored gallery entry. A named tuple: immutable, and cheap to
+    build for every entry of a candidate list."""
+
     identity: str
     score: float
     metric: str
@@ -158,7 +160,7 @@ def flat_rank(gallery, probe: np.ndarray, metric: str) -> list[MatchScore]:
         for idx, entry in enumerate(gallery)
     ]
     scored.sort(key=lambda t: (t[0], t[1]))
-    return [MatchScore(identity=ident, score=s, metric=metric) for s, _, ident in scored]
+    return [MatchScore(ident, s, metric) for s, _, ident in scored]
 
 
 def rank_k_accuracy(

@@ -179,6 +179,30 @@ class TestTamperAuditRestore:
         assert "refusing to restore the chain" in restore.stderr
         assert "restored chain stage" not in restore.stdout
 
+    def test_torn_snapshot_is_a_finding_or_an_error(self, runner, tmp_path):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        path = out / "snapshot.bin"
+        path.write_bytes(path.read_bytes()[:20])
+        state = {p.name: p.read_bytes() for p in out.iterdir()}
+        audit_result = runner.invoke(main, ["--out", str(out), "audit"])
+        assert audit_result.exit_code == 1
+        assert isinstance(audit_result.exception, SystemExit)
+        lines = audit_result.output.splitlines()
+        assert "snapshot: does not parse; the chain cannot be verified or restored from it" in lines
+        assert "tree: intact" in lines
+        restore = runner.invoke(main, ["--out", str(out), "restore"])
+        assert restore.exit_code == 1 and isinstance(restore.exception, SystemExit)
+        assert "refusing to restore the chain" in restore.output
+        assert "restored" not in restore.output
+        for command in (["identify", "--identity", "id0001"], ["tamper", "--fraction", "0.1"]):
+            result = runner.invoke(main, ["--out", str(out), *command])
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+            assert result.output.splitlines() == [
+                "Error: snapshot.bin does not parse: truncated record; run audit"
+            ]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == state
+
     @pytest.mark.parametrize("change", ["added", "removed"])
     def test_stage_count_change_audited_and_restored(self, runner, tmp_path, change):
         out = tmp_path / "run"

@@ -1,5 +1,6 @@
 """Crypto primitive contracts: round trips, failure modes, sharing arithmetic."""
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -183,6 +184,62 @@ class TestEnvelope:
         env = crypto.seal(b"payload", a.public)
         with pytest.raises(DecryptionFailure):
             crypto.open_envelope(env, b.private)
+
+
+class TestParsedKeyPair:
+    """A KeyPair parses its private halves once; raw bytes still work."""
+
+    def test_keypair_and_raw_bytes_agree(self):
+        kp = crypto.generate_keypair(np.random.default_rng(12))
+        message = b"biochain/notarized/v1cycle"
+        # Ed25519 signing is deterministic, so the two forms agree byte for byte
+        assert crypto.sign(kp, message) == crypto.sign(kp.private, message)
+        assert crypto.sign(kp, message) == crypto.sign(kp, message)
+        ct = crypto.asym_encrypt(b"wrapped key", kp.public)
+        assert crypto.asym_decrypt(ct, kp) == crypto.asym_decrypt(ct, kp.private) == b"wrapped key"
+        env = crypto.seal(b"payload" * 50, kp.public)
+        assert crypto.open_envelope(env, kp) == crypto.open_envelope(env, kp.private)
+        stranger = crypto.generate_keypair()
+        with pytest.raises(DecryptionFailure):
+            crypto.asym_decrypt(ct, stranger)
+        with pytest.raises(DecryptionFailure):
+            crypto.open_envelope(env, stranger)
+
+    def test_parsed_on_first_use_only(self):
+        kp = crypto.generate_keypair()
+        assert "decryption_key" not in vars(kp) and "signing_key" not in vars(kp)
+        crypto.sign(kp, b"m")
+        assert "signing_key" in vars(kp) and "decryption_key" not in vars(kp)
+        parsed = kp.signing_key
+        crypto.sign(kp, b"n")
+        crypto.asym_decrypt(crypto.asym_encrypt(b"k", kp.public), kp)
+        assert kp.signing_key is parsed and "decryption_key" in vars(kp)
+        # raw bytes are parsed per call and leave no trace on the key pair
+        crypto.sign(kp.private, b"m")
+        assert kp.signing_key is parsed
+
+    def test_replaced_private_half_never_uses_a_stale_parse(self):
+        kp = crypto.generate_keypair()
+        other = crypto.generate_keypair()
+        ct = crypto.asym_encrypt(b"for kp", kp.public)
+        assert crypto.asym_decrypt(ct, kp) == b"for kp"
+        crypto.sign(kp, b"m")
+        swapped = dataclasses.replace(kp, private=other.private)
+        with pytest.raises(DecryptionFailure):
+            crypto.asym_decrypt(ct, swapped)
+        assert crypto.sign(swapped, b"m") == crypto.sign(other.private, b"m")
+        assert not crypto.verify(kp.public, crypto.sign(swapped, b"m"), b"m")
+
+    def test_equality_and_hash_cover_the_byte_fields_only(self):
+        kp = crypto.generate_keypair(np.random.default_rng(13))
+        twin = crypto.generate_keypair(np.random.default_rng(13))
+        crypto.sign(kp, b"m")
+        crypto.asym_decrypt(crypto.asym_encrypt(b"k", kp.public), kp)
+        assert kp == twin and hash(kp) == hash(twin)
+        assert len({kp, twin}) == 1
+        assert kp != dataclasses.replace(kp, private=crypto.generate_keypair().private)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kp.private = twin.private
 
 
 class TestSharingConfig:

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from biochain import crypto
+from biochain import crypto, extractor
 from biochain.encoding import decode_vector, encode_vector
 from biochain.extractor import (
     ExtractorChain,
@@ -338,6 +338,72 @@ class TestRunQueryCycle:
         assert produced == []
 
 
+def record_trials(monkeypatch):
+    """Record every block poll of ``run_query_cycle`` as (block, acted)."""
+    trials = []
+    real = extractor.block_handle_update
+
+    def polled(block, ledger, cycle_id):
+        result = real(block, ledger, cycle_id)
+        trials.append((block.index, result is not None))
+        return result
+
+    monkeypatch.setattr(extractor, "block_handle_update", polled)
+    return trials
+
+
+class TestPollOrder:
+    def test_honest_cycle_makes_one_marker_trial_per_hop(self, monkeypatch):
+        chain, root = build_chain(identity_stages(4, count=5))
+        trials = record_trials(monkeypatch)
+        failures = []
+        real_decrypt = crypto.asym_decrypt
+
+        def counted(ciphertext, private):
+            try:
+                return real_decrypt(ciphertext, private)
+            except crypto.DecryptionFailure:
+                failures.append(private)
+                raise
+
+        monkeypatch.setattr(crypto, "asym_decrypt", counted)
+        x = np.array([0.5, -1.0, 2.0, 0.25])
+        final = run_query_cycle(chain, Ledger(), x)
+        assert trials == [(i, True) for i in range(5)]
+        assert failures == []
+        feature = decode_vector(crypto.open_envelope(handoff_envelope(final), root.private))
+        assert np.array_equal(feature, x)
+
+    def test_marker_outside_the_chain_rejected_and_cycle_closed(self, monkeypatch):
+        chain, _ = build_chain(identity_stages(4, count=3))
+        chain.notary.route[1] = crypto.generate_keypair().public
+        trials = record_trials(monkeypatch)
+        ledger = Ledger()
+        with pytest.raises(SignatureRejected):
+            run_query_cycle(chain, ledger, np.ones(4))
+        # hop 0 acts at once; at hop 1 every block tries the marker and refuses
+        assert trials == [(0, True), (1, False), (2, False), (0, False)]
+        (cycle_id,) = {e.cycle_id for e in ledger.entries()}
+        assert ledger.is_closed(cycle_id) and chain.notary.progress == {}
+
+    def test_permuted_route_reaches_the_same_blocks(self, monkeypatch):
+        rng = np.random.default_rng(57)
+        stages = [
+            StageParams(kind="dense", weights=rng.normal(size=(4, 4)), bias=rng.normal(size=4),
+                        activation="tanh")
+            for _ in range(4)
+        ]
+        chain, root = build_chain(stages)
+        order = [2, 0, 3, 1]
+        chain.notary.route = [chain.blocks[i].keys.public for i in order]
+        trials = record_trials(monkeypatch)
+        x = rng.normal(size=4)
+        final = run_query_cycle(chain, Ledger(), x)
+        assert [index for index, acted in trials if acted] == order
+        via_protocol = crypto.open_envelope(handoff_envelope(final), root.private)
+        assert via_protocol == encode_vector(compose_stages([stages[i] for i in order], x))
+
+
 class TestVerifyAndRestore:
     def test_intact_chain(self):
         chain, _ = build_chain(identity_stages(4, count=5))
@@ -449,6 +515,17 @@ class TestVerifyAndRestore:
         assert loaded.blocks == chain.snapshot.blocks
         assert loaded.notary_hash == chain.snapshot.notary_hash
         assert loaded.self_check()
+
+    def test_malformed_snapshot_record_is_a_value_error(self):
+        chain, _ = build_chain(identity_stages(4))
+        data = chain.snapshot.to_bytes()
+        from biochain.encoding import encode_f64_array
+        from biochain.extractor import StableSnapshot
+
+        without_timestamp = data[: -len(encode_f64_array(np.array([0.0])))]
+        for damaged in (data[:20], data + b"\x00", without_timestamp + encode_f64_array(np.array([]))):
+            with pytest.raises(ValueError):
+                StableSnapshot.from_bytes(damaged)
 
 
 class TestThreadedPolling:

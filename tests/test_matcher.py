@@ -467,6 +467,15 @@ class TestDelegation:
         assert identify_vector(tree, np.ones(8), "euclidean").candidates
 
 
+    def test_only_the_root_key_pair_is_parsed(self):
+        tree = build_tree(make_gallery(12, seed=77), fanout=5)
+        identify_vector(tree, np.ones(8), "euclidean")
+        parsed = ("decryption_key", "signing_key")
+        nodes = tree.chiefs + tree.leaves()
+        assert not any(name in vars(node.keys) for node in nodes for name in parsed)
+        assert "decryption_key" in vars(tree.keys)
+
+
 class TestForgeryNeverReconstructs:
     def test_randomized_forgeries_all_fail(self):
         tree = build_tree(make_gallery(10, seed=27), fanout=10)

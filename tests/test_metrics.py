@@ -204,6 +204,14 @@ class TestFlatOracle:
         result = flat_oracle_identify(gallery, gallery[1].vector, "euclidean")
         assert result == MatchScore("bob", 0.0, "euclidean")
 
+    def test_match_score_fields_repr_and_immutability(self):
+        score = MatchScore("bob", 0.5, "euclidean")
+        assert MatchScore._fields == ("identity", "score", "metric")
+        assert (score.identity, score.score, score.metric) == ("bob", 0.5, "euclidean")
+        assert repr(score) == "MatchScore(identity='bob', score=0.5, metric='euclidean')"
+        with pytest.raises(AttributeError):
+            score.score = 0.0
+
     def test_tie_goes_to_lower_index(self):
         gallery = [
             Template("first", np.array([1.0, 0.0])),
