@@ -94,13 +94,14 @@ def _load_chain_params(path: Path) -> list[StageParams]:
 
 
 def _load_system(
-    out: Path, config: ExperimentConfig, need_snapshot: bool = True
+    out: Path, config: ExperimentConfig, strict: bool = True
 ) -> EnrolledSystem:
     """Rebuild the enrolled deployment from the state directory.
 
-    A snapshot file that does not parse is a one-line error, unless
-    ``need_snapshot`` is False (audit and restore): the chain then has no
-    snapshot, which the audit reports as a finding."""
+    A snapshot file that does not parse, or a live store whose records do
+    not fit the tree's rows, is a one-line error, unless ``strict`` is
+    False (audit and restore): the chain then has no snapshot, or the tree
+    keeps the archive's templates, and the audit reports a finding."""
     for name in (GALLERY_FILE, ARCHIVE_FILE, CHAIN_FILE, SNAPSHOT_FILE):
         if not (out / name).exists():
             raise click.ClickException(f"missing {name} in {out}; run enroll first")
@@ -116,11 +117,15 @@ def _load_system(
     try:
         chain.snapshot = StableSnapshot.load(out / SNAPSHOT_FILE)
     except ValueError as exc:
-        if need_snapshot:
+        if strict:
             raise click.ClickException(f"{SNAPSHOT_FILE} does not parse: {exc}; run audit")
     # Load the live (possibly tampered) templates over the enrollment tree.
-    for leaf, template in zip(tree.leaves(), live_templates):
-        leaf.template = template
+    try:
+        for index, template in enumerate(live_templates[:len(archive_templates)]):
+            tree.write_template(index, template)
+    except DimensionMismatch as exc:
+        if strict:
+            raise click.ClickException(f"{GALLERY_FILE} does not fit the tree: {exc}; run audit")
     ledger_path = out / LEDGER_FILE
     if ledger_path.exists() and ledger_path.stat().st_size:
         ledger = Ledger.load(ledger_path, resume=True)
@@ -214,6 +219,8 @@ def identify_cmd(ctx, identity, probe_file, probe_noise):
     """Run one query through the chain and the tree."""
     out: Path = ctx.obj["out"]
     config: ExperimentConfig = ctx.obj["config"]
+    if not probe_noise >= 0:
+        raise click.ClickException("--probe-noise must be >= 0")
     system = _load_system(out, config)
     if probe_file is not None:
         probe = load_gallery(probe_file)[0].vector
@@ -259,24 +266,24 @@ def tamper_cmd(ctx, fraction, sigma, block_index, epsilon):
     """Inject tampering into the live template store and/or the chain."""
     out: Path = ctx.obj["out"]
     config: ExperimentConfig = ctx.obj["config"]
+    if fraction is None and block_index is None:
+        raise click.ClickException("pass --fraction and/or --block")
     system = _load_system(out, config)
-    did = False
+    noise = sigma if sigma is not None else config.effective_noise_sigma()
+    # Both tampers run in memory first, so bad input leaves every file as it was.
+    try:
+        if fraction is not None:
+            chosen = inject_template_noise(system.flat_store, noise, config.seed, fraction)
+        if block_index is not None:
+            tamper_extractor_block(system.chain, block_index, epsilon)
+    except (ValueError, IndexOutOfRange) as exc:
+        raise click.ClickException(str(exc))
     if fraction is not None:
-        noise = sigma if sigma is not None else config.effective_noise_sigma()
-        chosen = inject_template_noise(system.flat_store, noise, config.seed, fraction)
         save_gallery(out / GALLERY_FILE, system.flat_store)
         click.echo(f"perturbed {len(chosen)} templates (sigma={noise})")
-        did = True
     if block_index is not None:
-        try:
-            tamper_extractor_block(system.chain, block_index, epsilon)
-        except (ValueError, IndexOutOfRange) as exc:
-            raise click.ClickException(str(exc))
         _save_chain_params(out / CHAIN_FILE, _chain_params(system.chain))
         click.echo(f"perturbed chain stage {block_index} by {epsilon}")
-        did = True
-    if not did:
-        raise click.ClickException("pass --fraction and/or --block")
     system.ledger.close()
 
 
@@ -286,7 +293,7 @@ def audit_cmd(ctx):
     """Check both integrity surfaces; exit nonzero when tampered."""
     out: Path = ctx.obj["out"]
     config: ExperimentConfig = ctx.obj["config"]
-    system = _load_system(out, config, need_snapshot=False)
+    system = _load_system(out, config, strict=False)
     findings = run_audit(system)
     for line in findings.lines:
         click.echo(line)
@@ -301,7 +308,7 @@ def restore_cmd(ctx):
     """Repair whatever the audit locates, from snapshot and archive."""
     out: Path = ctx.obj["out"]
     config: ExperimentConfig = ctx.obj["config"]
-    system = _load_system(out, config, need_snapshot=False)
+    system = _load_system(out, config, strict=False)
     findings = run_audit(system)
     if findings.chain_first_tampered is not None:
         if not findings.snapshot_consistent:
@@ -319,9 +326,9 @@ def restore_cmd(ctx):
     if findings.tree_locators:
         restore_leaves(system.tree, findings.tree_locators, system.archive)
         click.echo(f"restored {len(findings.tree_locators)} templates")
-    if findings.store_count_mismatch:
+    if findings.store_mismatch:
         click.echo(f"restored the live store to {len(system.archive)} records")
-    if findings.tree_locators or findings.store_count_mismatch:
+    if findings.tree_locators or findings.store_mismatch:
         save_gallery(out / GALLERY_FILE, system.tree.templates())
     system.ledger.close()
     del system  # one rebuilt deployment in memory at a time

@@ -390,16 +390,6 @@ class ExtractorChain:
             return min(len(current), len(stored))
         return None
 
-    def restore_block(self, index: int, snapshot: Optional[StableSnapshot] = None) -> None:
-        """Reset one block's parameters to their snapshot values."""
-        snap = snapshot or self.snapshot
-        if snap is None:
-            raise NoSnapshot("no snapshot to restore from")
-        if not 0 <= index < len(self.blocks):
-            raise IndexOutOfRange(f"block index {index} out of range")
-        _, _, params_bytes = snap.blocks[index]
-        self.blocks[index].params = StageParams.from_canonical(params_bytes)
-
 
 def compose_stages(stages: Sequence[StageParams], x: np.ndarray) -> np.ndarray:
     """Plain sequential forward pass, no protocol involved."""

@@ -327,23 +327,17 @@ def enroll(
 # ---------------------------------------------------------------------------
 
 def inject_template_noise(
-    target, sigma: float, seed: int, fraction: float = 1.0
+    templates: Sequence[Template], sigma: float, seed: int, fraction: float = 1.0
 ) -> list[int]:
-    """Add zero-mean Gaussian noise to a fraction of stored templates.
-
-    ``target`` is either a matching tree or a flat template list; calling
-    this once per store with the same seed perturbs both identically,
-    which keeps the architecture comparison fair. Returns the enrollment
-    indices that were perturbed.
+    """Add zero-mean Gaussian noise to a fraction of a template list, in
+    place. The noise depends only on the seed and the list's length, so the
+    same seed perturbs any copy of a gallery identically. Returns the
+    enrollment indices that were perturbed.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be > 0")
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
-    if isinstance(target, MatcherTree):
-        templates = target.templates()
-    else:
-        templates = list(target)
     n = len(templates)
     count = max(1, int(round(fraction * n)))
     rng = _rng(seed, _STREAM_TAMPER)
@@ -379,7 +373,8 @@ class AuditReport:
     # no readable snapshot to verify the chain against.
     chain_first_tampered: Optional[int]
     tree_locators: list[LeafLocator]
-    store_count_mismatch: bool  # live store and archive hold different record counts
+    # The live store's records are not the archive's in count or dimension.
+    store_mismatch: bool
     snapshot_consistent: bool  # readable, and its parameters reproduce its hashes
     clean: bool
     lines: list[str]
@@ -387,8 +382,8 @@ class AuditReport:
 
 def audit(system: EnrolledSystem) -> AuditReport:
     """Run both integrity checks, compare the live store's record count
-    with the archive's and the chain's stage count with the snapshot's,
-    self-check the chain snapshot, and describe what they found.
+    and dimension with the archive's and the chain's stage count with the
+    snapshot's, self-check the chain snapshot, and describe what they found.
 
     A chain without a snapshot (its stored copy did not parse) cannot be
     verified: that is a ``snapshot:`` finding, and the chain counts as
@@ -401,7 +396,9 @@ def audit(system: EnrolledSystem) -> AuditReport:
         snapshot_consistent = snapshot.self_check()
     live_stages = len(system.chain.blocks)
     locators = verify_tree(system.tree)
-    store_count_mismatch = len(system.flat_store) != len(system.archive)
+    dim = system.tree.vectors.shape[1]
+    misfits = sum(t.vector.shape[0] != dim for t in system.flat_store)
+    store_mismatch = len(system.flat_store) != len(system.archive) or misfits > 0
     lines = []
     if snapshot is None:
         lines.append("chain: not verified, there is no readable snapshot")
@@ -415,7 +412,7 @@ def audit(system: EnrolledSystem) -> AuditReport:
     else:
         lines.append(
             f"chain: first tampered block index {chain_result}; "
-            f"restore_block({chain_result}) will recover it"
+            "restore rewrites the stage list from the snapshot"
         )
     if not locators:
         lines.append("tree: intact")
@@ -425,10 +422,11 @@ def audit(system: EnrolledSystem) -> AuditReport:
                 f"tree: tampered leaf chief={loc.chief_index} leaf={loc.leaf_index} "
                 f"identity={loc.identity}; restore from archive index {loc.global_index}"
             )
-    if store_count_mismatch:
+    if store_mismatch:
         lines.append(
             f"store: {len(system.flat_store)} live records, archive holds "
-            f"{len(system.archive)}; restore rewrites the store from the tree"
+            f"{len(system.archive)}; {misfits} live records are not of dimension {dim}; "
+            "restore rewrites the store from the tree"
         )
     if snapshot is None:
         lines.append(
@@ -440,13 +438,13 @@ def audit(system: EnrolledSystem) -> AuditReport:
             "the chain cannot be restored from it"
         )
     clean = (
-        chain_result is None and not locators and not store_count_mismatch
+        chain_result is None and not locators and not store_mismatch
         and snapshot_consistent
     )
     return AuditReport(
         chain_first_tampered=chain_result,
         tree_locators=locators,
-        store_count_mismatch=store_count_mismatch,
+        store_mismatch=store_mismatch,
         snapshot_consistent=snapshot_consistent,
         clean=clean,
         lines=lines,
@@ -628,14 +626,13 @@ def run_experiment(config: ExperimentConfig) -> Report:
     )
     proposed_seconds = time.perf_counter() - t0
 
-    sigma = config.effective_noise_sigma()
+    # The same noise reaches both architectures' template stores.
     tampered = inject_template_noise(
-        system.tree, sigma, config.seed, config.tamper_fraction
+        system.flat_store, config.effective_noise_sigma(), config.seed,
+        config.tamper_fraction,
     )
-    tampered_flat = inject_template_noise(
-        system.flat_store, sigma, config.seed, config.tamper_fraction
-    )
-    assert tampered == tampered_flat
+    for index in tampered:
+        system.tree.write_template(index, system.flat_store[index])
 
     t0 = time.perf_counter()
     after_traditional = evaluate_traditional(

@@ -1,15 +1,24 @@
 """Template matching tree with shard-consensus decisions.
 
-The tree has three levels. Leaves each hold one gallery template and do
-the actual scoring. Chiefs group up to ``fanout`` leaves, pick the best
-score on their path, and must win their leaves' consent for it. The root
-aggregates the chiefs' decisions and declares the final match.
+The tree has three levels. Each leaf stands for one gallery template and
+holds its own keys, link and decision shard. Chiefs group up to
+``fanout`` leaves, pick the best score on their path, and must win their
+leaves' consent for it. The root aggregates the chiefs' decisions and
+declares the final match.
 
-Integrity uses aggregate hashing: a leaf's hash covers its template, and
-every parent's hash covers the ordered hashes of its children, so one
-modified template changes its leaf, its chief, and the root. Parents also
-keep copies of their children's enrollment hashes, which is what makes
-top-down localization of tampered leaves possible.
+The tree owns the gallery as one C-contiguous (N, d) float64 matrix,
+``MatcherTree.vectors``, beside the list of N identities: row i is the
+template of the leaf at enrollment position i, and a chief's leaves are
+the rows ``chief.rows``. ``MatcherTree.write_template`` is the one way a
+stored template changes, so every edit (loading a live store, tampering,
+restoring from the archive) is seen by the next query and the next
+verification.
+
+Integrity uses aggregate hashing: a leaf's hash covers its identity and
+template row, and every parent's hash covers the ordered hashes of its
+children, so one modified template changes its leaf, its chief, and the
+root. The root keeps every leaf's and every chief's enrollment hash,
+which is what makes top-down localization of tampered leaves possible.
 
 Decisions use threshold secret sharing. Every root-chief link gets its
 own decision key pair whose private half is split into ``2n + 1`` shards
@@ -42,18 +51,17 @@ private key. The link's AES-GCM cipher is prepared then, once. A query
 crosses every link as one ciphertext under a fresh nonce, and every leaf
 authenticates its own copy. Each chief then stacks its leaves' copies
 into one (n, d) probe matrix, row i parsed from leaf i's copy, and scores
-it against its stacked templates with one row kernel whose scores are
-bit-identical to the scalar metrics. Templates are stacked anew on every
-query, so a template edited or replaced between queries is always seen.
+it against its rows of the template matrix with one row kernel whose
+scores are bit-identical to the scalar metrics.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -97,15 +105,14 @@ class Template:
         if not np.all(np.isfinite(self.vector)):
             raise ValueError("template entries must be finite")
 
-    def canonical_bytes(self) -> bytes:
-        return lp(self.identity.encode("utf-8")) + encode_vector(self.vector)
-
     def copy(self) -> "Template":
         return Template(self.identity, self.vector.copy())
 
 
-def leaf_hash(template: Template) -> bytes:
-    return crypto.digest_parts(_LEAF_HASH_TAG, template.canonical_bytes())
+def leaf_hash(identity: str, vector: np.ndarray) -> bytes:
+    return crypto.digest_parts(
+        _LEAF_HASH_TAG, lp(identity.encode("utf-8")) + encode_vector(vector)
+    )
 
 
 def node_hash(children_hashes: Sequence[bytes]) -> bytes:
@@ -121,38 +128,21 @@ def node_hash(children_hashes: Sequence[bytes]) -> bytes:
 
 @dataclass
 class LeafBlock:
-    index: int  # position within the chief
-    global_index: int  # position in enrollment order
-    template: Template
     keys: KeyPair
     channel: Optional[crypto.SymCipher] = None  # chief-to-leaf link
     shard: Optional[Shard] = None
-    hash: bytes = b""  # enrollment-time hash
-    # Fault-injection toggle for simulations: a compromised leaf withholds
-    # its shard and dissents no matter what the document says.
-    always_dissent: bool = False
-
-    def current_hash(self) -> bytes:
-        return leaf_hash(self.template)
 
 
 @dataclass
 class ChiefBlock:
     index: int
+    rows: slice  # its leaves' rows of the tree's template matrix
     leaves: list[LeafBlock]
     keys: KeyPair
     channel: Optional[crypto.SymCipher] = None  # root-to-chief link
-    leaf_hash_copies: list[bytes] = field(default_factory=list)
     retained_shard: Optional[Shard] = None
     decision_public: bytes = b""
     sharing: Optional[SharingConfig] = None
-    hash: bytes = b""  # enrollment-time hash
-    # Fault-injection hook for simulations: a compromised chief rewrites
-    # its honest draft before seeking consent.
-    tamper_document: Optional[Callable[["DecisionDocument"], "DecisionDocument"]] = None
-
-    def current_hash(self) -> bytes:
-        return node_hash([leaf.current_hash() for leaf in self.leaves])
 
 
 @dataclass(frozen=True)
@@ -210,11 +200,15 @@ class IdentifyResult:
 
 
 class MatcherTree:
-    """Root block: owns the chiefs, the decision keys, and the final say."""
+    """Root block: owns the gallery, the chiefs, the decision keys, and
+    the final say."""
 
-    def __init__(self, chiefs: list[ChiefBlock], keys: KeyPair):
-        self.chiefs = chiefs
+    def __init__(self, gallery: Sequence[Template], keys: KeyPair):
+        self.vectors = np.array([t.vector for t in gallery], dtype=np.float64)
+        self.identities = [t.identity for t in gallery]
+        self.chiefs: list[ChiefBlock] = []
         self.keys = keys
+        self.leaf_hashes: list[bytes] = []  # enrollment-time, one per row
         self.chief_hash_copies: list[bytes] = []
         self.contribution_shards: dict[int, Shard] = {}
         self.retained_shards: dict[int, list[Shard]] = {}
@@ -226,18 +220,38 @@ class MatcherTree:
     def public_key(self) -> bytes:
         return self.keys.public
 
-    def leaves(self) -> list[LeafBlock]:
-        return [leaf for chief in self.chiefs for leaf in chief.leaves]
-
     def templates(self) -> list[Template]:
-        return [leaf.template for leaf in self.leaves()]
+        """The stored templates in enrollment order, as copies: editing
+        them leaves the tree unchanged."""
+        return [
+            Template(identity, row)
+            for identity, row in zip(self.identities, self.vectors.copy())
+        ]
+
+    def write_template(self, index: int, template: Template) -> None:
+        """Store a copy of ``template`` at enrollment position ``index``.
+
+        Raises:
+            DimensionMismatch: the template does not fit a matrix row.
+        """
+        if template.vector.shape != self.vectors.shape[1:]:
+            raise DimensionMismatch(
+                f"template {template.identity!r} has {template.vector.shape[0]} values, "
+                f"the gallery {self.vectors.shape[1]}"
+            )
+        self.vectors[index] = template.vector
+        self.identities[index] = template.identity
+
+    def current_leaf_hashes(self, chief: ChiefBlock) -> list[bytes]:
+        """Hashes of a chief's leaves, recomputed from the stored templates."""
+        return [
+            leaf_hash(identity, row)
+            for identity, row in zip(self.identities[chief.rows], self.vectors[chief.rows])
+        ]
 
     def next_cycle_id(self) -> str:
         self._cycle_counter += 1
         return f"match-{self._cycle_counter}"
-
-    def current_hash(self) -> bytes:
-        return node_hash([chief.current_hash() for chief in self.chiefs])
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +312,12 @@ def build_tree(
     if len(dims) != 1:
         raise DimensionMismatch(f"gallery templates disagree on dimension: {dims}")
 
-    tree = MatcherTree(chiefs=[], keys=crypto.generate_keypair(rng))
+    tree = MatcherTree(gallery, keys=crypto.generate_keypair(rng))
     chief_count = math.ceil(len(gallery) / fanout)
     for c in range(chief_count):
-        chunk = gallery[c * fanout : (c + 1) * fanout]
-        leaves = []
-        for i, template in enumerate(chunk):
-            leaves.append(
-                LeafBlock(
-                    index=i,
-                    global_index=c * fanout + i,
-                    template=template.copy(),
-                    keys=crypto.generate_keypair(rng),
-                )
-            )
-        chief = ChiefBlock(index=c, leaves=leaves, keys=crypto.generate_keypair(rng))
+        rows = slice(c * fanout, min((c + 1) * fanout, len(gallery)))
+        leaves = [LeafBlock(keys=crypto.generate_keypair(rng)) for _ in range(rows.start, rows.stop)]
+        chief = ChiefBlock(index=c, rows=rows, leaves=leaves, keys=crypto.generate_keypair(rng))
         tree.chiefs.append(chief)
 
     for chief in tree.chiefs:
@@ -323,13 +328,11 @@ def build_tree(
     for chief in tree.chiefs:
         setup_decision_keys(tree, chief, rng)
 
-    # Enrollment hashes, copied upward for later localization.
+    # Enrollment hashes, kept at the root for later localization.
     for chief in tree.chiefs:
-        for leaf in chief.leaves:
-            leaf.hash = leaf.current_hash()
-        chief.leaf_hash_copies = [leaf.hash for leaf in chief.leaves]
-        chief.hash = node_hash(chief.leaf_hash_copies)
-    tree.chief_hash_copies = [chief.hash for chief in tree.chiefs]
+        hashes = tree.current_leaf_hashes(chief)
+        tree.leaf_hashes.extend(hashes)
+        tree.chief_hash_copies.append(node_hash(hashes))
     tree.hash = node_hash(tree.chief_hash_copies)
     return tree
 
@@ -339,12 +342,13 @@ def build_tree(
 # ---------------------------------------------------------------------------
 
 def _leaf_document(
-    chief: ChiefBlock, scores: np.ndarray, leaf_index: int, cycle_id: str, metric: str
+    tree: MatcherTree, chief: ChiefBlock, scores: np.ndarray, leaf_index: int,
+    cycle_id: str, metric: str,
 ) -> DecisionDocument:
     return DecisionDocument(
         chief_id=chief.index,
         cycle_id=cycle_id,
-        identity=chief.leaves[leaf_index].template.identity,
+        identity=tree.identities[chief.rows.start + leaf_index],
         score=float(scores[leaf_index]),
         metric=metric,
         leaf_index=leaf_index,
@@ -352,14 +356,11 @@ def _leaf_document(
 
 
 def chief_draft_document(
-    chief: ChiefBlock, scores: np.ndarray, cycle_id: str, metric: str
+    tree: MatcherTree, chief: ChiefBlock, scores: np.ndarray, cycle_id: str, metric: str
 ) -> DecisionDocument:
     """Draft the path decision from the chief's leaf scores: the identity
     with the best (lowest) score, ties broken by lowest leaf index."""
-    document = _leaf_document(chief, scores, int(np.argmin(scores)), cycle_id, metric)
-    if chief.tamper_document is not None:
-        document = chief.tamper_document(document)
-    return document
+    return _leaf_document(tree, chief, scores, int(np.argmin(scores)), cycle_id, metric)
 
 
 def collect_consent(
@@ -373,7 +374,6 @@ def collect_consent(
     """
     # Negated rather than ">" so an incomparable (NaN) score also dissents.
     dissent = ~(document.score <= scores)
-    dissent |= np.array([leaf.always_dissent for leaf in chief.leaves], dtype=bool)
     shards = [leaf.shard for leaf, refused in zip(chief.leaves, dissent) if not refused]
     shards.append(chief.retained_shard)
     return ShardPool(shards=shards, dissent=dissent)
@@ -398,7 +398,8 @@ def root_finalize(tree: MatcherTree, chief: ChiefBlock, pool: ShardPool) -> Cons
 
 
 def root_scrutinize(
-    chief: ChiefBlock, document: DecisionDocument, scores: np.ndarray, pool: ShardPool
+    tree: MatcherTree, chief: ChiefBlock, document: DecisionDocument,
+    scores: np.ndarray, pool: ShardPool,
 ) -> DecisionDocument:
     """Resolve a failed consensus by reading the dissenting leaves' scores.
 
@@ -413,7 +414,7 @@ def root_scrutinize(
     best = int(dissenters[np.argmin(scores[dissenters])])
     if not scores[best] < document.score:
         return document
-    return _leaf_document(chief, scores, best, document.cycle_id, document.metric)
+    return _leaf_document(tree, chief, scores, best, document.cycle_id, document.metric)
 
 
 # ---------------------------------------------------------------------------
@@ -459,17 +460,15 @@ def identify(
         ]))
     t1 = time.perf_counter()
 
-    # Templates are stacked anew on every query, so a template edited in
-    # place or replaced between queries is always seen.
     score_rows = get_row_metric(metric)
     chief_scores = [
-        score_rows(np.stack([leaf.template.vector for leaf in chief.leaves]), probes)
+        score_rows(tree.vectors[chief.rows], probes)
         for chief, probes in zip(tree.chiefs, chief_probes)
     ]
     t2 = time.perf_counter()
 
     drafts = [
-        chief_draft_document(chief, scores, cycle_id, metric)
+        chief_draft_document(tree, chief, scores, cycle_id, metric)
         for chief, scores in zip(tree.chiefs, chief_scores)
     ]
     t3 = time.perf_counter()
@@ -483,7 +482,7 @@ def identify(
         outcome = root_finalize(tree, chief, pool)
         sharing_time += time.perf_counter() - s0
         if outcome is ConsensusResult.SCRUTINY:
-            document = root_scrutinize(chief, document, scores, pool)
+            document = root_scrutinize(tree, chief, document, scores, pool)
             scrutinized.append(chief.index)
         decisions.append(document)
     t4 = time.perf_counter()
@@ -492,7 +491,7 @@ def identify(
     # Enrollment order, so the stable sort breaks ties by global index.
     all_scores = np.concatenate(chief_scores)
     values = all_scores.tolist()
-    identities = [leaf.template.identity for leaf in tree.leaves()]
+    identities = tree.identities
     candidates = [
         MatchScore(identities[i], values[i], metric)
         for i in np.argsort(all_scores, kind="stable").tolist()
@@ -516,17 +515,6 @@ def identify(
     )
 
 
-def identify_vector(
-    tree: MatcherTree,
-    probe: np.ndarray,
-    metric: str,
-    timings: Optional[MatchTimings] = None,
-) -> IdentifyResult:
-    """Convenience wrapper: seal a plaintext probe to the root and identify."""
-    payload = encode_vector(np.asarray(probe, dtype=np.float64))
-    return identify(tree, crypto.seal(payload, tree.public_key), metric, timings)
-
-
 # ---------------------------------------------------------------------------
 # Integrity: localization and restoration
 # ---------------------------------------------------------------------------
@@ -541,17 +529,19 @@ def verify_tree(tree: MatcherTree) -> list[LeafLocator]:
     """
     locators: list[LeafLocator] = []
     for chief in tree.chiefs:
-        recomputed_leaf_hashes = [leaf.current_hash() for leaf in chief.leaves]
+        recomputed_leaf_hashes = tree.current_leaf_hashes(chief)
         if node_hash(recomputed_leaf_hashes) == tree.chief_hash_copies[chief.index]:
             continue
-        for leaf, current in zip(chief.leaves, recomputed_leaf_hashes):
-            if current != chief.leaf_hash_copies[leaf.index]:
+        enrolled = tree.leaf_hashes[chief.rows]
+        for leaf_index, current in enumerate(recomputed_leaf_hashes):
+            if current != enrolled[leaf_index]:
+                global_index = chief.rows.start + leaf_index
                 locators.append(
                     LeafLocator(
                         chief_index=chief.index,
-                        leaf_index=leaf.index,
-                        global_index=leaf.global_index,
-                        identity=leaf.template.identity,
+                        leaf_index=leaf_index,
+                        global_index=global_index,
+                        identity=tree.identities[global_index],
                     )
                 )
     return locators
@@ -588,24 +578,5 @@ def restore_leaves(
     if archive is None:
         raise ArchiveMissing("no template archive available")
     for locator in locators:
-        leaf = tree.chiefs[locator.chief_index].leaves[locator.leaf_index]
-        leaf.template = archive.get(locator.global_index).copy()
+        tree.write_template(locator.global_index, archive.get(locator.global_index))
 
-
-def admin_recover_decision_key(tree: MatcherTree, chief: ChiefBlock) -> bytes:
-    """Administrative reconstruction of a link's decision private key,
-    for key rotation outside the consensus protocol.
-
-    The root's inert reserve plus its contribution shard plus the chief's
-    shard total one short of the threshold, so recovery additionally
-    needs a single cooperating leaf. Returns the private key bytes after
-    checking them against the stored public half.
-    """
-    shards = list(tree.retained_shards[chief.index])
-    shards.append(tree.contribution_shards[chief.index])
-    shards.append(chief.retained_shard)
-    shards.append(chief.leaves[0].shard)
-    secret = crypto.shamir_reconstruct(shards, chief.sharing)
-    if crypto.derive_public(secret) != tree.decision_publics[chief.index]:
-        raise crypto.CryptoError("recovered key does not match the stored public half")
-    return secret

@@ -41,12 +41,18 @@ from biochain.matcher import (
     build_tree,
     chief_draft_document,
     collect_consent,
-    identify_vector,
     restore_leaves,
     root_finalize,
     verify_tree,
 )
 from biochain.metrics import euclidean, flat_oracle_identify, flat_rank, rank_k_accuracy
+from helpers import (
+    compromised_chief,
+    dissenting_leaves,
+    identify_probe,
+    perturb_template,
+    restore_stage,
+)
 
 
 @contextmanager
@@ -92,8 +98,8 @@ def test_criterion_2_forged_documents_never_reach_consensus():
             for trial in range(per_shape):
                 probe = rng.normal(size=8) * 3
                 cycle = f"h-{n}-{trial}"
-                scores = np.array([euclidean(leaf.template.vector, probe) for leaf in chief.leaves])
-                honest = chief_draft_document(chief, scores, cycle, "euclidean")
+                scores = np.array([euclidean(row, probe) for row in tree.vectors[chief.rows]])
+                honest = chief_draft_document(tree, chief, scores, cycle, "euclidean")
                 pool = collect_consent(chief, honest, scores)
                 if root_finalize(tree, chief, pool) is ConsensusResult.ACCEPTED:
                     honest_accepts += 1
@@ -174,7 +180,7 @@ def test_criterion_4_chain_tamper_localization():
             ] += float(rng.uniform(1e-8, 1.0))
             if chain.verify() == index:
                 hits += 1
-            chain.restore_block(index)
+            restore_stage(chain, index)
             assert chain.verify() is None
             recovered = crypto.open_envelope(
                 handoff_envelope(run_query_cycle(chain, Ledger(), x)), root.private
@@ -197,19 +203,18 @@ def test_criterion_5_tree_tamper_localization():
         rng = np.random.default_rng(1055)
         probes = [gallery[int(rng.integers(0, 120))].vector + rng.normal(scale=0.1, size=16)
                   for _ in range(3)]
-        baseline = [identify_vector(tree, p, "euclidean") for p in probes]
+        baseline = [identify_probe(tree, p, "euclidean") for p in probes]
 
         for _ in range(100):
             count = int(rng.integers(1, 11))
             chosen = sorted(rng.choice(120, size=count, replace=False).tolist())
-            leaves = tree.leaves()
             for gi in chosen:
-                leaves[gi].template.vector += rng.normal(scale=1.0, size=16)
+                perturb_template(tree, gi, rng.normal(scale=1.0, size=16))
             locators = verify_tree(tree)
             assert sorted(l.global_index for l in locators) == chosen
             restore_leaves(tree, locators, archive)
             assert verify_tree(tree) == []
-            recovered = [identify_vector(tree, p, "euclidean") for p in probes]
+            recovered = [identify_probe(tree, p, "euclidean") for p in probes]
             for a, b in zip(baseline, recovered):
                 assert (a.identity, a.score) == (b.identity, b.score)
                 assert a.candidates == b.candidates
@@ -230,33 +235,29 @@ def test_criterion_6_oracle_equivalence():
                 tree = build_tree(gallery, fanout=50, rng=np.random.default_rng(6))
                 for _ in range(250):
                     probe = rng.normal(size=8) * 3
-                    via_tree = identify_vector(tree, probe, metric)
+                    via_tree = identify_probe(tree, probe, metric)
                     via_scan = flat_oracle_identify(gallery, probe, metric)
                     assert via_tree.identity == via_scan.identity, (name, metric)
                     total_clean += 1
 
                 # one compromised chief rewriting its drafts
-                tree.chiefs[0].tamper_document = lambda doc: DecisionDocument(
+                with compromised_chief(0, lambda doc: DecisionDocument(
                     doc.chief_id, doc.cycle_id, "forged", doc.score + 0.75,
                     doc.metric, doc.leaf_index,
-                )
-                for _ in range(150):
-                    probe = rng.normal(size=8) * 3
-                    via_tree = identify_vector(tree, probe, metric)
-                    via_scan = flat_oracle_identify(gallery, probe, metric)
-                    assert via_tree.identity == via_scan.identity, (name, metric)
-                tree.chiefs[0].tamper_document = None
+                )):
+                    for _ in range(150):
+                        probe = rng.normal(size=8) * 3
+                        via_tree = identify_probe(tree, probe, metric)
+                        via_scan = flat_oracle_identify(gallery, probe, metric)
+                        assert via_tree.identity == via_scan.identity, (name, metric)
 
                 # one compromised leaf per chief dissenting on every decision
-                for chief in tree.chiefs:
-                    chief.leaves[0].always_dissent = True
-                for _ in range(150):
-                    probe = rng.normal(size=8) * 3
-                    via_tree = identify_vector(tree, probe, metric)
-                    via_scan = flat_oracle_identify(gallery, probe, metric)
-                    assert via_tree.identity == via_scan.identity, (name, metric)
-                for chief in tree.chiefs:
-                    chief.leaves[0].always_dissent = False
+                with dissenting_leaves({(chief.index, 0) for chief in tree.chiefs}):
+                    for _ in range(150):
+                        probe = rng.normal(size=8) * 3
+                        via_tree = identify_probe(tree, probe, metric)
+                        via_scan = flat_oracle_identify(gallery, probe, metric)
+                        assert via_tree.identity == via_scan.identity, (name, metric)
 
                 # a corrupted shard in one chief's pool forces scrutiny on
                 # that path without changing the answer
@@ -267,7 +268,7 @@ def test_criterion_6_oracle_equivalence():
                 victim.shard = crypto.Shard(good_shard.index, bytes(damaged))
                 for _ in range(100):
                     probe = rng.normal(size=8) * 3
-                    via_tree = identify_vector(tree, probe, metric)
+                    via_tree = identify_probe(tree, probe, metric)
                     via_scan = flat_oracle_identify(gallery, probe, metric)
                     assert via_tree.identity == via_scan.identity, (name, metric)
                     assert tree.chiefs[-1].index in via_tree.scrutinized_chiefs
@@ -392,7 +393,7 @@ def _sweep_identify_times(xs, points, probes, quantity, rounds=3, attempts=3):
             for i, (tree, probe_vecs) in enumerate(setups):
                 timings = MatchTimings()
                 for p in probe_vecs:
-                    identify_vector(tree, p, "euclidean", timings)
+                    identify_probe(tree, p, "euclidean", timings)
                 if quantity == "match":
                     cost = timings.match / probes
                 else:
@@ -456,7 +457,7 @@ def test_criterion_9_cmc_correctness():
 
     system = enroll(gallery, config.chain_spec, fanout=config.fanout, seed=config.seed)
     tree_results = [
-        identify_vector(system.tree, p, config.metric).candidates for p in probes
+        identify_probe(system.tree, p, config.metric).candidates for p in probes
     ]
     for rank in report.before_proposed.cmc.ranks:
         assert report.before_proposed.cmc.at(rank) == rank_k_accuracy(

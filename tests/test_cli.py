@@ -245,6 +245,50 @@ class TestTamperAuditRestore:
         result = runner.invoke(main, ["--out", str(out), "tamper"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("command", [
+        ["tamper", "--fraction", "2"],
+        ["tamper", "--fraction", "0"],
+        ["tamper", "--fraction", "0.5", "--sigma", "0"],
+        ["tamper", "--fraction", "0.5", "--sigma", "-1"],
+        ["tamper", "--fraction", "0.5", "--sigma", "nan"],
+        ["tamper", "--fraction", "0.5", "--sigma", "0", "--block", "0"],
+        ["identify", "--identity", "id0001", "--probe-noise", "-1"],
+    ], ids=["fraction-2", "fraction-0", "sigma-0", "sigma-negative", "sigma-nan",
+            "sigma-0-with-block", "negative-probe-noise"])
+    def test_bad_input_is_a_one_line_error(self, runner, tmp_path, command):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        state = {p.name: p.read_bytes() for p in out.iterdir()}
+        result = runner.invoke(main, ["--out", str(out), *command])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == state
+
+    def test_wrong_dimension_store_audited_restored_and_refused(self, runner, tmp_path):
+        # gallery.txt rewritten at dimension 7 over a dimension-8 archive
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        lines = (out / "gallery.txt").read_text().splitlines()
+        header = lines[0].split()
+        header[2] = "7"
+        records = [" ".join(line.split()[:-1]) for line in lines[1:]]
+        (out / "gallery.txt").write_text("\n".join([" ".join(header), *records]) + "\n")
+        blocked = runner.invoke(main, ["--out", str(out), "identify", "--identity", "id0001"])
+        assert blocked.exit_code == 1 and isinstance(blocked.exception, SystemExit)
+        assert len(blocked.output.splitlines()) == 1
+        assert blocked.output.startswith("Error: ")
+        audit_result = runner.invoke(main, ["--out", str(out), "audit"])
+        assert audit_result.exit_code == 1 and isinstance(audit_result.exception, SystemExit)
+        lines = audit_result.output.splitlines()
+        assert "chain: intact" in lines
+        assert any(line.startswith(("tree: tampered leaf", "store:")) for line in lines)
+        restore_result = invoke(runner, out, "restore")
+        assert "post-restore audit: clean" in restore_result.output
+        assert (out / "gallery.txt").read_bytes() == (out / "archive.txt").read_bytes()
+        invoke(runner, out, "audit")
+        invoke(runner, out, "identify", "--identity", "id0001")
+
 
 class TestExperimentCommand:
     def test_experiment_writes_all_artifacts(self, runner, tmp_path):

@@ -29,6 +29,7 @@ from biochain.extractor import (
     GENESIS_DIGEST,
 )
 from biochain.ledger import Ledger
+from helpers import restore_stage
 
 
 def random_stages(rng, dim=8, count=3):
@@ -436,9 +437,9 @@ class TestVerifyAndRestore:
         chain.blocks[1].params.weights[0, 0] += 1e-6
         chain.blocks[3].params.weights[1, 1] += 1e-6
         assert chain.verify() == 1
-        chain.restore_block(1)
+        restore_stage(chain, 1)
         assert chain.verify() == 3
-        chain.restore_block(3)
+        restore_stage(chain, 3)
         assert chain.verify() is None
 
     @pytest.mark.parametrize("live_count, first_differing", [(4, 3), (2, 2)])
@@ -467,7 +468,7 @@ class TestVerifyAndRestore:
             handoff_envelope(run_query_cycle(chain, Ledger(), x)), root.private
         )
         chain.blocks[0].params.weights[0, 0] += 0.5
-        chain.restore_block(0)
+        restore_stage(chain, 0)
         assert chain.verify() is None
         recovered = crypto.open_envelope(
             handoff_envelope(run_query_cycle(chain, Ledger(), x)), root.private
@@ -477,7 +478,7 @@ class TestVerifyAndRestore:
     def test_restore_intact_block_is_noop(self):
         chain, _ = build_chain(identity_stages(4))
         before = chain.blocks[1].params.canonical_bytes()
-        chain.restore_block(1)
+        restore_stage(chain, 1)
         assert chain.blocks[1].params.canonical_bytes() == before
 
     def test_repeated_tamper_restore_is_stable(self):
@@ -485,7 +486,7 @@ class TestVerifyAndRestore:
         for _ in range(10):
             chain.blocks[2].params.weights[0, 0] += 1.0
             assert chain.verify() == 2
-            chain.restore_block(2)
+            restore_stage(chain, 2)
             assert chain.verify() is None
 
     def test_transitive_propagation_random_positions(self):

@@ -25,10 +25,11 @@ from biochain.harness import (
     save_gallery,
     tamper_extractor_block,
 )
-from biochain.matcher import verify_tree
+from biochain.matcher import Template, verify_tree
 from biochain.metrics import flat_oracle_identify
 from biochain import crypto
 from biochain.encoding import decode_vector
+from helpers import perturb_template, restore_stage
 
 
 # Reference to_text() and to_json() of run_experiment(small_config()): the
@@ -161,21 +162,24 @@ class TestTamperInjection:
     def test_full_fraction_flags_every_leaf(self):
         gallery = generate_synthetic_gallery(small_config())
         system = enroll(gallery, seed=13)
-        chosen = inject_template_noise(system.tree, sigma=1.0, seed=13, fraction=1.0)
+        chosen = inject_template_noise(system.flat_store, sigma=1.0, seed=13, fraction=1.0)
         assert chosen == list(range(len(gallery)))
+        for gi in chosen:
+            system.tree.write_template(gi, system.flat_store[gi])
         assert len(verify_tree(system.tree)) == len(gallery)
 
     def test_same_seed_same_noise_on_both_stores(self):
         gallery = generate_synthetic_gallery(small_config())
         system = enroll(gallery, seed=13)
-        a = inject_template_noise(system.tree, sigma=2.0, seed=40, fraction=0.5)
+        listed = system.tree.templates()
+        a = inject_template_noise(listed, sigma=2.0, seed=40, fraction=0.5)
         b = inject_template_noise(system.flat_store, sigma=2.0, seed=40, fraction=0.5)
         assert a == b
-        for gi in a:
-            assert np.array_equal(
-                system.tree.leaves()[gi].template.vector,
-                system.flat_store[gi].vector,
-            )
+        for gi in range(len(gallery)):
+            assert np.array_equal(listed[gi].vector, system.flat_store[gi].vector)
+            assert (gi in a) != np.array_equal(listed[gi].vector, gallery[gi].vector)
+        # the tree's own templates are untouched until written
+        assert verify_tree(system.tree) == []
 
     def test_large_sigma_collapses_traditional_rank1(self):
         config = ExperimentConfig(seed=21, gallery_size=120, template_dim=16)
@@ -199,7 +203,7 @@ class TestTamperInjection:
         )
         tamper_extractor_block(system.chain, 0, 1e-6)
         assert system.chain.verify() == 0
-        system.chain.restore_block(0)
+        restore_stage(system.chain, 0)
         recovered = run_query_cycle(system.chain, system.ledger, probe)
         assert crypto.open_envelope(
             handoff_envelope(recovered), system.tree.keys.private
@@ -227,7 +231,7 @@ class TestAudit:
 
     def test_single_tampered_leaf(self):
         system = enroll(generate_synthetic_gallery(small_config()), seed=19)
-        system.tree.leaves()[7].template.vector[0] += 1e-3
+        perturb_template(system.tree, 7, np.eye(8)[0] * 1e-3)
         report = audit(system)
         assert not report.clean
         assert len(report.tree_locators) == 1
@@ -236,7 +240,7 @@ class TestAudit:
     def test_combined_chain_and_tree_tamper(self):
         system = enroll(generate_synthetic_gallery(small_config()), seed=19)
         tamper_extractor_block(system.chain, 2, 1e-6)
-        system.tree.leaves()[3].template.vector[1] += 1e-3
+        perturb_template(system.tree, 3, np.eye(8)[1] * 1e-3)
         report = audit(system)
         assert report.chain_first_tampered == 2
         assert [l.global_index for l in report.tree_locators] == [3]
@@ -247,8 +251,20 @@ class TestAudit:
         system = enroll(generate_synthetic_gallery(small_config()), seed=19)
         del system.flat_store[-5:]
         report = audit(system)
-        assert report.store_count_mismatch and not report.clean
+        assert report.store_mismatch and not report.clean
         assert report.lines[-1].startswith("store: 25 live records, archive holds 30;")
+
+    def test_store_dimension_mismatch(self):
+        system = enroll(generate_synthetic_gallery(small_config()), seed=19)
+        system.flat_store[4] = Template("short", np.ones(7))
+        report = audit(system)
+        assert report.store_mismatch and not report.clean
+        assert report.lines == [
+            "chain: intact",
+            "tree: intact",
+            "store: 30 live records, archive holds 30; 1 live records are not of "
+            "dimension 8; restore rewrites the store from the tree",
+        ]
 
     def test_stage_count_mismatch_is_a_chain_finding(self):
         system = enroll(generate_synthetic_gallery(small_config()), seed=19)

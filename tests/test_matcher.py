@@ -3,20 +3,18 @@
 import numpy as np
 import pytest
 
-from biochain import crypto, metrics
-from biochain.crypto import Shard
+from biochain import crypto, matcher, metrics
+from biochain.crypto import InsufficientShards, Shard
 from biochain.matcher import (
     ArchiveMissing,
     ConsensusResult,
     DecisionDocument,
     EmptyGallery,
-    MatcherTree,
     Template,
     TemplateArchive,
     build_tree,
     chief_draft_document,
     collect_consent,
-    identify_vector,
     leaf_hash,
     node_hash,
     restore_leaves,
@@ -25,6 +23,7 @@ from biochain.matcher import (
     verify_tree,
 )
 from biochain.metrics import DimensionMismatch, flat_oracle_identify, flat_rank
+from helpers import compromised_chief, dissenting_leaves, identify_probe, perturb_template
 
 
 def make_gallery(n, d=8, seed=0, scale=3.0):
@@ -32,9 +31,17 @@ def make_gallery(n, d=8, seed=0, scale=3.0):
     return [Template(f"id{i:03d}", rng.normal(size=d) * scale) for i in range(n)]
 
 
-def chief_scores(chief, probe, metric="euclidean"):
+def chief_scores(tree, chief, probe, metric="euclidean"):
     score = metrics.get_metric(metric)
-    return np.array([score(leaf.template.vector, probe) for leaf in chief.leaves])
+    return np.array([score(row, probe) for row in tree.vectors[chief.rows]])
+
+
+def all_leaves(tree):
+    return [leaf for chief in tree.chiefs for leaf in chief.leaves]
+
+
+def chief_hashes(tree):
+    return [node_hash(tree.current_leaf_hashes(chief)) for chief in tree.chiefs]
 
 
 class TestBuildTree:
@@ -101,17 +108,19 @@ class TestNodeHash:
 
     def test_leaf_perturbation_propagates_to_root_only_via_its_chief(self):
         tree = build_tree(make_gallery(120), fanout=50)
-        before_chiefs = [c.current_hash() for c in tree.chiefs]
-        before_root = tree.current_hash()
-        leaf = tree.chiefs[1].leaves[7]
-        before_leaf = leaf.current_hash()
-        leaf.template.vector[0] += 1e-9
-        assert leaf.current_hash() != before_leaf
-        after_chiefs = [c.current_hash() for c in tree.chiefs]
+        before_chiefs = chief_hashes(tree)
+        assert before_chiefs == tree.chief_hash_copies
+        assert node_hash(before_chiefs) == tree.hash
+        index = 57  # chief 1, leaf 7
+        before_leaf = leaf_hash(tree.identities[index], tree.vectors[index])
+        assert before_leaf == tree.leaf_hashes[index]
+        perturb_template(tree, index, np.eye(8)[0] * 1e-9)
+        assert leaf_hash(tree.identities[index], tree.vectors[index]) != before_leaf
+        after_chiefs = chief_hashes(tree)
         assert after_chiefs[1] != before_chiefs[1]
         assert after_chiefs[0] == before_chiefs[0]
         assert after_chiefs[2] == before_chiefs[2]
-        assert tree.current_hash() != before_root
+        assert node_hash(after_chiefs) != tree.hash
 
     def test_order_sensitivity(self):
         a, b = crypto.digest(b"a"), crypto.digest(b"b")
@@ -122,13 +131,13 @@ class TestLeafScore:
     def test_own_template_euclidean_zero(self):
         gallery = make_gallery(5)
         tree = build_tree(gallery, fanout=5)
-        result = identify_vector(tree, gallery[2].vector.copy(), "euclidean")
+        result = identify_probe(tree, gallery[2].vector.copy(), "euclidean")
         assert (result.identity, result.score) == ("id002", 0.0)
 
     def test_scaled_probe_cosine_zero(self):
         gallery = make_gallery(5)
         tree = build_tree(gallery, fanout=5)
-        result = identify_vector(tree, 2.0 * gallery[0].vector, "cosine")
+        result = identify_probe(tree, 2.0 * gallery[0].vector, "cosine")
         assert result.identity == "id000"
         assert result.score == pytest.approx(0.0, abs=1e-12)
 
@@ -142,7 +151,7 @@ class TestLeafScore:
         for metric in ("euclidean", "cosine"):
             for _ in range(10):
                 probe = rng.normal(size=8)
-                got = identify_vector(tree, probe, metric).candidates
+                got = identify_probe(tree, probe, metric).candidates
                 assert got == flat_rank(gallery, probe, metric)
                 assert all(type(c.score) is float for c in got)
 
@@ -153,23 +162,23 @@ class TestDraftDocument:
         return tree, tree.chiefs[0], np.array(scores)
 
     def test_argmin(self):
-        _, chief, scores = self._scored_chief([0.9, 0.1, 0.5])
-        doc = chief_draft_document(chief, scores, "c", "euclidean")
-        assert doc.identity == chief.leaves[1].template.identity
+        tree, chief, scores = self._scored_chief([0.9, 0.1, 0.5])
+        doc = chief_draft_document(tree, chief, scores, "c", "euclidean")
+        assert doc.identity == tree.identities[1]
         assert doc.score == 0.1
 
     def test_tie_breaks_to_lowest_leaf_index(self):
-        _, chief, scores = self._scored_chief([0.3, 0.3])
-        doc = chief_draft_document(chief, scores, "c", "euclidean")
-        assert doc.identity == chief.leaves[0].template.identity
+        tree, chief, scores = self._scored_chief([0.3, 0.3])
+        doc = chief_draft_document(tree, chief, scores, "c", "euclidean")
+        assert doc.identity == tree.identities[0]
         assert doc.leaf_index == 0
 
     def test_compromised_chief_can_draft_anything(self):
         tree, chief, scores = self._scored_chief([0.9, 0.1, 0.5])
-        chief.tamper_document = lambda doc: DecisionDocument(
+        with compromised_chief(0, lambda doc: DecisionDocument(
             doc.chief_id, doc.cycle_id, "intruder", 0.7, doc.metric, doc.leaf_index
-        )
-        doc = chief_draft_document(chief, scores, "c", "euclidean")
+        )):
+            doc = matcher.chief_draft_document(tree, chief, scores, "c", "euclidean")
         assert (doc.identity, doc.score) == ("intruder", 0.7)
         # constructible, but consensus will fail
         pool = collect_consent(chief, doc, scores)
@@ -180,18 +189,18 @@ class TestConsent:
     def _tree(self, n=5):
         tree = build_tree(make_gallery(n, seed=4), fanout=n)
         chief = tree.chiefs[0]
-        return tree, chief, chief_scores(chief, chief.leaves[0].template.vector + 0.25)
+        return tree, chief, chief_scores(tree, chief, tree.vectors[0] + 0.25)
 
     def test_honest_document_collects_all_shards(self):
         tree, chief, scores = self._tree()
-        doc = chief_draft_document(chief, scores, "cycle-1", "euclidean")
+        doc = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
         pool = collect_consent(chief, doc, scores)
         assert len(pool.shards) == 5 + 1  # every leaf plus the chief
         assert pool.dissent.tolist() == [False] * 5
 
     def test_forged_document_loses_dissenting_shards(self):
         tree, chief, scores = self._tree()
-        honest = chief_draft_document(chief, scores, "cycle-1", "euclidean")
+        honest = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
         forged = DecisionDocument(
             honest.chief_id, honest.cycle_id, "intruder",
             honest.score + 0.5, honest.metric, honest.leaf_index,
@@ -206,7 +215,7 @@ class TestConsent:
         tree = build_tree(make_gallery(3, d=2, seed=6), fanout=3)
         chief = tree.chiefs[0]
         scores = np.array([0.2, 0.2, 0.9])
-        doc = chief_draft_document(chief, scores, "c", "euclidean")
+        doc = chief_draft_document(tree, chief, scores, "c", "euclidean")
         assert doc.score == 0.2
         pool = collect_consent(chief, doc, scores)
         assert len(pool.shards) == 3 + 1
@@ -217,17 +226,17 @@ class TestFinalize:
     def _scored(self, n=5):
         tree = build_tree(make_gallery(n, seed=11), fanout=n)
         chief = tree.chiefs[0]
-        return tree, chief, chief_scores(chief, chief.leaves[2].template.vector + 0.1)
+        return tree, chief, chief_scores(tree, chief, tree.vectors[2] + 0.1)
 
     def test_honest_pool_accepted(self):
         tree, chief, scores = self._scored()
-        doc = chief_draft_document(chief, scores, "cycle-1", "euclidean")
+        doc = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
         pool = collect_consent(chief, doc, scores)
         assert root_finalize(tree, chief, pool) is ConsensusResult.ACCEPTED
 
     def test_forged_pool_triggers_scrutiny(self):
         tree, chief, scores = self._scored()
-        honest = chief_draft_document(chief, scores, "cycle-1", "euclidean")
+        honest = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
         forged = DecisionDocument(
             honest.chief_id, honest.cycle_id, "intruder",
             honest.score + 1.0, honest.metric, honest.leaf_index,
@@ -237,7 +246,7 @@ class TestFinalize:
 
     def test_corrupted_shard_fails_key_check(self):
         tree, chief, scores = self._scored()
-        doc = chief_draft_document(chief, scores, "cycle-1", "euclidean")
+        doc = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
         pool = collect_consent(chief, doc, scores)
         damaged = bytearray(pool.shards[0].payload)
         damaged[0] ^= 0xFF
@@ -248,8 +257,8 @@ class TestFinalize:
         tree, chief, _ = self._scored()
         held = [leaf.shard for leaf in chief.leaves]
         for cycle in ("cycle-1", "cycle-2", "cycle-3"):
-            scores = chief_scores(chief, chief.leaves[1].template.vector + 0.05)
-            doc = chief_draft_document(chief, scores, cycle, "euclidean")
+            scores = chief_scores(tree, chief, tree.vectors[1] + 0.05)
+            doc = chief_draft_document(tree, chief, scores, cycle, "euclidean")
             pool = collect_consent(chief, doc, scores)
             assert root_finalize(tree, chief, pool) is ConsensusResult.ACCEPTED
             assert [leaf.shard for leaf in chief.leaves] == held
@@ -266,20 +275,20 @@ class TestScrutiny:
         forged = DecisionDocument(0, "c", "intruder", 0.8, "euclidean", 3)
         pool = collect_consent(chief, forged, scores)
         assert pool.dissent.tolist() == [True, True, True, False]  # every score under 0.8
-        corrected = root_scrutinize(chief, forged, scores, pool)
-        assert corrected.identity == chief.leaves[0].template.identity
+        corrected = root_scrutinize(tree, chief, forged, scores, pool)
+        assert corrected.identity == tree.identities[0]
         assert corrected.score == 0.1
 
     def test_valid_document_survives_compromised_leaf(self):
         tree = build_tree(make_gallery(4, seed=14), fanout=4)
         chief = tree.chiefs[0]
-        scores = chief_scores(chief, chief.leaves[1].template.vector + 0.01)
-        chief.leaves[3].always_dissent = True
-        doc = chief_draft_document(chief, scores, "cycle-1", "euclidean")
-        pool = collect_consent(chief, doc, scores)
+        scores = chief_scores(tree, chief, tree.vectors[1] + 0.01)
+        doc = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
+        with dissenting_leaves({(0, 3)}):
+            pool = matcher.collect_consent(chief, doc, scores)
         assert pool.dissent.tolist() == [False, False, False, True]
         assert root_finalize(tree, chief, pool) is ConsensusResult.SCRUTINY
-        corrected = root_scrutinize(chief, doc, scores, pool)
+        corrected = root_scrutinize(tree, chief, doc, scores, pool)
         assert corrected == doc
 
     def test_multiple_flagged_min_wins_tie_by_index(self):
@@ -288,25 +297,25 @@ class TestScrutiny:
         scores = np.array([0.3, 0.3, 0.5, 0.9])
         forged = DecisionDocument(0, "c", "intruder", 0.7, "euclidean", 3)
         pool = collect_consent(chief, forged, scores)
-        corrected = root_scrutinize(chief, forged, scores, pool)
-        assert corrected.identity == chief.leaves[0].template.identity
+        corrected = root_scrutinize(tree, chief, forged, scores, pool)
+        assert corrected.identity == tree.identities[0]
         assert corrected.leaf_index == 0
 
     def test_no_flags_means_document_stands(self):
         tree = build_tree(make_gallery(3, seed=16), fanout=3)
         chief = tree.chiefs[0]
-        scores = chief_scores(chief, chief.leaves[0].template.vector)
-        doc = chief_draft_document(chief, scores, "cycle-1", "euclidean")
+        scores = chief_scores(tree, chief, tree.vectors[0])
+        doc = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
         pool = collect_consent(chief, doc, scores)
         assert not pool.dissent.any()
-        assert root_scrutinize(chief, doc, scores, pool) == doc
+        assert root_scrutinize(tree, chief, doc, scores, pool) == doc
 
 
 class TestIdentify:
     def test_exact_gallery_probe(self):
         gallery = make_gallery(20, seed=17)
         tree = build_tree(gallery, fanout=8)
-        result = identify_vector(tree, gallery[7].vector, "euclidean")
+        result = identify_probe(tree, gallery[7].vector, "euclidean")
         assert result.identity == "id007"
         assert result.score == 0.0
 
@@ -324,7 +333,7 @@ class TestIdentify:
     def test_probe_dimension_checked(self):
         tree = build_tree(make_gallery(4, seed=19), fanout=4)
         with pytest.raises(DimensionMismatch):
-            identify_vector(tree, np.ones(5), "euclidean")
+            identify_probe(tree, np.ones(5), "euclidean")
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_agrees_with_flat_oracle(self, metric):
@@ -333,7 +342,7 @@ class TestIdentify:
         rng = np.random.default_rng(21)
         for _ in range(150):
             probe = rng.normal(size=8) * 3
-            via_tree = identify_vector(tree, probe, metric)
+            via_tree = identify_probe(tree, probe, metric)
             via_scan = flat_oracle_identify(gallery, probe, metric)
             assert via_tree.identity == via_scan.identity
             assert via_tree.score == via_scan.score
@@ -341,7 +350,7 @@ class TestIdentify:
     def test_candidates_cover_gallery_sorted(self):
         gallery = make_gallery(30, seed=22)
         tree = build_tree(gallery, fanout=12)
-        result = identify_vector(tree, np.zeros(8), "euclidean")
+        result = identify_probe(tree, np.zeros(8), "euclidean")
         assert len(result.candidates) == 30
         scores = [c.score for c in result.candidates]
         assert scores == sorted(scores)
@@ -350,30 +359,30 @@ class TestIdentify:
     def test_compromised_chief_equivalent_via_scrutiny(self):
         gallery = make_gallery(40, seed=23)
         tree = build_tree(gallery, fanout=15)
-        tree.chiefs[1].tamper_document = lambda doc: DecisionDocument(
+        rng = np.random.default_rng(24)
+        with compromised_chief(1, lambda doc: DecisionDocument(
             doc.chief_id, doc.cycle_id, "intruder", doc.score + 0.9,
             doc.metric, doc.leaf_index,
-        )
-        rng = np.random.default_rng(24)
-        for _ in range(40):
-            probe = rng.normal(size=8) * 3
-            via_tree = identify_vector(tree, probe, "euclidean")
-            via_scan = flat_oracle_identify(gallery, probe, "euclidean")
-            assert via_tree.identity == via_scan.identity
-            assert 1 in via_tree.scrutinized_chiefs
+        )):
+            for _ in range(40):
+                probe = rng.normal(size=8) * 3
+                via_tree = identify_probe(tree, probe, "euclidean")
+                via_scan = flat_oracle_identify(gallery, probe, "euclidean")
+                assert via_tree.identity == via_scan.identity
+                assert 1 in via_tree.scrutinized_chiefs
 
     def test_compromised_leaf_equivalent_and_flags_clear(self):
         gallery = make_gallery(40, seed=25)
         tree = build_tree(gallery, fanout=15)
-        for chief in tree.chiefs:
-            chief.leaves[0].always_dissent = True
         rng = np.random.default_rng(26)
-        for _ in range(40):
-            probe = rng.normal(size=8) * 3
-            via_tree = identify_vector(tree, probe, "euclidean")
-            via_scan = flat_oracle_identify(gallery, probe, "euclidean")
-            assert via_tree.identity == via_scan.identity
-            assert via_tree.scrutinized_chiefs == (0, 1, 2)
+        with dissenting_leaves({(chief.index, 0) for chief in tree.chiefs}):
+            for _ in range(40):
+                probe = rng.normal(size=8) * 3
+                via_tree = identify_probe(tree, probe, "euclidean")
+                via_scan = flat_oracle_identify(gallery, probe, "euclidean")
+                assert via_tree.identity == via_scan.identity
+                assert via_tree.scrutinized_chiefs == (0, 1, 2)
+        assert identify_probe(tree, gallery[0].vector, "euclidean").scrutinized_chiefs == ()
 
 
 class TestIdentifyRegressions:
@@ -386,27 +395,62 @@ class TestIdentifyRegressions:
         rng = np.random.default_rng(71)
         probes = [rng.normal(size=8) * 3 for _ in range(20)] + [gallery[2].vector * 2.0]
         for probe in probes:
-            result = identify_vector(tree, probe, metric)
+            result = identify_probe(tree, probe, metric)
             assert result.candidates == flat_rank(gallery, probe, metric)
 
     def test_template_edits_after_a_query_are_seen(self):
         gallery = make_gallery(12, seed=72)
         tree = build_tree(gallery, fanout=5)
         probe = gallery[4].vector.copy()
-        assert identify_vector(tree, probe, "euclidean").identity == "id004"
-        leaves = tree.leaves()
-        leaves[4].template.vector += 10.0  # changed in place
-        leaves[11].template = Template("rebound", probe.copy())  # replaced
-        result = identify_vector(tree, probe, "euclidean")
+        assert identify_probe(tree, probe, "euclidean").identity == "id004"
+        perturb_template(tree, 4, 10.0)  # changed
+        tree.write_template(11, Template("rebound", probe.copy()))  # replaced
+        result = identify_probe(tree, probe, "euclidean")
         assert (result.identity, result.score) == ("rebound", 0.0)
-        live = [leaf.template for leaf in leaves]
+        live = [t.copy() for t in gallery]
+        live[4].vector = live[4].vector + 10.0
+        live[11] = Template("rebound", probe.copy())
         assert result.candidates == flat_rank(live, probe, "euclidean")
+        assert [(l.global_index, l.identity) for l in verify_tree(tree)] == [
+            (4, "id004"), (11, "rebound")
+        ]
+
+    def test_gallery_is_one_matrix(self):
+        gallery = make_gallery(12, seed=78)
+        tree = build_tree(gallery, fanout=5)
+        assert tree.vectors.shape == (12, 8) and tree.vectors.dtype == np.float64
+        assert tree.vectors.flags.c_contiguous
+        assert np.array_equal(tree.vectors, np.stack([t.vector for t in gallery]))
+        assert tree.identities == [t.identity for t in gallery]
+        assert [(c.rows.start, c.rows.stop) for c in tree.chiefs] == [(0, 5), (5, 10), (10, 12)]
+
+    def test_editing_listed_templates_leaves_the_tree_unchanged(self):
+        gallery = make_gallery(12, seed=79)
+        tree = build_tree(gallery, fanout=5)
+        listed = tree.templates()
+        assert [(t.identity, t.vector.tolist()) for t in listed] == [
+            (t.identity, t.vector.tolist()) for t in gallery
+        ]
+        listed[0].vector[0] += 1.0
+        listed[1].identity = "renamed"
+        listed[2] = Template("other", np.zeros(8))
+        assert verify_tree(tree) == []
+        assert np.array_equal(tree.vectors, np.stack([t.vector for t in gallery]))
+        assert tree.identities == [t.identity for t in gallery]
+        assert identify_probe(tree, gallery[0].vector, "euclidean").score == 0.0
+
+    def test_wrong_dimension_write_rejected(self):
+        gallery = make_gallery(6, seed=80)
+        tree = build_tree(gallery, fanout=5)
+        with pytest.raises(DimensionMismatch):
+            tree.write_template(2, Template("short", np.ones(7)))
+        assert verify_tree(tree) == []
 
     def test_zero_probe_under_cosine(self):
         tree = build_tree(make_gallery(12, seed=73), fanout=5)
         with pytest.raises(metrics.ZeroVector):
-            identify_vector(tree, np.zeros(8), "cosine")
-        assert identify_vector(tree, np.ones(8), "cosine").candidates
+            identify_probe(tree, np.zeros(8), "cosine")
+        assert identify_probe(tree, np.ones(8), "cosine").candidates
 
 
 class TestDelegation:
@@ -422,12 +466,12 @@ class TestDelegation:
         with pytest.raises(ValueError):
             identify(tree, crypto.seal(payload, tree.public_key), "euclidean")
         # the failed query leaves nothing behind
-        assert identify_vector(tree, gallery[3].vector, "euclidean").identity == "id003"
+        assert identify_probe(tree, gallery[3].vector, "euclidean").identity == "id003"
 
     def test_one_authenticated_hop_per_link(self, monkeypatch):
         tree = build_tree(make_gallery(12, seed=75), fanout=5)
         channels = [chief.channel for chief in tree.chiefs] + [
-            leaf.channel for leaf in tree.leaves()
+            leaf.channel for leaf in all_leaves(tree)
         ]
         assert all(isinstance(c, crypto.SymCipher) for c in channels)
         assert len({id(c) for c in channels}) == len(channels)
@@ -441,7 +485,7 @@ class TestDelegation:
 
         monkeypatch.setattr(crypto, "sym_encrypt", recording("encrypt", crypto.sym_encrypt))
         monkeypatch.setattr(crypto, "sym_decrypt", recording("decrypt", crypto.sym_decrypt))
-        identify_vector(tree, np.ones(8), "euclidean")
+        identify_probe(tree, np.ones(8), "euclidean")
         # the probe's own envelope is opened with a raw key, not a channel
         channel_ids = sorted(id(c) for c in channels)
         assert sorted(k for k in used["encrypt"] if k in channel_ids) == channel_ids
@@ -462,16 +506,16 @@ class TestDelegation:
 
         monkeypatch.setattr(crypto, "sym_encrypt", flip_one)
         with pytest.raises(crypto.AuthenticationFailure):
-            identify_vector(tree, np.ones(8), "euclidean")
+            identify_probe(tree, np.ones(8), "euclidean")
         monkeypatch.setattr(crypto, "sym_encrypt", real_encrypt)
-        assert identify_vector(tree, np.ones(8), "euclidean").candidates
+        assert identify_probe(tree, np.ones(8), "euclidean").candidates
 
 
     def test_only_the_root_key_pair_is_parsed(self):
         tree = build_tree(make_gallery(12, seed=77), fanout=5)
-        identify_vector(tree, np.ones(8), "euclidean")
+        identify_probe(tree, np.ones(8), "euclidean")
         parsed = ("decryption_key", "signing_key")
-        nodes = tree.chiefs + tree.leaves()
+        nodes = tree.chiefs + all_leaves(tree)
         assert not any(name in vars(node.keys) for node in nodes for name in parsed)
         assert "decryption_key" in vars(tree.keys)
 
@@ -484,8 +528,8 @@ class TestForgeryNeverReconstructs:
         for trial in range(200):
             probe = rng.normal(size=8) * 3
             cycle = f"trial-{trial}"
-            scores = chief_scores(chief, probe)
-            honest = chief_draft_document(chief, scores, cycle, "euclidean")
+            scores = chief_scores(tree, chief, probe)
+            honest = chief_draft_document(tree, chief, scores, cycle, "euclidean")
             forged = DecisionDocument(
                 honest.chief_id, cycle, "intruder",
                 honest.score + float(rng.uniform(1e-9, 2.0)),
@@ -499,12 +543,17 @@ class TestForgeryNeverReconstructs:
 class TestAdminRecovery:
     @pytest.mark.parametrize("n", [1, 2, 10])
     def test_reserve_shards_recover_the_decision_key(self, n):
-        from biochain.matcher import admin_recover_decision_key
-
+        # The root's reserve, its contribution and the chief's shard fall
+        # one short of the threshold; one cooperating leaf completes it.
         tree = build_tree(make_gallery(n, seed=60), fanout=n)
         chief = tree.chiefs[0]
-        recovered = admin_recover_decision_key(tree, chief)
+        shards = list(tree.retained_shards[chief.index])
+        shards += [tree.contribution_shards[chief.index], chief.retained_shard]
+        with pytest.raises(InsufficientShards):
+            crypto.shamir_reconstruct(shards, chief.sharing)
+        recovered = crypto.shamir_reconstruct(shards + [chief.leaves[0].shard], chief.sharing)
         assert crypto.derive_public(recovered) == chief.decision_public
+        assert chief.decision_public == tree.decision_publics[chief.index]
 
 
 class TestVerifyTree:
@@ -514,7 +563,7 @@ class TestVerifyTree:
 
     def test_single_leaf_located_exactly(self):
         tree = build_tree(make_gallery(120, seed=30), fanout=50)
-        tree.chiefs[1].leaves[13].template.vector[2] += 1e-6
+        perturb_template(tree, 63, np.eye(8)[2] * 1e-6)  # chief 1, leaf 13
         locators = verify_tree(tree)
         assert len(locators) == 1
         loc = locators[0]
@@ -529,8 +578,7 @@ class TestVerifyTree:
             count = int(rng.integers(1, 6))
             chosen = sorted(rng.choice(60, size=count, replace=False).tolist())
             for gi in chosen:
-                leaf = tree.leaves()[gi]
-                leaf.template.vector += rng.normal(scale=0.5, size=8)
+                perturb_template(tree, gi, rng.normal(scale=0.5, size=8))
             locators = verify_tree(tree)
             assert sorted(l.global_index for l in locators) == chosen
             restore_leaves(tree, locators, archive)
@@ -544,38 +592,38 @@ class TestRestoreLeaves:
         tree = build_tree(gallery, fanout=20)
         rng = np.random.default_rng(34)
         probes = [t.vector + rng.normal(scale=0.01, size=8) for t in gallery]
-        baseline = [identify_vector(tree, p, "euclidean").identity for p in probes]
+        baseline = [identify_probe(tree, p, "euclidean").identity for p in probes]
 
-        for leaf in tree.leaves():
-            leaf.template.vector += rng.normal(scale=5.0, size=8)
+        for gi in range(40):
+            perturb_template(tree, gi, rng.normal(scale=5.0, size=8))
         locators = verify_tree(tree)
         assert len(locators) == 40
         restore_leaves(tree, locators, archive)
-        recovered = [identify_vector(tree, p, "euclidean").identity for p in probes]
+        recovered = [identify_probe(tree, p, "euclidean").identity for p in probes]
         assert recovered == baseline
 
     def test_restore_on_intact_tree_is_noop(self):
         gallery = make_gallery(6, seed=35)
         archive = TemplateArchive(gallery)
         tree = build_tree(gallery, fanout=6)
-        before = tree.current_hash()
+        before = chief_hashes(tree)
         restore_leaves(tree, verify_tree(tree), archive)
-        assert tree.current_hash() == before
+        assert chief_hashes(tree) == before
 
     def test_repeated_tamper_restore_is_stable(self):
         gallery = make_gallery(8, seed=36)
         archive = TemplateArchive(gallery)
         tree = build_tree(gallery, fanout=8)
-        stable = tree.current_hash()
+        stable = chief_hashes(tree)
         rng = np.random.default_rng(37)
         for _ in range(10):
-            tree.leaves()[3].template.vector += rng.normal(size=8)
+            perturb_template(tree, 3, rng.normal(size=8))
             restore_leaves(tree, verify_tree(tree), archive)
-            assert tree.current_hash() == stable
+            assert chief_hashes(tree) == stable
 
     def test_missing_archive(self):
         gallery = make_gallery(4, seed=38)
         tree = build_tree(gallery, fanout=4)
-        tree.leaves()[0].template.vector += 1.0
+        perturb_template(tree, 0, 1.0)
         with pytest.raises(ArchiveMissing):
             restore_leaves(tree, verify_tree(tree), None)
