@@ -12,11 +12,27 @@ State lives in the output directory (default ``./runs``):
     summary.json      machine-readable results
     timings.txt       measured wall-clock costs (not deterministic)
 
-A deployment is rebuilt deterministically from (gallery, fanout, seed),
-so no key material is stored between commands. The seed in
-``config.json`` regenerates every private key, the matching tree's
-decision keys included, so anyone who can read the state directory can
-forge consensus: keep the directory secret.
+A deployment is rebuilt deterministically from (archive, fanout, seed),
+so no key material is stored between commands. Each command rebuilds
+only the parts it reads:
+
+* ``tamper``, ``audit`` and ``restore`` rebuild the tree's hash structure
+  (template matrix and enrollment hashes) under the root's key pair, and
+  the chain with its keys;
+* ``identify`` rebuilds the same, then runs the tree's key set-up (node
+  keys, channels, decision keys and shards) before it queries;
+* ``enroll`` and ``experiment`` build the whole deployment.
+
+The chain's keys come from their own seed stream, so every command
+rebuilds the same chain keys. State directories enrolled while the chain
+keys still continued the tree's stream keep working, because each
+command rebuilds both ends of every chain link from the seed; only the
+signatures already in their ``ledger.bin`` were made with the earlier
+keys, and no command verifies those signatures.
+
+The seed in ``config.json`` regenerates every private key, the matching
+tree's decision keys included, so anyone who can read the state
+directory can forge consensus: keep the directory secret.
 """
 
 from __future__ import annotations
@@ -28,6 +44,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import crypto
 from .encoding import ByteReader, lp
 from .extractor import (
     ExtractorChain,
@@ -43,6 +60,7 @@ from .harness import (
     EnrolledSystem,
     ExperimentConfig,
     audit as run_audit,
+    chain_keys_rng,
     enroll,
     enrollment_keys_rng,
     generate_synthetic_gallery,
@@ -54,7 +72,13 @@ from .harness import (
 )
 from .metrics import DimensionMismatch
 from .ledger import Ledger
-from .matcher import TemplateArchive, build_tree, identify, restore_leaves
+from .matcher import (
+    TemplateArchive,
+    build_hash_tree,
+    identify,
+    restore_leaves,
+    setup_tree_keys,
+)
 
 CONFIG_FILE = "config.json"
 GALLERY_FILE = "gallery.txt"
@@ -94,24 +118,38 @@ def _load_chain_params(path: Path) -> list[StageParams]:
 
 
 def _load_system(
-    out: Path, config: ExperimentConfig, strict: bool = True
+    out: Path, config: ExperimentConfig, keys_rng: np.random.Generator,
+    strict: bool = True,
 ) -> EnrolledSystem:
-    """Rebuild the enrolled deployment from the state directory.
+    """Rebuild the enrolled deployment's checkable state from the state
+    directory: the tree's hash structure under the root's key pair, the
+    first draw of ``keys_rng``, and the chain with its keys. The tree has
+    no node keys; a command that queries continues ``keys_rng`` with
+    :func:`setup_tree_keys`.
 
-    A snapshot file that does not parse, or a live store whose records do
-    not fit the tree's rows, is a one-line error, unless ``strict`` is
-    False (audit and restore): the chain then has no snapshot, or the tree
-    keeps the archive's templates, and the audit reports a finding."""
+    An archive that does not parse is a one-line error. So is a snapshot
+    or a live store that does not parse, or a live store whose records do
+    not fit the tree's rows, unless ``strict`` is False (audit and
+    restore): the chain then has no snapshot, the system no live store, or
+    the tree keeps the archive's templates, and the audit reports a
+    finding."""
     for name in (GALLERY_FILE, ARCHIVE_FILE, CHAIN_FILE, SNAPSHOT_FILE):
         if not (out / name).exists():
             raise click.ClickException(f"missing {name} in {out}; run enroll first")
-    archive_templates = load_gallery(out / ARCHIVE_FILE)
-    live_templates = load_gallery(out / GALLERY_FILE)
-    keys_rng = enrollment_keys_rng(config.seed)
-    tree = build_tree(archive_templates, fanout=config.fanout, rng=keys_rng)
+    try:
+        archive_templates = load_gallery(out / ARCHIVE_FILE)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
+    try:
+        live_templates = load_gallery(out / GALLERY_FILE)
+    except ValueError as exc:
+        if strict:
+            raise click.ClickException(f"{exc}; run audit")
+        live_templates = None
+    tree = build_hash_tree(archive_templates, crypto.generate_keypair(keys_rng), config.fanout)
     try:
         stages = _load_chain_params(out / CHAIN_FILE)
-        chain = ExtractorChain.build(stages, tree.public_key, rng=keys_rng)
+        chain = ExtractorChain.build(stages, tree.public_key, rng=chain_keys_rng(config.seed))
     except ValueError as exc:
         raise click.ClickException(f"{CHAIN_FILE} holds no usable stage list: {exc}")
     try:
@@ -121,7 +159,7 @@ def _load_system(
             raise click.ClickException(f"{SNAPSHOT_FILE} does not parse: {exc}; run audit")
     # Load the live (possibly tampered) templates over the enrollment tree.
     try:
-        for index, template in enumerate(live_templates[:len(archive_templates)]):
+        for index, template in enumerate((live_templates or [])[:len(archive_templates)]):
             tree.write_template(index, template)
     except DimensionMismatch as exc:
         if strict:
@@ -221,7 +259,8 @@ def identify_cmd(ctx, identity, probe_file, probe_noise):
     config: ExperimentConfig = ctx.obj["config"]
     if not probe_noise >= 0:
         raise click.ClickException("--probe-noise must be >= 0")
-    system = _load_system(out, config)
+    keys_rng = enrollment_keys_rng(config.seed)
+    system = _load_system(out, config, keys_rng)
     if probe_file is not None:
         probe = load_gallery(probe_file)[0].vector
     elif identity is not None:
@@ -241,6 +280,7 @@ def identify_cmd(ctx, identity, probe_file, probe_noise):
         raise click.ClickException(f"chain integrity check failed: {exc}; run audit")
     except ShapeMismatch as exc:
         raise click.ClickException(f"probe does not fit the extraction chain: {exc}")
+    setup_tree_keys(system.tree, keys_rng)
     try:
         result = identify(system.tree, handoff_envelope(entry), config.metric)
     except DimensionMismatch as exc:
@@ -268,7 +308,7 @@ def tamper_cmd(ctx, fraction, sigma, block_index, epsilon):
     config: ExperimentConfig = ctx.obj["config"]
     if fraction is None and block_index is None:
         raise click.ClickException("pass --fraction and/or --block")
-    system = _load_system(out, config)
+    system = _load_system(out, config, enrollment_keys_rng(config.seed))
     noise = sigma if sigma is not None else config.effective_noise_sigma()
     # Both tampers run in memory first, so bad input leaves every file as it was.
     try:
@@ -293,7 +333,7 @@ def audit_cmd(ctx):
     """Check both integrity surfaces; exit nonzero when tampered."""
     out: Path = ctx.obj["out"]
     config: ExperimentConfig = ctx.obj["config"]
-    system = _load_system(out, config, strict=False)
+    system = _load_system(out, config, enrollment_keys_rng(config.seed), strict=False)
     findings = run_audit(system)
     for line in findings.lines:
         click.echo(line)
@@ -308,7 +348,7 @@ def restore_cmd(ctx):
     """Repair whatever the audit locates, from snapshot and archive."""
     out: Path = ctx.obj["out"]
     config: ExperimentConfig = ctx.obj["config"]
-    system = _load_system(out, config, strict=False)
+    system = _load_system(out, config, enrollment_keys_rng(config.seed), strict=False)
     findings = run_audit(system)
     if findings.chain_first_tampered is not None:
         if not findings.snapshot_consistent:
@@ -332,7 +372,7 @@ def restore_cmd(ctx):
         save_gallery(out / GALLERY_FILE, system.tree.templates())
     system.ledger.close()
     del system  # one rebuilt deployment in memory at a time
-    system = _load_system(out, config)
+    system = _load_system(out, config, enrollment_keys_rng(config.seed))
     post = run_audit(system)
     system.ledger.close()
     click.echo("post-restore audit: " + ("clean" if post.clean else "STILL TAMPERED"))

@@ -51,10 +51,13 @@ GALLERY_FORMAT_VERSION = 1
 
 # Independent random streams derived from one experiment seed.
 _STREAM_GALLERY = 0
-_STREAM_KEYS = 1
+_STREAM_KEYS = 1  # the matching tree's root key pair, then its key set-up
 _STREAM_PROBES = 2
 _STREAM_TAMPER = 3
-_STREAM_CHAIN = 4
+_STREAM_CHAIN = 4  # extraction-stage parameters
+# The chain's notary and block keys: independent of the gallery, so a
+# command that sets up no tree keys rebuilds the same chain keys.
+_STREAM_CHAIN_KEYS = 5
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -62,9 +65,21 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def enrollment_keys_rng(seed: int) -> np.random.Generator:
-    """The key-material stream used by :func:`enroll`; consuming it in the
-    same order reproduces every key and shard of a deployment."""
+    """The matching tree's key stream, in the order :func:`enroll` consumes
+    it: the root's key pair first, then :func:`matcher.setup_tree_keys`.
+
+    A command that only verifies, tampers or restores draws the root's key
+    pair alone, enough to build the tree's hash structure and the chain
+    that hands features to the root. A command that queries continues the
+    stream with the key set-up, which reproduces every node key, channel
+    and shard of the enrolled tree."""
     return _rng(seed, _STREAM_KEYS)
+
+
+def chain_keys_rng(seed: int) -> np.random.Generator:
+    """The extraction chain's key stream: the notary's and every block's
+    keys, the same for every gallery enrolled under ``seed``."""
+    return _rng(seed, _STREAM_CHAIN_KEYS)
 
 
 def default_chain_spec() -> list[dict]:
@@ -191,22 +206,38 @@ def save_gallery(path: Path, templates: Sequence[Template]) -> None:
 
 
 def load_gallery(path: Path) -> list[Template]:
+    """Read a file written by :func:`save_gallery`.
+
+    Raises:
+        ValueError: a malformed header or record line (a blank line, a
+            wrong number of values, a value that is not a finite number),
+            a record count other than the header's, or a repeated
+            identity. The message names the file.
+    """
     text = Path(path).read_text().strip().splitlines()
     if not text:
         raise ValueError(f"{path}: empty gallery file")
     head = text[0].split()
     if len(head) != 4 or head[0] != "biochain-gallery":
         raise ValueError(f"{path}: not a gallery file")
-    version, dim, count = int(head[1]), int(head[2]), int(head[3])
+    try:
+        version, dim, count = int(head[1]), int(head[2]), int(head[3])
+    except ValueError:
+        raise ValueError(f"{path}: header fields are not integers") from None
     if version != GALLERY_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported gallery version {version}")
     templates = []
-    for line in text[1:]:
+    for number, line in enumerate(text[1:], start=2):
         fields = line.split()
+        if not fields:
+            raise ValueError(f"{path}: line {number} is blank")
         label, values = fields[0], fields[1:]
         if len(values) != dim:
             raise ValueError(f"{path}: record {label} has {len(values)} values, expected {dim}")
-        templates.append(Template(label, np.array([float(v) for v in values])))
+        try:
+            templates.append(Template(label, np.array([float(v) for v in values])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: record {label}: {exc}") from None
     if len(templates) != count:
         raise ValueError(f"{path}: header says {count} records, found {len(templates)}")
     labels = [t.identity for t in templates]
@@ -281,7 +312,9 @@ class EnrolledSystem:
     ledger: Ledger
     tree: MatcherTree
     archive: TemplateArchive
-    flat_store: list[Template]  # the unprotected architecture's templates
+    # The unprotected architecture's templates; None when a rebuilt
+    # deployment's stored copy does not parse.
+    flat_store: Optional[list[Template]]
     seed: int
     fanout: int
 
@@ -297,17 +330,16 @@ def enroll(
 
     The tree, chain, key material, and shard allocation are all
     deterministic functions of (gallery, fanout, seed), so an enrolled
-    deployment can be reconstructed from its inputs.
+    deployment can be reconstructed from its inputs. The chain's keys
+    depend on the seed alone.
     """
     if not gallery:
         raise InvalidConfig("cannot enroll an empty gallery")
     dim = gallery[0].vector.shape[0]
     descriptors = list(chain_spec) if chain_spec is not None else default_chain_spec()
-    keys_rng = _rng(seed, _STREAM_KEYS)
-    chain_rng = _rng(seed, _STREAM_CHAIN)
-    tree = build_tree(list(gallery), fanout=fanout, rng=keys_rng)
-    stages = build_stage_params(descriptors, dim, chain_rng)
-    chain = ExtractorChain.build(stages, tree.public_key, rng=keys_rng)
+    tree = build_tree(list(gallery), fanout=fanout, rng=enrollment_keys_rng(seed))
+    stages = build_stage_params(descriptors, dim, _rng(seed, _STREAM_CHAIN))
+    chain = ExtractorChain.build(stages, tree.public_key, rng=chain_keys_rng(seed))
     chain.take_snapshot()
     archive = TemplateArchive(gallery)
     flat_store = [t.copy() for t in gallery]
@@ -373,7 +405,8 @@ class AuditReport:
     # no readable snapshot to verify the chain against.
     chain_first_tampered: Optional[int]
     tree_locators: list[LeafLocator]
-    # The live store's records are not the archive's in count or dimension.
+    # The live store does not parse, or its records are not the archive's
+    # in count or dimension.
     store_mismatch: bool
     snapshot_consistent: bool  # readable, and its parameters reproduce its hashes
     clean: bool
@@ -384,6 +417,7 @@ def audit(system: EnrolledSystem) -> AuditReport:
     """Run both integrity checks, compare the live store's record count
     and dimension with the archive's and the chain's stage count with the
     snapshot's, self-check the chain snapshot, and describe what they found.
+    A live store that does not parse is a ``store:`` finding.
 
     A chain without a snapshot (its stored copy did not parse) cannot be
     verified: that is a ``snapshot:`` finding, and the chain counts as
@@ -397,8 +431,12 @@ def audit(system: EnrolledSystem) -> AuditReport:
     live_stages = len(system.chain.blocks)
     locators = verify_tree(system.tree)
     dim = system.tree.vectors.shape[1]
-    misfits = sum(t.vector.shape[0] != dim for t in system.flat_store)
-    store_mismatch = len(system.flat_store) != len(system.archive) or misfits > 0
+    store = system.flat_store
+    if store is None:
+        store_mismatch = True
+    else:
+        misfits = sum(t.vector.shape[0] != dim for t in store)
+        store_mismatch = len(store) != len(system.archive) or misfits > 0
     lines = []
     if snapshot is None:
         lines.append("chain: not verified, there is no readable snapshot")
@@ -422,9 +460,11 @@ def audit(system: EnrolledSystem) -> AuditReport:
                 f"tree: tampered leaf chief={loc.chief_index} leaf={loc.leaf_index} "
                 f"identity={loc.identity}; restore from archive index {loc.global_index}"
             )
-    if store_mismatch:
+    if store is None:
+        lines.append("store: does not parse; restore rewrites the store from the tree")
+    elif store_mismatch:
         lines.append(
-            f"store: {len(system.flat_store)} live records, archive holds "
+            f"store: {len(store)} live records, archive holds "
             f"{len(system.archive)}; {misfits} live records are not of dimension {dim}; "
             "restore rewrites the store from the tree"
         )

@@ -6,10 +6,16 @@ holds its own keys, link and decision shard. Chiefs group up to
 leaves' consent for it. The root aggregates the chiefs' decisions and
 declares the final match.
 
-The tree owns the gallery as one C-contiguous (N, d) float64 matrix,
-``MatcherTree.vectors``, beside the list of N identities: row i is the
-template of the leaf at enrollment position i, and a chief's leaves are
-the rows ``chief.rows``. ``MatcherTree.write_template`` is the one way a
+The tree is built in two steps. :func:`build_hash_tree` builds its hash
+structure: the gallery as one C-contiguous (N, d) float64 matrix,
+``MatcherTree.vectors``, beside the list of N identities, each chief's
+row slice in ``MatcherTree.chief_rows``, and every enrollment hash. Row i
+is the template of the leaf at enrollment position i. Verification,
+template writes and restoration read nothing else. :func:`setup_tree_keys`
+then enrolls the nodes: key pairs, channels, decision keys and shards,
+held by the ``ChiefBlock`` and ``LeafBlock`` objects in
+``MatcherTree.chiefs``, which only a query reads. :func:`build_tree` runs
+both. ``MatcherTree.write_template`` is the one way a
 stored template changes, so every edit (loading a live store, tampering,
 restoring from the archive) is seen by the next query and the next
 verification.
@@ -57,7 +63,6 @@ scores are bit-identical to the scalar metrics.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -82,6 +87,10 @@ class EmptyGallery(Exception):
 
 class ArchiveMissing(Exception):
     pass
+
+
+class KeysNotSetUp(Exception):
+    """A query reached a tree that holds only its hash structure."""
 
 
 class ConsensusResult(Enum):
@@ -201,11 +210,14 @@ class IdentifyResult:
 
 class MatcherTree:
     """Root block: owns the gallery, the chiefs, the decision keys, and
-    the final say."""
+    the final say. The chiefs' nodes and keys exist once
+    :func:`setup_tree_keys` has run."""
 
-    def __init__(self, gallery: Sequence[Template], keys: KeyPair):
+    def __init__(self, gallery: Sequence[Template], keys: KeyPair, fanout: int):
         self.vectors = np.array([t.vector for t in gallery], dtype=np.float64)
         self.identities = [t.identity for t in gallery]
+        n = len(self.identities)
+        self.chief_rows = [slice(start, min(start + fanout, n)) for start in range(0, n, fanout)]
         self.chiefs: list[ChiefBlock] = []
         self.keys = keys
         self.leaf_hashes: list[bytes] = []  # enrollment-time, one per row
@@ -242,11 +254,12 @@ class MatcherTree:
         self.vectors[index] = template.vector
         self.identities[index] = template.identity
 
-    def current_leaf_hashes(self, chief: ChiefBlock) -> list[bytes]:
-        """Hashes of a chief's leaves, recomputed from the stored templates."""
+    def current_leaf_hashes(self, rows: slice) -> list[bytes]:
+        """Hashes of one chief's leaves, its ``rows``, recomputed from the
+        stored templates."""
         return [
             leaf_hash(identity, row)
-            for identity, row in zip(self.identities[chief.rows], self.vectors[chief.rows])
+            for identity, row in zip(self.identities[rows], self.vectors[rows])
         ]
 
     def next_cycle_id(self) -> str:
@@ -291,14 +304,15 @@ def _establish_channel(
     return crypto.SymCipher(crypto.open_envelope(sealed, keys.private))
 
 
-def build_tree(
-    gallery: Sequence[Template],
-    fanout: int = DEFAULT_FANOUT,
-    rng: Optional[np.random.Generator] = None,
+def build_hash_tree(
+    gallery: Sequence[Template], keys: KeyPair, fanout: int = DEFAULT_FANOUT
 ) -> MatcherTree:
-    """Build the matching tree over a gallery, one template per leaf.
+    """The tree's hash structure over a gallery, one template per leaf,
+    under the root key pair ``keys``: the template matrix, the chiefs' row
+    slices, and the enrollment hash of every leaf, every chief and the
+    root, kept at the root for later localization.
 
-    ``ceil(len(gallery) / fanout)`` chiefs are created; every chief holds
+    ``ceil(len(gallery) / fanout)`` chiefs are laid out; every chief holds
     ``fanout`` leaves except possibly the last, which holds the remainder.
 
     Raises:
@@ -312,12 +326,23 @@ def build_tree(
     if len(dims) != 1:
         raise DimensionMismatch(f"gallery templates disagree on dimension: {dims}")
 
-    tree = MatcherTree(gallery, keys=crypto.generate_keypair(rng))
-    chief_count = math.ceil(len(gallery) / fanout)
-    for c in range(chief_count):
-        rows = slice(c * fanout, min((c + 1) * fanout, len(gallery)))
+    tree = MatcherTree(gallery, keys, fanout)
+    for rows in tree.chief_rows:
+        hashes = tree.current_leaf_hashes(rows)
+        tree.leaf_hashes.extend(hashes)
+        tree.chief_hash_copies.append(node_hash(hashes))
+    tree.hash = node_hash(tree.chief_hash_copies)
+    return tree
+
+
+def setup_tree_keys(tree: MatcherTree, rng: Optional[np.random.Generator] = None) -> None:
+    """The tree's key set-up: a key pair for every chief and leaf, a
+    channel on every delegation link, and each root-chief link's decision
+    keys and shards. Only a query reads them."""
+    tree.chiefs = []
+    for index, rows in enumerate(tree.chief_rows):
         leaves = [LeafBlock(keys=crypto.generate_keypair(rng)) for _ in range(rows.start, rows.stop)]
-        chief = ChiefBlock(index=c, rows=rows, leaves=leaves, keys=crypto.generate_keypair(rng))
+        chief = ChiefBlock(index=index, rows=rows, leaves=leaves, keys=crypto.generate_keypair(rng))
         tree.chiefs.append(chief)
 
     for chief in tree.chiefs:
@@ -328,12 +353,21 @@ def build_tree(
     for chief in tree.chiefs:
         setup_decision_keys(tree, chief, rng)
 
-    # Enrollment hashes, kept at the root for later localization.
-    for chief in tree.chiefs:
-        hashes = tree.current_leaf_hashes(chief)
-        tree.leaf_hashes.extend(hashes)
-        tree.chief_hash_copies.append(node_hash(hashes))
-    tree.hash = node_hash(tree.chief_hash_copies)
+
+def build_tree(
+    gallery: Sequence[Template],
+    fanout: int = DEFAULT_FANOUT,
+    rng: Optional[np.random.Generator] = None,
+) -> MatcherTree:
+    """Build the matching tree over a gallery, ready to query: the hash
+    structure under a root key pair drawn from ``rng``, then the key
+    set-up, continuing the same stream.
+
+    Raises:
+        EmptyGallery: the gallery has no templates.
+    """
+    tree = build_hash_tree(gallery, crypto.generate_keypair(rng), fanout)
+    setup_tree_keys(tree, rng)
     return tree
 
 
@@ -437,11 +471,14 @@ def identify(
     over all leaves is returned alongside the decision.
 
     Raises:
+        KeysNotSetUp: the tree holds only its hash structure.
         crypto.DecryptionFailure: payload not addressed to this tree.
         ValueError: the probe's length header disagrees with its size.
         DimensionMismatch: probe dimension differs from the gallery's.
         ZeroVector: a zero-norm probe or template under cosine.
     """
+    if not tree.chiefs:
+        raise KeysNotSetUp("the tree has no node keys; run setup_tree_keys before querying")
     t0 = time.perf_counter()
     probe_bytes = crypto.open_envelope(envelope, tree.keys)
     cycle_id = tree.next_cycle_id()
@@ -528,17 +565,17 @@ def verify_tree(tree: MatcherTree) -> list[LeafLocator]:
     An intact tree returns an empty list.
     """
     locators: list[LeafLocator] = []
-    for chief in tree.chiefs:
-        recomputed_leaf_hashes = tree.current_leaf_hashes(chief)
-        if node_hash(recomputed_leaf_hashes) == tree.chief_hash_copies[chief.index]:
+    for chief_index, rows in enumerate(tree.chief_rows):
+        recomputed_leaf_hashes = tree.current_leaf_hashes(rows)
+        if node_hash(recomputed_leaf_hashes) == tree.chief_hash_copies[chief_index]:
             continue
-        enrolled = tree.leaf_hashes[chief.rows]
+        enrolled = tree.leaf_hashes[rows]
         for leaf_index, current in enumerate(recomputed_leaf_hashes):
             if current != enrolled[leaf_index]:
-                global_index = chief.rows.start + leaf_index
+                global_index = rows.start + leaf_index
                 locators.append(
                     LeafLocator(
-                        chief_index=chief.index,
+                        chief_index=chief_index,
                         leaf_index=leaf_index,
                         global_index=global_index,
                         identity=tree.identities[global_index],

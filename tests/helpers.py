@@ -1,5 +1,6 @@
 """Test-side helpers: plaintext probes for ``identify``, template and
-chain-stage edits, and faults injected into the matcher's consensus round.
+chain-stage edits, a chain's key bytes, and faults injected into the
+matcher's consensus round.
 
 ``matcher.identify`` calls the round functions through the module's
 globals, so replacing ``matcher.chief_draft_document`` or
@@ -26,6 +27,12 @@ def identify_probe(tree, probe, metric, timings=None):
 def perturb_template(tree, index, noise):
     """Add ``noise`` to the stored template at enrollment position ``index``."""
     tree.write_template(index, Template(tree.identities[index], tree.vectors[index] + noise))
+
+
+def chain_keys(chain):
+    """Every key of an extraction chain: the notary's, then each block's."""
+    parties = [chain.notary] + chain.blocks
+    return [(party.keys.public, party.keys.private, party.sym_key) for party in parties]
 
 
 def restore_stage(chain, index):

@@ -4,15 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import biochain
+from biochain import cli, crypto
 from biochain.cli import main
 from biochain.encoding import lp
 from biochain.extractor import StableSnapshot, StageParams
+from helpers import chain_keys
 
 
 @pytest.fixture
@@ -29,6 +32,42 @@ def invoke(runner, out, *args, expect=0):
 def bootstrap(runner, out, seed="3", size="40"):
     invoke(runner, out, "--seed", seed, "gen", "--gallery-size", size, "--template-dim", "8")
     invoke(runner, out, "enroll")
+
+
+def spy(monkeypatch, name):
+    """Replace ``biochain.cli.<name>`` with a pass-through that records
+    each call's positional arguments and result, in call order."""
+    calls = []
+    original = getattr(cli, name)
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(cli, name, recorded)
+    return calls
+
+
+def state_files(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def corrupt_records(path, case):
+    """Make a gallery file unreadable: a ``nan`` value in one record, a
+    header count one above the records, or a blank interior line."""
+    lines = path.read_text().splitlines()
+    if case == "nan-value":
+        fields = lines[5].split()
+        fields[2] = "nan"
+        lines[5] = " ".join(fields)
+    elif case == "header-count":
+        header = lines[0].split()
+        header[3] = str(int(header[3]) + 1)
+        lines[0] = " ".join(header)
+    else:
+        lines.insert(5, "")
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestGenEnroll:
@@ -288,6 +327,107 @@ class TestTamperAuditRestore:
         assert (out / "gallery.txt").read_bytes() == (out / "archive.txt").read_bytes()
         invoke(runner, out, "audit")
         invoke(runner, out, "identify", "--identity", "id0001")
+
+
+class TestUnreadableState:
+    @pytest.mark.parametrize("case", ["nan-value", "header-count", "blank-line"])
+    def test_unreadable_gallery_is_a_finding_or_an_error(self, runner, tmp_path, case):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        corrupt_records(out / "gallery.txt", case)
+        state = state_files(out)
+        for command in (["identify", "--identity", "id0001"], ["tamper", "--fraction", "0.1"]):
+            result = runner.invoke(main, ["--out", str(out), *command])
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+            lines = result.output.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+            assert "gallery.txt" in lines[0] and lines[0].endswith("; run audit")
+        assert state_files(out) == state
+        audit_result = runner.invoke(main, ["--out", str(out), "audit"])
+        assert audit_result.exit_code == 1 and isinstance(audit_result.exception, SystemExit)
+        assert audit_result.output.splitlines() == [
+            "chain: intact",
+            "tree: intact",
+            "store: does not parse; restore rewrites the store from the tree",
+        ]
+        restore_lines = invoke(runner, out, "restore").output.splitlines()
+        assert restore_lines == ["restored the live store to 40 records",
+                                 "post-restore audit: clean"]
+        assert (out / "gallery.txt").read_bytes() == (out / "archive.txt").read_bytes()
+        invoke(runner, out, "audit")
+
+    def test_unreadable_archive_is_a_one_line_error(self, runner, tmp_path):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        corrupt_records(out / "archive.txt", "blank-line")
+        state = state_files(out)
+        for command in (["identify", "--identity", "id0001"], ["tamper", "--fraction", "0.1"],
+                        ["audit"], ["restore"]):
+            result = runner.invoke(main, ["--out", str(out), *command])
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+            lines = result.output.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+            assert "archive.txt: line 6 is blank" in lines[0]
+        assert state_files(out) == state
+
+
+class TestRebuiltKeys:
+    @pytest.fixture
+    def enrolled(self, runner, tmp_path, monkeypatch):
+        """A state directory and the deployment ``enroll`` built for it."""
+        out = tmp_path / "run"
+        invoke(runner, out, "--seed", "3", "gen", "--gallery-size", "120", "--template-dim", "8")
+        built = spy(monkeypatch, "enroll")
+        invoke(runner, out, "enroll")
+        return out, built[0][1]
+
+    def test_identify_rebuilds_the_enrolled_keys(self, runner, monkeypatch, enrolled):
+        out, system = enrolled
+        queried = spy(monkeypatch, "identify")
+        cycles = spy(monkeypatch, "run_query_cycle")
+        invoke(runner, out, "identify", "--identity", "id0003")
+        tree, chain = queried[0][0][0], cycles[0][0][0]
+        assert tree.public_key == system.tree.public_key
+        assert len(tree.chiefs) == len(system.tree.chiefs) == 3
+        assert [c.decision_public for c in tree.chiefs] == [
+            c.decision_public for c in system.tree.chiefs]
+        assert chain_keys(chain) == chain_keys(system.chain)
+
+    def test_audit_rebuilds_the_enrolled_chain_keys_without_tree_keys(
+        self, runner, monkeypatch, enrolled
+    ):
+        out, system = enrolled
+        audited = spy(monkeypatch, "run_audit")
+        invoke(runner, out, "audit")
+        rebuilt = audited[0][0][0]
+        assert rebuilt.tree.chiefs == []
+        assert rebuilt.tree.public_key == system.tree.public_key
+        assert rebuilt.chain.notary.matcher_root_public == system.tree.public_key
+        assert chain_keys(rebuilt.chain) == chain_keys(system.chain)
+
+    def test_non_query_commands_set_up_no_tree_keys(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        calls = Counter()
+        for name in ("seal", "shamir_split", "generate_keypair"):
+            def counted(*args, _name=name, _original=getattr(crypto, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(crypto, name, counted)
+        # Per rebuild: the chain's notary and blocks, and the tree's root.
+        per_rebuild = len(StableSnapshot.load(out / "snapshot.bin").blocks) + 2
+        for command, expect, rebuilds in ((["tamper", "--fraction", "0.1"], 0, 1),
+                                          (["audit"], 1, 1), (["restore"], 0, 2),
+                                          (["tamper", "--block", "0"], 0, 1)):
+            calls.clear()
+            result = runner.invoke(main, ["--out", str(out), *command])
+            assert result.exit_code == expect, result.output
+            assert calls["seal"] == calls["shamir_split"] == 0, command
+            assert 0 < calls["generate_keypair"] <= rebuilds * per_rebuild, command
+        calls.clear()
+        invoke(runner, out, "restore")
+        invoke(runner, out, "identify", "--identity", "id0001")
+        assert calls["seal"] > 0 and calls["shamir_split"] > 0
 
 
 class TestExperimentCommand:

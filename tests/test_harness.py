@@ -29,7 +29,7 @@ from biochain.matcher import Template, verify_tree
 from biochain.metrics import flat_oracle_identify
 from biochain import crypto
 from biochain.encoding import decode_vector
-from helpers import perturb_template, restore_stage
+from helpers import chain_keys, perturb_template, restore_stage
 
 
 # Reference to_text() and to_json() of run_experiment(small_config()): the
@@ -129,8 +129,27 @@ class TestGalleryGeneration:
         with pytest.raises(ValueError):
             load_gallery(path)
 
+    @pytest.mark.parametrize("text", [
+        "biochain-gallery 1 2 2\na 0 0\n\nb 1 1\n",
+        "biochain-gallery 1 2 2\na 0 0\nb 1 nan\n",
+        "biochain-gallery 1 2 2\na 0 0\nb 1 one\n",
+        "biochain-gallery 1 two 2\na 0 0\nb 1 1\n",
+    ], ids=["blank-line", "nan-value", "word-value", "word-header"])
+    def test_malformed_line_is_a_value_error_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.txt"):
+            load_gallery(path)
+
 
 class TestEnroll:
+    def test_chain_keys_do_not_depend_on_the_gallery(self):
+        gallery = generate_synthetic_gallery(small_config(gallery_size=60))
+        small, large = enroll(gallery[:30], seed=4), enroll(gallery, seed=4)
+        assert len(small.tree.chiefs) != len(large.tree.chiefs)
+        assert chain_keys(small.chain) == chain_keys(large.chain)
+        assert small.tree.public_key == large.tree.public_key
+
     def test_tree_shape_and_clean_audit(self):
         config = ExperimentConfig(seed=5, gallery_size=120, template_dim=16)
         gallery = generate_synthetic_gallery(config)

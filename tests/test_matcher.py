@@ -10,8 +10,10 @@ from biochain.matcher import (
     ConsensusResult,
     DecisionDocument,
     EmptyGallery,
+    KeysNotSetUp,
     Template,
     TemplateArchive,
+    build_hash_tree,
     build_tree,
     chief_draft_document,
     collect_consent,
@@ -41,7 +43,7 @@ def all_leaves(tree):
 
 
 def chief_hashes(tree):
-    return [node_hash(tree.current_leaf_hashes(chief)) for chief in tree.chiefs]
+    return [node_hash(tree.current_leaf_hashes(rows)) for rows in tree.chief_rows]
 
 
 class TestBuildTree:
@@ -70,6 +72,25 @@ class TestBuildTree:
         assert t1.hash == t2.hash
         assert t1.keys == t2.keys
         assert t1.chiefs[0].leaves[0].shard == t2.chiefs[0].leaves[0].shard
+
+    def test_hash_structure_is_the_full_build_without_keys(self):
+        gallery = make_gallery(12)
+        full = build_tree(gallery, fanout=5, rng=np.random.default_rng(1))
+        bare = build_hash_tree(gallery, crypto.generate_keypair(np.random.default_rng(1)), 5)
+        assert bare.keys == full.keys  # the root's key pair is the stream's first draw
+        assert bare.chief_rows == [c.rows for c in full.chiefs] == [slice(0, 5), slice(5, 10),
+                                                                    slice(10, 12)]
+        assert (bare.hash, bare.chief_hash_copies, bare.leaf_hashes) == (
+            full.hash, full.chief_hash_copies, full.leaf_hashes)
+        assert bare.chiefs == [] and bare.decision_publics == {}
+        perturb_template(bare, 7, 0.5)
+        assert [loc.global_index for loc in verify_tree(bare)] == [7]
+
+    def test_identify_without_key_set_up_is_a_named_error(self):
+        gallery = make_gallery(12)
+        tree = build_hash_tree(gallery, crypto.generate_keypair(), fanout=5)
+        with pytest.raises(KeysNotSetUp):
+            identify_probe(tree, gallery[3].vector, "euclidean")
 
 
 class TestShardAllocation:
