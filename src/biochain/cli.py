@@ -23,6 +23,9 @@ only the parts it reads:
   keys, channels, decision keys and shards) before it queries;
 * ``enroll`` and ``experiment`` build the whole deployment.
 
+No command rewrites ``ledger.bin``; one that does not parse is an
+``audit`` finding and an error for every other command.
+
 The chain's keys come from their own seed stream, so every command
 rebuilds the same chain keys. State directories enrolled while the chain
 keys still continued the tree's stream keep working, because each
@@ -40,6 +43,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 import click
 import numpy as np
@@ -71,7 +75,7 @@ from .harness import (
     tamper_extractor_block,
 )
 from .metrics import DimensionMismatch
-from .ledger import Ledger
+from .ledger import Ledger, LedgerError
 from .matcher import (
     TemplateArchive,
     build_hash_tree,
@@ -119,20 +123,21 @@ def _load_chain_params(path: Path) -> list[StageParams]:
 
 def _load_system(
     out: Path, config: ExperimentConfig, keys_rng: np.random.Generator,
-    strict: bool = True,
+    strict: bool = True, ledger: Optional[Ledger] = None,
 ) -> EnrolledSystem:
     """Rebuild the enrolled deployment's checkable state from the state
     directory: the tree's hash structure under the root's key pair, the
     first draw of ``keys_rng``, and the chain with its keys. The tree has
     no node keys; a command that queries continues ``keys_rng`` with
-    :func:`setup_tree_keys`.
+    :func:`setup_tree_keys`. The system's ledger is ``ledger``, or else
+    ``ledger.bin`` replayed and reopened for appending.
 
-    An archive that does not parse is a one-line error. So is a snapshot
-    or a live store that does not parse, or a live store whose records do
-    not fit the tree's rows, unless ``strict`` is False (audit and
-    restore): the chain then has no snapshot, the system no live store, or
-    the tree keeps the archive's templates, and the audit reports a
-    finding."""
+    An archive or a ledger that does not parse is a one-line error. So is
+    a snapshot or a live store that does not parse, or a live store whose
+    records do not fit the tree's rows, unless ``strict`` is False (audit
+    and restore): the chain then has no snapshot, the system no live
+    store, or the tree keeps the archive's templates, and the audit
+    reports a finding."""
     for name in (GALLERY_FILE, ARCHIVE_FILE, CHAIN_FILE, SNAPSHOT_FILE):
         if not (out / name).exists():
             raise click.ClickException(f"missing {name} in {out}; run enroll first")
@@ -165,9 +170,12 @@ def _load_system(
         if strict:
             raise click.ClickException(f"{GALLERY_FILE} does not fit the tree: {exc}; run audit")
     ledger_path = out / LEDGER_FILE
-    if ledger_path.exists() and ledger_path.stat().st_size:
-        ledger = Ledger.load(ledger_path, resume=True)
-    else:
+    if ledger is None and ledger_path.exists() and ledger_path.stat().st_size:
+        try:
+            ledger = Ledger.load(ledger_path, resume=True)
+        except (ValueError, LedgerError) as exc:
+            raise click.ClickException(f"{LEDGER_FILE} does not parse: {exc}; run audit")
+    elif ledger is None:
         ledger = Ledger(ledger_path)
     return EnrolledSystem(
         chain=chain,
@@ -230,7 +238,10 @@ def enroll_cmd(ctx):
     gallery_path = out / GALLERY_FILE
     if not gallery_path.exists():
         raise click.ClickException(f"no gallery at {gallery_path}; run gen first")
-    templates = load_gallery(gallery_path)
+    try:
+        templates = load_gallery(gallery_path)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     ledger_path = out / LEDGER_FILE
     ledger_path.write_bytes(b"")
     system = enroll(templates, config.chain_spec, fanout=config.fanout,
@@ -262,7 +273,13 @@ def identify_cmd(ctx, identity, probe_file, probe_noise):
     keys_rng = enrollment_keys_rng(config.seed)
     system = _load_system(out, config, keys_rng)
     if probe_file is not None:
-        probe = load_gallery(probe_file)[0].vector
+        try:
+            records = load_gallery(probe_file)
+        except ValueError as exc:
+            raise click.ClickException(str(exc))
+        if not records:
+            raise click.ClickException(f"{probe_file}: holds no record")
+        probe = records[0].vector
     elif identity is not None:
         matches = [t for t in system.archive.templates() if t.identity == identity]
         if not matches:
@@ -330,15 +347,23 @@ def tamper_cmd(ctx, fraction, sigma, block_index, epsilon):
 @main.command("audit")
 @click.pass_context
 def audit_cmd(ctx):
-    """Check both integrity surfaces; exit nonzero when tampered."""
+    """Check both integrity surfaces and that the ledger parses; exit
+    nonzero on any finding."""
     out: Path = ctx.obj["out"]
     config: ExperimentConfig = ctx.obj["config"]
-    system = _load_system(out, config, enrollment_keys_rng(config.seed), strict=False)
+    ledger_path, ledger_error = out / LEDGER_FILE, None
+    try:
+        ledger = Ledger.load(ledger_path) if ledger_path.exists() else Ledger()
+    except (ValueError, LedgerError) as exc:
+        ledger, ledger_error = Ledger(), exc
+    system = _load_system(out, config, enrollment_keys_rng(config.seed), strict=False,
+                          ledger=ledger)
     findings = run_audit(system)
     for line in findings.lines:
         click.echo(line)
-    system.ledger.close()
-    if not findings.clean:
+    if ledger_error is not None:
+        click.echo(f"ledger: does not parse: {ledger_error}")
+    if not findings.clean or ledger_error is not None:
         sys.exit(1)
 
 

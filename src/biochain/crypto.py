@@ -11,7 +11,10 @@ Concrete choices (the rest of the package depends only on the contracts):
                  messages, never bulk data)
 * signatures     Ed25519
 * secret sharing byte-wise polynomial sharing over GF(2^8) with
-                 index-tagged shards
+                 index-tagged shards; a caller checks a reconstruction
+                 against a SHA-256 commitment to the secret
+                 (:func:`digest_parts` under its own tag), one hash that
+                 catches any differing byte
 
 A :class:`KeyPair` bundles an encryption half and a signing half so a
 single party identity can both receive wrapped keys and sign messages.
@@ -151,26 +154,24 @@ PrivateKey = Union[bytes, KeyPair]
 
 
 def generate_keypair(rng: Optional[np.random.Generator] = None) -> KeyPair:
-    enc_seed = _random_bytes(rng, KEY_HALF_LEN)
-    sig_seed = _random_bytes(rng, KEY_HALF_LEN)
-    enc_priv = X25519PrivateKey.from_private_bytes(enc_seed)
-    sig_priv = Ed25519PrivateKey.from_private_bytes(sig_seed)
-    raw = serialization.Encoding.Raw
-    pub_fmt = serialization.PublicFormat.Raw
-    public = (
-        enc_priv.public_key().public_bytes(raw, pub_fmt)
-        + sig_priv.public_key().public_bytes(raw, pub_fmt)
-    )
-    return KeyPair(public=public, private=enc_seed + sig_seed)
+    private = _random_bytes(rng, KEY_HALF_LEN) + _random_bytes(rng, KEY_HALF_LEN)
+    return KeyPair(public=_public_of(private), private=private)
 
 
 def derive_public(private: bytes) -> bytes:
     """Recompute the composite public key from private key bytes.
 
+    Nothing in the package calls it; ``perfbench/tracing.py`` wraps it by
+    name, so it stays until the benchmark drops it.
+
     Note: X25519 clamps five bits of its scalar, so corruptions confined
     to those bits of the encryption half are not observable here; the
     signing half is injective in practice.
     """
+    return _public_of(private)
+
+
+def _public_of(private: bytes) -> bytes:
     enc_priv = X25519PrivateKey.from_private_bytes(private[:KEY_HALF_LEN])
     sig_priv = Ed25519PrivateKey.from_private_bytes(private[KEY_HALF_LEN:])
     raw = serialization.Encoding.Raw

@@ -37,9 +37,11 @@ own decision key pair whose private half is split into ``2n + 1`` shards
   ``n - 1`` inert spares kept for administrative key rotation.
 
 An honest document collects all ``n`` leaf shards; with the chief's and
-the root's that meets the threshold exactly, and reconstruction is
-checked by deriving the public half from the rebuilt key and comparing
-it with the stored one. A chief that drafts a document worse than some
+the root's that meets the threshold exactly. When it deals the key, the
+root keeps only a commitment to it, a domain-separated SHA-256 digest of
+the private key, and a reconstruction counts only if its digest equals
+the commitment: one hash per chief, and any byte that differs from the
+dealt key fails. A chief that drafts a document worse than some
 leaf's own score loses that leaf's shard, can never reach threshold, and
 triggers scrutiny: the root reads the dissenting leaves' scores directly
 and repairs the decision for that path. A dissent against a genuinely
@@ -77,6 +79,7 @@ from .metrics import DimensionMismatch, MatchScore, get_row_metric
 
 _LEAF_HASH_TAG = b"biochain/leaf-hash/v1"
 _NODE_HASH_TAG = b"biochain/node-hash/v1"
+_DECISION_KEY_TAG = b"biochain/decision-key/v1"
 
 DEFAULT_FANOUT = 50
 
@@ -131,6 +134,11 @@ def node_hash(children_hashes: Sequence[bytes]) -> bytes:
     return crypto.digest_parts(_NODE_HASH_TAG, *children_hashes)
 
 
+def decision_key_commitment(private: bytes) -> bytes:
+    """The root's commitment to a link's decision private key."""
+    return crypto.digest_parts(_DECISION_KEY_TAG, private)
+
+
 # ---------------------------------------------------------------------------
 # Tree nodes
 # ---------------------------------------------------------------------------
@@ -150,7 +158,6 @@ class ChiefBlock:
     keys: KeyPair
     channel: Optional[crypto.SymCipher] = None  # root-to-chief link
     retained_shard: Optional[Shard] = None
-    decision_public: bytes = b""
     sharing: Optional[SharingConfig] = None
 
 
@@ -209,9 +216,9 @@ class IdentifyResult:
 
 
 class MatcherTree:
-    """Root block: owns the gallery, the chiefs, the decision keys, and
-    the final say. The chiefs' nodes and keys exist once
-    :func:`setup_tree_keys` has run."""
+    """Root block: owns the gallery, the chiefs, a commitment to each
+    link's decision key, and the final say. The chiefs' nodes and keys
+    exist once :func:`setup_tree_keys` has run."""
 
     def __init__(self, gallery: Sequence[Template], keys: KeyPair, fanout: int):
         self.vectors = np.array([t.vector for t in gallery], dtype=np.float64)
@@ -224,7 +231,7 @@ class MatcherTree:
         self.chief_hash_copies: list[bytes] = []
         self.contribution_shards: dict[int, Shard] = {}
         self.retained_shards: dict[int, list[Shard]] = {}
-        self.decision_publics: dict[int, bytes] = {}
+        self.decision_commitments: dict[int, bytes] = {}
         self.hash: bytes = b""
         self._cycle_counter = 0
 
@@ -278,7 +285,8 @@ def setup_decision_keys(
     link: a fresh key pair, its private half split into ``2n + 1`` shards
     at threshold ``n + 2``, allocated one per leaf, one to the chief, one
     as the root's contribution, and the remaining ``n - 1`` to the root's
-    inert reserve."""
+    inert reserve. The root keeps a commitment to the private key, not
+    the key."""
     n = len(chief.leaves)
     config = SharingConfig.for_group(n)
     decision_keys = crypto.generate_keypair(rng)
@@ -286,11 +294,10 @@ def setup_decision_keys(
     for leaf, shard in zip(chief.leaves, shards[:n]):
         leaf.shard = shard
     chief.retained_shard = shards[n]
-    chief.decision_public = decision_keys.public
     chief.sharing = config
     tree.contribution_shards[chief.index] = shards[n + 1]
     tree.retained_shards[chief.index] = list(shards[n + 2 :])
-    tree.decision_publics[chief.index] = decision_keys.public
+    tree.decision_commitments[chief.index] = decision_key_commitment(decision_keys.private)
 
 
 def _establish_channel(
@@ -417,14 +424,14 @@ def root_finalize(tree: MatcherTree, chief: ChiefBlock, pool: ShardPool) -> Cons
     """Add the root's contribution shard and try to reach consensus.
 
     Consensus requires the pooled shards to reconstruct the link's
-    decision private key, proven by deriving its public half and
-    comparing it with the stored one. Anything else (short pool,
-    corrupted shard) triggers scrutiny.
+    decision private key exactly: the digest of the reconstruction must
+    equal the commitment the root kept when it dealt the key. Anything
+    else (short pool, corrupted shard) triggers scrutiny.
     """
     shards = pool.shards + [tree.contribution_shards[chief.index]]
     try:
         secret = crypto.shamir_reconstruct(shards, chief.sharing)
-        if crypto.derive_public(secret) == tree.decision_publics[chief.index]:
+        if decision_key_commitment(secret) == tree.decision_commitments[chief.index]:
             return ConsensusResult.ACCEPTED
     except (crypto.CryptoError, ValueError):
         pass

@@ -99,6 +99,18 @@ class TestGenEnroll:
         result = runner.invoke(main, ["--out", str(tmp_path / "none"), "enroll"])
         assert result.exit_code != 0
 
+    def test_malformed_gallery_is_a_one_line_error_and_writes_nothing(self, runner, tmp_path):
+        out = tmp_path / "run"
+        invoke(runner, out, "--seed", "3", "gen", "--gallery-size", "20", "--template-dim", "8")
+        lines = (out / "gallery.txt").read_text().splitlines()
+        lines[3] = ""
+        (out / "gallery.txt").write_text("\n".join(lines) + "\n")
+        state = state_files(out)
+        result = runner.invoke(main, ["--out", str(out), "enroll"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"Error: {out / 'gallery.txt'}: line 4 is blank"]
+        assert state_files(out) == state
+
 
 class TestIdentify:
     def test_archived_identity_scores_zero(self, runner, tmp_path):
@@ -135,6 +147,23 @@ class TestIdentify:
         result = runner.invoke(main, ["--out", str(out), "identify",
                                       "--probe-file", str(probe_path)])
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize("text,reason", [
+        ("biochain-gallery 1 8 1\nstray nan 1 2 3 4 5 6 7\n",
+         "record stray: template entries must be finite"),
+        ("biochain-gallery 1 8 0\n", "holds no record"),
+    ], ids=["nan-value", "no-record"])
+    def test_unusable_probe_file_is_a_one_line_error(self, runner, tmp_path, text, reason):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        probe_path = tmp_path / "probe.txt"
+        probe_path.write_text(text)
+        state = state_files(out)
+        result = runner.invoke(main, ["--out", str(out), "identify",
+                                      "--probe-file", str(probe_path)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"Error: {probe_path}: {reason}"]
+        assert state_files(out) == state
 
     def test_ledger_grows_across_queries(self, runner, tmp_path):
         out = tmp_path / "run"
@@ -356,6 +385,29 @@ class TestUnreadableState:
         assert (out / "gallery.txt").read_bytes() == (out / "archive.txt").read_bytes()
         invoke(runner, out, "audit")
 
+    def test_torn_ledger_is_a_finding_or_an_error(self, runner, tmp_path):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        invoke(runner, out, "identify", "--identity", "id0001")
+        path = out / "ledger.bin"
+        path.write_bytes(path.read_bytes()[:-5])
+        state = state_files(out)
+        audit_result = runner.invoke(main, ["--out", str(out), "audit"])
+        assert audit_result.exit_code == 1 and isinstance(audit_result.exception, SystemExit)
+        assert audit_result.output.splitlines() == [
+            "chain: intact",
+            "tree: intact",
+            "ledger: does not parse: truncated record",
+        ]
+        for command in (["identify", "--identity", "id0001"], ["tamper", "--fraction", "0.1"],
+                        ["restore"]):
+            result = runner.invoke(main, ["--out", str(out), *command])
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+            assert result.output.splitlines() == [
+                "Error: ledger.bin does not parse: truncated record; run audit"
+            ]
+        assert state_files(out) == state
+
     def test_unreadable_archive_is_a_one_line_error(self, runner, tmp_path):
         out = tmp_path / "run"
         bootstrap(runner, out)
@@ -389,8 +441,8 @@ class TestRebuiltKeys:
         tree, chain = queried[0][0][0], cycles[0][0][0]
         assert tree.public_key == system.tree.public_key
         assert len(tree.chiefs) == len(system.tree.chiefs) == 3
-        assert [c.decision_public for c in tree.chiefs] == [
-            c.decision_public for c in system.tree.chiefs]
+        assert tree.decision_commitments == system.tree.decision_commitments
+        assert len(tree.decision_commitments) == 3
         assert chain_keys(chain) == chain_keys(system.chain)
 
     def test_audit_rebuilds_the_enrolled_chain_keys_without_tree_keys(

@@ -17,6 +17,7 @@ from biochain.matcher import (
     build_tree,
     chief_draft_document,
     collect_consent,
+    decision_key_commitment,
     leaf_hash,
     node_hash,
     restore_leaves,
@@ -82,7 +83,7 @@ class TestBuildTree:
                                                                     slice(10, 12)]
         assert (bare.hash, bare.chief_hash_copies, bare.leaf_hashes) == (
             full.hash, full.chief_hash_copies, full.leaf_hashes)
-        assert bare.chiefs == [] and bare.decision_publics == {}
+        assert bare.chiefs == [] and bare.decision_commitments == {}
         perturb_template(bare, 7, 0.5)
         assert [loc.global_index for loc in verify_tree(bare)] == [7]
 
@@ -274,6 +275,26 @@ class TestFinalize:
         pool.shards[0] = Shard(pool.shards[0].index, bytes(damaged))
         assert root_finalize(tree, chief, pool) is ConsensusResult.SCRUTINY
 
+    def test_reconstruction_off_in_a_clamped_bit_fails_the_key_check(self):
+        # X25519 clears bit 0 of its scalar's first byte, so a key that
+        # differs from the dealt one only there has the same public half.
+        tree, chief, scores = self._scored()
+        doc = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
+        pool = collect_consent(chief, doc, scores)
+        contribution = tree.contribution_shards[chief.index]
+        dealt = crypto.shamir_reconstruct(pool.shards + [contribution], chief.sharing)
+        off_by_one_bit = bytes([dealt[0] ^ 1]) + dealt[1:]
+        target = pool.shards[0]
+        for delta in range(1, 256):
+            shard = Shard(target.index, bytes([target.payload[0] ^ delta]) + target.payload[1:])
+            shards = [shard] + pool.shards[1:] + [contribution]
+            if crypto.shamir_reconstruct(shards, chief.sharing) == off_by_one_bit:
+                break
+        else:
+            pytest.fail("no change to byte 0 of the shard flips bit 0 of the key")
+        pool.shards[0] = shard
+        assert root_finalize(tree, chief, pool) is ConsensusResult.SCRUTINY
+
     def test_shards_are_reusable_across_cycles(self):
         tree, chief, _ = self._scored()
         held = [leaf.shard for leaf in chief.leaves]
@@ -404,6 +425,20 @@ class TestIdentify:
                 assert via_tree.identity == via_scan.identity
                 assert via_tree.scrutinized_chiefs == (0, 1, 2)
         assert identify_probe(tree, gallery[0].vector, "euclidean").scrutinized_chiefs == ()
+
+    def test_one_reconstruction_per_chief(self, monkeypatch):
+        tree = build_tree(make_gallery(12, seed=78), fanout=5)
+        assert len(tree.chiefs) == 3
+        calls = []
+        real_reconstruct = crypto.shamir_reconstruct
+
+        def counting(shards, config):
+            calls.append(config)
+            return real_reconstruct(shards, config)
+
+        monkeypatch.setattr(crypto, "shamir_reconstruct", counting)
+        identify_probe(tree, np.ones(8), "euclidean")
+        assert calls == [chief.sharing for chief in tree.chiefs]
 
 
 class TestIdentifyRegressions:
@@ -573,8 +608,7 @@ class TestAdminRecovery:
         with pytest.raises(InsufficientShards):
             crypto.shamir_reconstruct(shards, chief.sharing)
         recovered = crypto.shamir_reconstruct(shards + [chief.leaves[0].shard], chief.sharing)
-        assert crypto.derive_public(recovered) == chief.decision_public
-        assert chief.decision_public == tree.decision_publics[chief.index]
+        assert decision_key_commitment(recovered) == tree.decision_commitments[chief.index]
 
 
 class TestVerifyTree:
