@@ -49,7 +49,7 @@ import click
 import numpy as np
 
 from . import crypto
-from .encoding import ByteReader, lp
+from .encoding import ByteReader, lp, write_atomic
 from .extractor import (
     ExtractorChain,
     IndexOutOfRange,
@@ -101,12 +101,12 @@ def _load_config(out: Path, overrides: dict) -> ExperimentConfig:
 
 def _save_config(out: Path, config: ExperimentConfig) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    (out / CONFIG_FILE).write_text(json.dumps(config.to_dict(), indent=2) + "\n")
+    write_atomic(out / CONFIG_FILE, (json.dumps(config.to_dict(), indent=2) + "\n").encode())
 
 
 def _save_chain_params(path: Path, params: list[bytes]) -> None:
     """Write canonical stage-parameter blobs, in chain order."""
-    path.write_bytes(b"".join(lp(blob) for blob in params))
+    write_atomic(path, b"".join(lp(blob) for blob in params))
 
 
 def _chain_params(chain: ExtractorChain) -> list[bytes]:
@@ -413,9 +413,9 @@ def experiment_cmd(ctx):
     config: ExperimentConfig = ctx.obj["config"]
     report = run_experiment(config)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(report.to_text())
-    (out / "summary.json").write_text(report.to_json())
-    (out / "timings.txt").write_text(report.timing_text())
+    write_atomic(out / "report.txt", report.to_text().encode())
+    write_atomic(out / "summary.json", report.to_json().encode())
+    write_atomic(out / "timings.txt", report.timing_text().encode())
     _save_config(out, config)
     click.echo(report.to_text())
     click.echo(f"report written to {out / 'report.txt'}")

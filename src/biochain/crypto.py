@@ -5,7 +5,11 @@ Concrete choices (the rest of the package depends only on the contracts):
 
 * hashing        SHA-256 (32-byte digests)
 * symmetric      AES-256-GCM; decrypting with the wrong key or a modified
-                 ciphertext fails the authentication tag
+                 ciphertext fails the authentication tag.
+                 :func:`sym_encrypt_each` and :func:`sym_decrypt_each`
+                 cross a set of links in one call, one prepared cipher
+                 and one fresh random nonce per link; :func:`sym_encrypt`
+                 and :func:`sym_decrypt` are their one-message form
 * asymmetric     ephemeral X25519 + HKDF-SHA256 + AES-256-GCM, bounded to
                  short payloads (it carries wrapped keys and control
                  messages, never bulk data)
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
@@ -222,12 +227,42 @@ def _cipher(key: SymKey) -> SymCipher:
     return key if isinstance(key, AESGCM) else AESGCM(key)
 
 
+def sym_encrypt_each(
+    message: bytes, ciphers: Sequence[SymCipher]
+) -> list[tuple[bytes, bytes]]:
+    """Encrypt one message under each prepared cipher with AES-256-GCM,
+    each copy under its own fresh random nonce; one ``(nonce, body)`` pair
+    per cipher, in order. The nonces come from one CSPRNG draw, cut into
+    ``SYM_NONCE_LEN``-byte pieces."""
+    count = len(ciphers)
+    nonces = struct.unpack(f"{SYM_NONCE_LEN}s" * count, os.urandom(SYM_NONCE_LEN * count))
+    return [(nonce, cipher.encrypt(nonce, message, None))
+            for nonce, cipher in zip(nonces, ciphers)]
+
+
+def sym_decrypt_each(
+    sealed: Sequence[tuple[bytes, bytes]], ciphers: Sequence[SymCipher]
+) -> list[bytes]:
+    """Invert :func:`sym_encrypt_each`: open copy i under cipher i.
+
+    Raises:
+        AuthenticationFailure: a copy fails its cipher's authentication
+            tag (wrong key, or the copy was modified).
+        ValueError: ``sealed`` and ``ciphers`` differ in length.
+    """
+    try:
+        return [cipher.decrypt(nonce, body, None)
+                for (nonce, body), cipher in zip(sealed, ciphers, strict=True)]
+    except InvalidTag as exc:
+        raise AuthenticationFailure("authentication tag mismatch") from exc
+
+
 def sym_encrypt(message: bytes, key: SymKey) -> bytes:
-    """Encrypt with AES-256-GCM under a fresh random nonce; output is the
+    """Encrypt one message with :func:`sym_encrypt_each`; output is the
     nonce followed by the ciphertext. ``key`` is raw key bytes or a
     prepared :data:`SymCipher`."""
-    nonce = os.urandom(SYM_NONCE_LEN)
-    return nonce + _cipher(key).encrypt(nonce, message, None)
+    [(nonce, body)] = sym_encrypt_each(message, [_cipher(key)])
+    return nonce + body
 
 
 def sym_decrypt(ciphertext: bytes, key: SymKey) -> bytes:
@@ -238,11 +273,8 @@ def sym_decrypt(ciphertext: bytes, key: SymKey) -> bytes:
     """
     if len(ciphertext) < SYM_NONCE_LEN + 16:
         raise AuthenticationFailure("ciphertext too short")
-    nonce, body = ciphertext[:SYM_NONCE_LEN], ciphertext[SYM_NONCE_LEN:]
-    try:
-        return _cipher(key).decrypt(nonce, body, None)
-    except InvalidTag as exc:
-        raise AuthenticationFailure("authentication tag mismatch") from exc
+    sealed = (ciphertext[:SYM_NONCE_LEN], ciphertext[SYM_NONCE_LEN:])
+    return sym_decrypt_each([sealed], [_cipher(key)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,18 @@ Conventions: integers are big-endian, floats are IEEE-754 binary64
 big-endian in row-major order, and variable-length fields carry a 4-byte
 length prefix. Keeping one canonical encoding makes every hash in the
 system reproducible across platforms.
+
+Every state file that is rewritten whole reaches the disk through
+:func:`write_atomic`, so a crash leaves the old file or the new one,
+never a torn mix.
 """
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -74,6 +81,26 @@ def decode_vectors(records: Sequence[bytes]) -> np.ndarray:
     if (rows[:, :4].view(">u4") != dim).any():
         raise ValueError(f"length header disagrees with a {dim}-entry record")
     return rows[:, 4:].view(">f8").astype(np.float64)
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data`` in one step: the bytes
+    go to a temporary file in the same directory, are flushed to disk,
+    and the temporary file is then renamed over ``path``. A failure
+    before the rename removes the temporary file and leaves ``path`` as
+    it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class ByteReader:

@@ -47,7 +47,9 @@ import numpy as np
 
 from . import crypto
 from .crypto import DecryptionFailure, KeyPair
-from .encoding import ByteReader, decode_vector, encode_f64_array, encode_u32, encode_vector, lp
+from .encoding import (
+    ByteReader, decode_vector, encode_f64_array, encode_u32, encode_vector, lp, write_atomic,
+)
 from .ledger import Ledger, LedgerEntry
 
 GENESIS_DIGEST = crypto.digest(b"biochain/genesis/v1")
@@ -297,7 +299,7 @@ class StableSnapshot:
         return cls(blocks=blocks, notary_hash=notary_hash, timestamp=float(timestamp[0]))
 
     def save(self, path: Path) -> None:
-        Path(path).write_bytes(self.to_bytes())
+        write_atomic(path, self.to_bytes())
 
     @classmethod
     def load(cls, path: Path) -> "StableSnapshot":

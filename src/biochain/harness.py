@@ -27,6 +27,7 @@ import numpy as np
 
 from . import crypto
 from .crypto import InvalidConfig
+from .encoding import write_atomic
 from .extractor import (
     ExtractorChain,
     IndexOutOfRange,
@@ -202,7 +203,7 @@ def save_gallery(path: Path, templates: Sequence[Template]) -> None:
     for t in templates:
         values = " ".join(f"{v:.17g}" for v in t.vector)
         lines.append(f"{t.identity} {values}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_gallery(path: Path) -> list[Template]:

@@ -57,10 +57,12 @@ channel key at build time, in the paper's key-establishment step: the
 key is sealed to the receiving node's public key and opened with its
 private key. The link's AES-GCM cipher is prepared then, once. A query
 crosses every link as one ciphertext under a fresh nonce, and every leaf
-authenticates its own copy. Each chief then stacks its leaves' copies
-into one (n, d) probe matrix, row i parsed from leaf i's copy, and scores
-it against its rows of the template matrix with one row kernel whose
-scores are bit-identical to the scalar metrics.
+authenticates its own copy. Each link set, the root's chief links and
+then each chief's leaf links, is crossed in one call that draws all its
+nonces at once. The leaves' copies, in enrollment order, are decoded
+into one (N, d) probe matrix, row i parsed from leaf i's copy, and scored
+against the template matrix with one row kernel whose scores are
+bit-identical to the scalar metrics; each chief reads its slice.
 """
 
 from __future__ import annotations
@@ -490,25 +492,21 @@ def identify(
     probe_bytes = crypto.open_envelope(envelope, tree.keys)
     cycle_id = tree.next_cycle_id()
 
-    # Fan the probe down the encrypted channels: root to chiefs, chiefs to
-    # leaves. Every leaf authenticates its own copy, and the chief stacks
-    # the copies so that row i of its probe matrix is parsed from leaf i's.
-    chief_probes: list[np.ndarray] = []
-    for chief in tree.chiefs:
-        at_chief = crypto.sym_decrypt(
-            crypto.sym_encrypt(probe_bytes, chief.channel), chief.channel
-        )
-        chief_probes.append(decode_vectors([
-            crypto.sym_decrypt(crypto.sym_encrypt(at_chief, leaf.channel), leaf.channel)
-            for leaf in chief.leaves
-        ]))
+    # Fan the probe down the encrypted channels, one call per link set:
+    # root to chiefs, then each chief to its leaves. Every leaf
+    # authenticates its own copy, and row i of the probe matrix is parsed
+    # from leaf i's copy, in enrollment order.
+    channels = [chief.channel for chief in tree.chiefs]
+    at_chiefs = crypto.sym_decrypt_each(crypto.sym_encrypt_each(probe_bytes, channels), channels)
+    copies: list[bytes] = []
+    for chief, at_chief in zip(tree.chiefs, at_chiefs):
+        channels = [leaf.channel for leaf in chief.leaves]
+        copies += crypto.sym_decrypt_each(crypto.sym_encrypt_each(at_chief, channels), channels)
+    probes = decode_vectors(copies)
     t1 = time.perf_counter()
 
-    score_rows = get_row_metric(metric)
-    chief_scores = [
-        score_rows(tree.vectors[chief.rows], probes)
-        for chief, probes in zip(tree.chiefs, chief_probes)
-    ]
+    all_scores = get_row_metric(metric)(tree.vectors, probes)
+    chief_scores = [all_scores[chief.rows] for chief in tree.chiefs]
     t2 = time.perf_counter()
 
     drafts = [
@@ -533,7 +531,6 @@ def identify(
 
     best = min(decisions, key=lambda d: (d.score, d.chief_id))
     # Enrollment order, so the stable sort breaks ties by global index.
-    all_scores = np.concatenate(chief_scores)
     values = all_scores.tolist()
     identities = tree.identities
     candidates = [

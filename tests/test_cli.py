@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -15,6 +17,8 @@ from biochain import cli, crypto
 from biochain.cli import main
 from biochain.encoding import lp
 from biochain.extractor import StableSnapshot, StageParams
+from biochain.harness import ExperimentConfig, save_gallery
+from biochain.matcher import Template
 from helpers import chain_keys
 
 
@@ -523,3 +527,93 @@ class TestExperimentCommand:
     def test_report_without_experiment_fails(self, runner, tmp_path):
         result = runner.invoke(main, ["--out", str(tmp_path / "empty"), "report"])
         assert result.exit_code != 0
+
+
+STATE_FILES = {
+    cli.CONFIG_FILE, cli.GALLERY_FILE, cli.ARCHIVE_FILE,
+    cli.CHAIN_FILE, cli.SNAPSHOT_FILE, cli.LEDGER_FILE,
+}
+_writes = None  # names opened for writing, while a recording is on
+_hooked = False
+
+
+def _record_write(event, args):
+    if event == "open" and _writes is not None:
+        path, _, flags = args
+        if not isinstance(path, int) and flags & (os.O_WRONLY | os.O_RDWR):
+            _writes.append(os.path.basename(os.fsdecode(path)))
+
+
+@contextmanager
+def files_opened_for_writing():
+    """Names of the files opened for writing inside the block, by any
+    route (``open``, ``Path.write_*``, ``os.open``): an audit hook sees
+    them all. The hook stays installed and is inert outside the block."""
+    global _writes, _hooked
+    if not _hooked:
+        sys.addaudithook(_record_write)
+        _hooked = True
+    _writes = []
+    try:
+        yield _writes
+    finally:
+        _writes = None
+
+
+def crash_before_rename(src, dst):
+    raise OSError("crashed before the rename")
+
+
+def temp_target(name):
+    """The state file a temporary ``.<name>.<hex>.tmp`` file replaces."""
+    return name[1:].rsplit(".", 2)[0] if name.startswith(".") and name.endswith(".tmp") else None
+
+
+class TestCrashSafeStateFiles:
+    def test_tamper_and_restore_never_rewrite_a_state_file_in_place(self, runner, tmp_path):
+        bootstrap(runner, tmp_path)
+        with files_opened_for_writing() as names:
+            invoke(runner, tmp_path, "tamper", "--fraction", "0.2", "--block", "0")
+            invoke(runner, tmp_path, "restore")
+        # ledger.bin is the append-only transcript; it is opened to append
+        assert [n for n in names if n in STATE_FILES - {cli.LEDGER_FILE}] == []
+        assert {cli.GALLERY_FILE, cli.CHAIN_FILE} <= {temp_target(n) for n in names}
+        assert set(os.listdir(tmp_path)) == STATE_FILES
+
+    @pytest.mark.parametrize("command", [
+        ("tamper", "--fraction", "0.2"), ("tamper", "--block", "0"), ("restore",),
+    ])
+    def test_failed_rename_leaves_every_state_file_as_it_was(
+        self, runner, tmp_path, monkeypatch, command
+    ):
+        bootstrap(runner, tmp_path)
+        if command == ("restore",):
+            invoke(runner, tmp_path, "tamper", "--fraction", "0.2", "--block", "0")
+        before = state_files(tmp_path)
+        monkeypatch.setattr(os, "replace", crash_before_rename)
+        result = runner.invoke(main, ["--out", str(tmp_path), *command])
+        assert isinstance(result.exception, OSError)
+        # old bytes, and no temporary file left beside them
+        assert state_files(tmp_path) == before
+
+    @pytest.mark.parametrize("writer", ["gallery", "snapshot", "config", "chain params"])
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch, writer):
+        def write(version):
+            if writer == "gallery":
+                save_gallery(tmp_path / "f", [Template(f"id{version}", np.full(3, version))])
+            elif writer == "snapshot":
+                StableSnapshot([(0, b"h", b"p")], b"n", float(version)).save(tmp_path / "f")
+            elif writer == "config":
+                cli._save_config(tmp_path, ExperimentConfig(seed=version))
+            else:
+                cli._save_chain_params(tmp_path / "f", [bytes([version])])
+
+        write(1)
+        before = state_files(tmp_path)
+        monkeypatch.setattr(os, "replace", crash_before_rename)
+        with pytest.raises(OSError):
+            write(2)
+        assert state_files(tmp_path) == before
+        monkeypatch.undo()
+        write(2)
+        assert state_files(tmp_path) != before and len(state_files(tmp_path)) == 1

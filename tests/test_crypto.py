@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +109,95 @@ class TestSymmetricCipher:
         cipher = crypto.SymCipher(crypto.generate_sym_key())
         nonces = {crypto.sym_encrypt(b"same", cipher)[: crypto.SYM_NONCE_LEN] for _ in range(50)}
         assert len(nonces) == 50
+
+    def test_ciphertext_of_the_one_message_formula_still_opens(self):
+        # the wire format: nonce || AES-GCM body under the raw key
+        key = crypto.generate_sym_key()
+        nonce = bytes(range(crypto.SYM_NONCE_LEN))
+        ct = nonce + AESGCM(key).encrypt(nonce, b"payload", None)
+        assert crypto.sym_decrypt(ct, key) == b"payload"
+        assert crypto.sym_decrypt(ct, crypto.SymCipher(key)) == b"payload"
+
+    def test_short_ciphertext_fails_authentication(self):
+        key = crypto.generate_sym_key()
+        with pytest.raises(AuthenticationFailure):
+            crypto.sym_decrypt(bytes(crypto.SYM_NONCE_LEN + 15), key)
+
+
+def link_ciphers(n):
+    return [crypto.SymCipher(crypto.generate_sym_key()) for _ in range(n)]
+
+
+class TestLinkSetCrossing:
+    def test_round_trip_per_link(self):
+        ciphers = link_ciphers(7)
+        sealed = crypto.sym_encrypt_each(b"probe", ciphers)
+        assert len(sealed) == 7
+        assert crypto.sym_decrypt_each(sealed, ciphers) == [b"probe"] * 7
+
+    def test_nonces_of_one_call_are_pairwise_distinct(self):
+        sealed = crypto.sym_encrypt_each(b"same", link_ciphers(200))
+        nonces = [nonce for nonce, _ in sealed]
+        assert all(len(nonce) == crypto.SYM_NONCE_LEN for nonce in nonces)
+        assert len(set(nonces)) == len(nonces)
+
+    def test_nonces_are_drawn_in_one_call(self, monkeypatch):
+        ciphers = link_ciphers(5)
+        draws = []
+        real = crypto.os.urandom
+
+        def counted(n):
+            draws.append(n)
+            return real(n)
+
+        monkeypatch.setattr(crypto.os, "urandom", counted)
+        crypto.sym_encrypt_each(b"m", ciphers)
+        assert draws == [5 * crypto.SYM_NONCE_LEN]
+
+    def test_each_copy_opens_only_under_its_own_cipher(self):
+        ciphers = link_ciphers(4)
+        sealed = crypto.sym_encrypt_each(b"probe", ciphers)
+        for i, copy in enumerate(sealed):
+            for j, cipher in enumerate(ciphers):
+                if i == j:
+                    assert crypto.sym_decrypt_each([copy], [cipher]) == [b"probe"]
+                else:
+                    with pytest.raises(AuthenticationFailure):
+                        crypto.sym_decrypt_each([copy], [cipher])
+
+    def test_copies_interoperate_with_the_one_message_form(self):
+        ciphers = link_ciphers(3)
+        for (nonce, body), cipher in zip(crypto.sym_encrypt_each(b"m", ciphers), ciphers):
+            assert crypto.sym_decrypt(nonce + body, cipher) == b"m"
+        ct = crypto.sym_encrypt(b"m", ciphers[0])
+        sealed = [(ct[:crypto.SYM_NONCE_LEN], ct[crypto.SYM_NONCE_LEN:])]
+        assert crypto.sym_decrypt_each(sealed, ciphers[:1]) == [b"m"]
+
+    def test_one_flipped_body_byte_fails_authentication(self):
+        ciphers = link_ciphers(5)
+        sealed = crypto.sym_encrypt_each(b"probe", ciphers)
+        nonce, body = sealed[3]
+        sealed[3] = (nonce, body[:2] + bytes([body[2] ^ 1]) + body[3:])
+        with pytest.raises(AuthenticationFailure):
+            crypto.sym_decrypt_each(sealed, ciphers)
+
+    def test_mismatched_lengths_raise(self):
+        ciphers = link_ciphers(3)
+        sealed = crypto.sym_encrypt_each(b"probe", ciphers)
+        with pytest.raises(ValueError):
+            crypto.sym_decrypt_each(sealed, ciphers[:2])
+        with pytest.raises(ValueError):
+            crypto.sym_decrypt_each(sealed[:2], ciphers)
+
+    def test_empty_link_set(self):
+        assert crypto.sym_encrypt_each(b"probe", []) == []
+        assert crypto.sym_decrypt_each([], []) == []
+
+    @given(message=messages, n=st.integers(min_value=1, max_value=8))
+    @settings(max_examples=30)
+    def test_round_trip_property(self, message, n):
+        ciphers = link_ciphers(n)
+        assert crypto.sym_decrypt_each(crypto.sym_encrypt_each(message, ciphers), ciphers) == [message] * n
 
 
 class TestAsymmetricCipher:

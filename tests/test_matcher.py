@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biochain import crypto, matcher, metrics
 from biochain.crypto import InsufficientShards, Shard
@@ -534,13 +536,13 @@ class TestDelegation:
         used = {"encrypt": [], "decrypt": []}
 
         def recording(kind, fn):
-            def call(data, key):
-                used[kind].append(id(key))
-                return fn(data, key)
+            def call(data, ciphers):
+                used[kind].extend(id(c) for c in ciphers)
+                return fn(data, ciphers)
             return call
 
-        monkeypatch.setattr(crypto, "sym_encrypt", recording("encrypt", crypto.sym_encrypt))
-        monkeypatch.setattr(crypto, "sym_decrypt", recording("decrypt", crypto.sym_decrypt))
+        monkeypatch.setattr(crypto, "sym_encrypt_each", recording("encrypt", crypto.sym_encrypt_each))
+        monkeypatch.setattr(crypto, "sym_decrypt_each", recording("decrypt", crypto.sym_decrypt_each))
         identify_probe(tree, np.ones(8), "euclidean")
         # the probe's own envelope is opened with a raw key, not a channel
         channel_ids = sorted(id(c) for c in channels)
@@ -552,20 +554,43 @@ class TestDelegation:
     def test_leaf_copy_that_fails_authentication_stops_the_query(self, monkeypatch):
         tree = build_tree(make_gallery(12, seed=76), fanout=5)
         target = tree.chiefs[1].leaves[2].channel
-        real_encrypt = crypto.sym_encrypt
+        real_encrypt = crypto.sym_encrypt_each
 
-        def flip_one(message, key):
-            out = real_encrypt(message, key)
-            if key is target:
-                out = out[:-1] + bytes([out[-1] ^ 1])
-            return out
+        def flip_one(message, ciphers):
+            return [
+                (nonce, body[:-1] + bytes([body[-1] ^ 1]) if cipher is target else body)
+                for (nonce, body), cipher in zip(real_encrypt(message, ciphers), ciphers)
+            ]
 
-        monkeypatch.setattr(crypto, "sym_encrypt", flip_one)
+        monkeypatch.setattr(crypto, "sym_encrypt_each", flip_one)
         with pytest.raises(crypto.AuthenticationFailure):
             identify_probe(tree, np.ones(8), "euclidean")
-        monkeypatch.setattr(crypto, "sym_encrypt", real_encrypt)
+        monkeypatch.setattr(crypto, "sym_encrypt_each", real_encrypt)
         assert identify_probe(tree, np.ones(8), "euclidean").candidates
 
+    @given(
+        shape=st.integers(2, 7).flatmap(
+            lambda fanout: st.tuples(st.just(fanout), st.integers(0, 3), st.integers(1, fanout - 1))
+        ),
+        metric=st.sampled_from(["euclidean", "cosine"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_matrix_call_scores_every_chief_slice_bit_for_bit(self, shape, metric, seed):
+        # full chiefs plus a partial last one
+        fanout, full_chiefs, remainder = shape
+        n = full_chiefs * fanout + remainder
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.integers(-6, 7, size=(n, 1))
+        gallery = [Template(f"id{i:03d}", row) for i, row in enumerate(rng.normal(size=(n, 6)) * scales)]
+        tree = build_hash_tree(gallery, crypto.generate_keypair(rng), fanout)
+        assert tree.chief_rows[-1].stop - tree.chief_rows[-1].start == remainder
+        probes = rng.normal(size=(n, 6)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
+        score_rows = metrics.get_row_metric(metric)
+        whole = score_rows(tree.vectors, probes)
+        for rows in tree.chief_rows:
+            sliced = score_rows(tree.vectors[rows], probes[rows])
+            assert whole[rows].tobytes() == sliced.tobytes()
 
     def test_only_the_root_key_pair_is_parsed(self):
         tree = build_tree(make_gallery(12, seed=77), fanout=5)
