@@ -23,8 +23,9 @@ only the parts it reads:
   keys, channels, decision keys and shards) before it queries;
 * ``enroll`` and ``experiment`` build the whole deployment.
 
-No command rewrites ``ledger.bin``; one that does not parse is an
-``audit`` finding and an error for every other command.
+Only ``identify`` appends to ``ledger.bin``; ``enroll`` replaces it with
+an empty one, last. A ledger that does not parse is an ``audit`` finding
+and an error for every other command.
 
 The chain's keys come from their own seed stream, so every command
 rebuilds the same chain keys. State directories enrolled while the chain
@@ -123,14 +124,14 @@ def _load_chain_params(path: Path) -> list[StageParams]:
 
 def _load_system(
     out: Path, config: ExperimentConfig, keys_rng: np.random.Generator,
-    strict: bool = True, ledger: Optional[Ledger] = None,
+    strict: bool = True, ledger: Optional[Ledger] = None, resume: bool = False,
 ) -> EnrolledSystem:
     """Rebuild the enrolled deployment's checkable state from the state
     directory: the tree's hash structure under the root's key pair, the
     first draw of ``keys_rng``, and the chain with its keys. The tree has
     no node keys; a command that queries continues ``keys_rng`` with
     :func:`setup_tree_keys`. The system's ledger is ``ledger``, or else
-    ``ledger.bin`` replayed and reopened for appending.
+    ``ledger.bin`` replayed, reopened to append only if ``resume``.
 
     An archive or a ledger that does not parse is a one-line error. So is
     a snapshot or a live store that does not parse, or a live store whose
@@ -172,11 +173,11 @@ def _load_system(
     ledger_path = out / LEDGER_FILE
     if ledger is None and ledger_path.exists() and ledger_path.stat().st_size:
         try:
-            ledger = Ledger.load(ledger_path, resume=True)
+            ledger = Ledger.load(ledger_path, resume=resume)
         except (ValueError, LedgerError) as exc:
             raise click.ClickException(f"{LEDGER_FILE} does not parse: {exc}; run audit")
     elif ledger is None:
-        ledger = Ledger(ledger_path)
+        ledger = Ledger(ledger_path if resume else None)
     return EnrolledSystem(
         chain=chain,
         ledger=ledger,
@@ -242,14 +243,13 @@ def enroll_cmd(ctx):
         templates = load_gallery(gallery_path)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    ledger_path = out / LEDGER_FILE
-    ledger_path.write_bytes(b"")
-    system = enroll(templates, config.chain_spec, fanout=config.fanout,
-                    seed=config.seed, ledger=Ledger(ledger_path))
+    system = enroll(templates, config.chain_spec, fanout=config.fanout, seed=config.seed)
     save_gallery(out / ARCHIVE_FILE, templates)
     _save_chain_params(out / CHAIN_FILE, _chain_params(system.chain))
     system.chain.snapshot.save(out / SNAPSHOT_FILE)
     _save_config(out, config)
+    # Last, so a failure before it leaves the earlier transcript in place.
+    write_atomic(out / LEDGER_FILE, b"")
     click.echo(f"enrolled {len(templates)} templates: "
                f"{len(system.tree.chiefs)} chiefs, "
                f"{len(system.chain.blocks)} chain stages")
@@ -271,7 +271,7 @@ def identify_cmd(ctx, identity, probe_file, probe_noise):
     if not probe_noise >= 0:
         raise click.ClickException("--probe-noise must be >= 0")
     keys_rng = enrollment_keys_rng(config.seed)
-    system = _load_system(out, config, keys_rng)
+    system = _load_system(out, config, keys_rng, resume=True)
     if probe_file is not None:
         try:
             records = load_gallery(probe_file)
@@ -341,7 +341,6 @@ def tamper_cmd(ctx, fraction, sigma, block_index, epsilon):
     if block_index is not None:
         _save_chain_params(out / CHAIN_FILE, _chain_params(system.chain))
         click.echo(f"perturbed chain stage {block_index} by {epsilon}")
-    system.ledger.close()
 
 
 @main.command("audit")
@@ -395,11 +394,9 @@ def restore_cmd(ctx):
         click.echo(f"restored the live store to {len(system.archive)} records")
     if findings.tree_locators or findings.store_mismatch:
         save_gallery(out / GALLERY_FILE, system.tree.templates())
-    system.ledger.close()
     del system  # one rebuilt deployment in memory at a time
     system = _load_system(out, config, enrollment_keys_rng(config.seed))
     post = run_audit(system)
-    system.ledger.close()
     click.echo("post-restore audit: " + ("clean" if post.clean else "STILL TAMPERED"))
     if not post.clean:
         sys.exit(1)

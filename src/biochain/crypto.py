@@ -15,10 +15,11 @@ Concrete choices (the rest of the package depends only on the contracts):
                  messages, never bulk data)
 * signatures     Ed25519
 * secret sharing byte-wise polynomial sharing over GF(2^8) with
-                 index-tagged shards; a caller checks a reconstruction
-                 against a SHA-256 commitment to the secret
-                 (:func:`digest_parts` under its own tag), one hash that
-                 catches any differing byte
+                 index-tagged shards, recombined a stack of pools at a
+                 time (:func:`shamir_reconstruct` is the one-pool form);
+                 a caller checks a reconstruction against a SHA-256
+                 commitment to the secret (:func:`digest_parts` under its
+                 own tag), one hash that catches any differing byte
 
 A :class:`KeyPair` bundles an encryption half and a signing half so a
 single party identity can both receive wrapped keys and sign messages.
@@ -406,11 +407,10 @@ _init_tables()
 
 
 def _gf_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """GF(2^8) product, elementwise over broadcastable uint8 arrays; a
-    flat ``take`` at ``256 a + b`` is twice as fast as a 2-D index."""
-    index = np.left_shift(a, 8, dtype=np.intp)
-    index |= b
-    return _GF_MUL.take(index)
+    """GF(2^8) product, elementwise over broadcastable uint8 arrays, ``b``
+    the one broadcast; a flat ``take`` at ``256 b + a`` is twice as fast
+    as a 2-D index, and its index is built in one pass over ``a``."""
+    return _GF_MUL.take(np.left_shift(b, 8, dtype=np.intp) + a)
 
 
 @dataclass(frozen=True)
@@ -481,47 +481,72 @@ def shamir_split(
     return [Shard(index=x, payload=values.tobytes()) for x, values in enumerate(acc, 1)]
 
 
-@lru_cache(maxsize=4096)
-def _lagrange_weights(indices: tuple[int, ...]) -> tuple[int, ...]:
-    """Lagrange basis values at zero for distinct nonzero field points.
+_POOLS_PER_GATHER = 8
 
+
+@lru_cache(maxsize=4096)
+def _lagrange_weights(points: tuple[int, ...], config: SharingConfig, width: int) -> np.ndarray:
+    """Lagrange basis values at zero for one pool's field points, a zero
+    padded, read-only (width, 1) column, once the pool passes every check.
     Weight i is the product over j != i of x_j / (x_i ^ x_j), taken as a
     sum of logarithms."""
-    x = np.array(indices)
+    config.validate()
+    if len(points) < config.threshold:
+        raise InsufficientShards(
+            f"{len(points)} shards supplied, {config.threshold} required"
+        )
+    if len(set(points)) != len(points):
+        raise DuplicateIndex("shard indices must be distinct")
+    for idx in points:
+        if not 1 <= idx <= config.total:
+            raise InvalidConfig(f"shard index {idx} outside 1..{config.total}")
+    x = np.array(points)
     diffs = x[:, None] ^ x[None, :]
     np.fill_diagonal(diffs, 1)  # log 1 = 0 drops the j == i factor
     logs = _GF_LOG[x].sum() - _GF_LOG[x] - _GF_LOG[diffs].sum(axis=1)
-    return tuple(_GF_EXP[logs % 255].tolist())
+    weights = np.pad(_GF_EXP[logs % 255], (0, width - len(points)))[:, None]
+    weights.flags.writeable = False
+    return weights
+
+
+def shamir_reconstruct_each(
+    payloads: np.ndarray, points: Sequence[tuple[int, ...]], configs: Sequence[SharingConfig]
+) -> np.ndarray:
+    """Recombine a (pools, k, len) uint8 stack of shard pools into their
+    (pools, len) secrets. Pool i holds the shards at field points
+    ``points[i]``, whose payloads are the first ``len(points[i])`` rows of
+    ``payloads[i]``; later rows are ignored, so pools of any size share a
+    stack. One table gather per :data:`_POOLS_PER_GATHER` pools (it builds
+    an 8-byte index per payload byte) multiplies every payload by its
+    Lagrange weight at zero, and an XOR over each pool's rows follows.
+    Every pool is checked against ``configs[i]`` before any interpolation,
+    below threshold by count, so an under-sized pool never "accidentally"
+    reconstructs.
+
+    Raises:
+        InsufficientShards, DuplicateIndex, InvalidConfig: a pool fails a
+            check (count, distinct indices, config and index range).
+        ValueError: the stack, ``points`` and ``configs`` disagree on the
+            number of pools, or a pool has more shards than the stack rows.
+    """
+    width = payloads.shape[1]
+    weights = np.array([_lagrange_weights(pool, config, width)
+                        for _, pool, config in zip(payloads, points, configs, strict=True)])
+    secrets = np.empty((len(payloads), payloads.shape[2]), dtype=np.uint8)
+    for start in range(0, len(payloads), _POOLS_PER_GATHER):
+        part = slice(start, start + _POOLS_PER_GATHER)
+        secrets[part] = np.bitwise_xor.reduce(_gf_mul(payloads[part], weights[part]), axis=1)
+    return secrets
 
 
 def shamir_reconstruct(shards: Sequence[Shard], config: SharingConfig) -> bytes:
-    """Recombine shards into the original secret.
-
-    One table gather multiplies the (k, len) payload matrix by the
-    Lagrange weights at zero, row by row, and an XOR over rows follows.
-
-    Rejection below threshold happens by count, before any interpolation,
-    so an under-sized pool can never "accidentally" reconstruct.
-
-    Raises:
-        InsufficientShards: fewer shards than ``config.threshold``.
-        DuplicateIndex: two shards share an index.
-    """
-    config.validate()
-    if len(shards) < config.threshold:
-        raise InsufficientShards(
-            f"{len(shards)} shards supplied, {config.threshold} required"
-        )
-    indices = tuple(s.index for s in shards)
-    if len(set(indices)) != len(indices):
-        raise DuplicateIndex("shard indices must be distinct")
-    for idx in indices:
-        if not 1 <= idx <= config.total:
-            raise InvalidConfig(f"shard index {idx} outside 1..{config.total}")
+    """Recombine shards into the original secret: the one-pool call of
+    :func:`shamir_reconstruct_each`, with its checks and one more, that
+    the payloads have equal lengths (:class:`InvalidConfig`)."""
     lengths = {len(s.payload) for s in shards}
-    if len(lengths) != 1:
+    if len(lengths) > 1:
         raise InvalidConfig("shard payloads must have equal length")
     payloads = np.frombuffer(b"".join(s.payload for s in shards), dtype=np.uint8)
-    weights = np.array(_lagrange_weights(indices), dtype=np.uint8)[:, None]
-    products = _gf_mul(payloads.reshape(len(shards), lengths.pop()), weights)
-    return np.bitwise_xor.reduce(products, axis=0).tobytes()
+    stack = payloads.reshape(1, len(shards), max(lengths, default=0))
+    [secret] = shamir_reconstruct_each(stack, [tuple(s.index for s in shards)], [config])
+    return secret.tobytes()

@@ -14,11 +14,11 @@ is the template of the leaf at enrollment position i. Verification,
 template writes and restoration read nothing else. :func:`setup_tree_keys`
 then enrolls the nodes: key pairs, channels, decision keys and shards,
 held by the ``ChiefBlock`` and ``LeafBlock`` objects in
-``MatcherTree.chiefs``, which only a query reads. :func:`build_tree` runs
-both. ``MatcherTree.write_template`` is the one way a
-stored template changes, so every edit (loading a live store, tampering,
-restoring from the archive) is seen by the next query and the next
-verification.
+``MatcherTree.chiefs`` and the tree's shard matrix, which only a query
+reads. :func:`build_tree` runs both. ``MatcherTree.write_template`` is
+the one way a stored template changes, so every edit (loading a live
+store, tampering, restoring from the archive) is seen by the next query
+and the next verification.
 
 Integrity uses aggregate hashing: a leaf's hash covers its identity and
 template row, and every parent's hash covers the ordered hashes of its
@@ -30,8 +30,10 @@ Decisions use threshold secret sharing. Every root-chief link gets its
 own decision key pair whose private half is split into ``2n + 1`` shards
 (``n`` leaves on the link), reconstructable from ``n + 2``:
 
-* each leaf holds one shard, surrendered only to endorse a decision
-  document whose score is at least as good as the leaf's own result,
+* each leaf holds one shard, row i of the (N, len) uint8 shard matrix
+  ``MatcherTree.leaf_shards`` for the leaf at enrollment position i,
+  surrendered only to endorse a decision document whose score is at least
+  as good as the leaf's own result,
 * the chief holds one shard of its own,
 * the root holds the single shard it contributes to every attempt plus
   ``n - 1`` inert spares kept for administrative key rotation.
@@ -41,16 +43,15 @@ the root's that meets the threshold exactly. When it deals the key, the
 root keeps only a commitment to it, a domain-separated SHA-256 digest of
 the private key, and a reconstruction counts only if its digest equals
 the commitment: one hash per chief, and any byte that differs from the
-dealt key fails. A chief that drafts a document worse than some
-leaf's own score loses that leaf's shard, can never reach threshold, and
-triggers scrutiny: the root reads the dissenting leaves' scores directly
-and repairs the decision for that path. A dissent against a genuinely
-best document also triggers scrutiny, which then simply confirms the
-document.
+dealt key fails. A chief that drafts a document worse than some leaf's
+own score loses that leaf's shard, fails by count without interpolation,
+and triggers scrutiny: the root reads the dissenting leaves' scores
+directly and repairs the decision for that path.
 
-A round keeps no state on the tree: each chief's leaf scores travel as
-one float64 array, and consent yields the pooled shards plus a boolean
-dissent mask over the chief's leaves.
+A round keeps no state on the tree and runs once over all chiefs: drafts
+read the one (N,) score array, consent is one dissent mask over its rows,
+and the pools of every chief without dissent are reconstructed in one
+batched call.
 
 Probe fan-out is encrypted. Each root-chief and chief-leaf link gets its
 channel key at build time, in the paper's key-establishment step: the
@@ -69,7 +70,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from enum import Enum
+from functools import partial
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -85,6 +87,9 @@ _DECISION_KEY_TAG = b"biochain/decision-key/v1"
 
 DEFAULT_FANOUT = 50
 
+# A MatchScore from a tuple, without a Python-level call per candidate.
+_match_score = partial(tuple.__new__, MatchScore)
+
 
 class EmptyGallery(Exception):
     pass
@@ -96,11 +101,6 @@ class ArchiveMissing(Exception):
 
 class KeysNotSetUp(Exception):
     """A query reached a tree that holds only its hash structure."""
-
-
-class ConsensusResult(Enum):
-    ACCEPTED = "accepted"
-    SCRUTINY = "scrutiny"
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,6 @@ def decision_key_commitment(private: bytes) -> bytes:
 class LeafBlock:
     keys: KeyPair
     channel: Optional[crypto.SymCipher] = None  # chief-to-leaf link
-    shard: Optional[Shard] = None
 
 
 @dataclass
@@ -173,12 +172,6 @@ class DecisionDocument:
     leaf_index: int  # drafting leaf's position within the chief
 
 
-@dataclass
-class ShardPool:
-    shards: list[Shard]
-    dissent: np.ndarray  # bool, one entry per leaf of the chief
-
-
 @dataclass(frozen=True)
 class LeafLocator:
     chief_index: int
@@ -199,13 +192,7 @@ class MatchTimings:
     probes: int = 0
 
     def total(self) -> float:
-        return (
-            self.delegate
-            + self.match
-            + self.compare_leaves
-            + self.sharing
-            + self.compare_chiefs
-        )
+        return self.delegate + self.match + self.compare_leaves + self.sharing + self.compare_chiefs
 
 
 @dataclass(frozen=True)
@@ -226,8 +213,10 @@ class MatcherTree:
         self.vectors = np.array([t.vector for t in gallery], dtype=np.float64)
         self.identities = [t.identity for t in gallery]
         n = len(self.identities)
+        self.fanout = fanout
         self.chief_rows = [slice(start, min(start + fanout, n)) for start in range(0, n, fanout)]
         self.chiefs: list[ChiefBlock] = []
+        self.leaf_shards = np.zeros((0, 0), dtype=np.uint8)  # (N, len) after the key set-up
         self.keys = keys
         self.leaf_hashes: list[bytes] = []  # enrollment-time, one per row
         self.chief_hash_copies: list[bytes] = []
@@ -280,28 +269,6 @@ class MatcherTree:
 # Construction
 # ---------------------------------------------------------------------------
 
-def setup_decision_keys(
-    tree: MatcherTree, chief: ChiefBlock, rng: Optional[np.random.Generator] = None
-) -> None:
-    """Create and distribute the decision key material for one root-chief
-    link: a fresh key pair, its private half split into ``2n + 1`` shards
-    at threshold ``n + 2``, allocated one per leaf, one to the chief, one
-    as the root's contribution, and the remaining ``n - 1`` to the root's
-    inert reserve. The root keeps a commitment to the private key, not
-    the key."""
-    n = len(chief.leaves)
-    config = SharingConfig.for_group(n)
-    decision_keys = crypto.generate_keypair(rng)
-    shards = crypto.shamir_split(decision_keys.private, config, rng)
-    for leaf, shard in zip(chief.leaves, shards[:n]):
-        leaf.shard = shard
-    chief.retained_shard = shards[n]
-    chief.sharing = config
-    tree.contribution_shards[chief.index] = shards[n + 1]
-    tree.retained_shards[chief.index] = list(shards[n + 2 :])
-    tree.decision_commitments[chief.index] = decision_key_commitment(decision_keys.private)
-
-
 def _establish_channel(
     keys: KeyPair, rng: Optional[np.random.Generator] = None
 ) -> crypto.SymCipher:
@@ -347,7 +314,9 @@ def build_hash_tree(
 def setup_tree_keys(tree: MatcherTree, rng: Optional[np.random.Generator] = None) -> None:
     """The tree's key set-up: a key pair for every chief and leaf, a
     channel on every delegation link, and each root-chief link's decision
-    keys and shards. Only a query reads them."""
+    keys and shards (leaf i of a link holds shard i + 1, the chief the
+    next, the root the next as its contribution and the rest as its
+    reserve), of which the root keeps a commitment. Only a query reads them."""
     tree.chiefs = []
     for index, rows in enumerate(tree.chief_rows):
         leaves = [LeafBlock(keys=crypto.generate_keypair(rng)) for _ in range(rows.start, rows.stop)]
@@ -359,8 +328,19 @@ def setup_tree_keys(tree: MatcherTree, rng: Optional[np.random.Generator] = None
         for leaf in chief.leaves:
             leaf.channel = _establish_channel(leaf.keys, rng)
 
+    leaf_shards: list[bytes] = []  # payloads only: each Shard is freed with its link
     for chief in tree.chiefs:
-        setup_decision_keys(tree, chief, rng)
+        n = len(chief.leaves)
+        chief.sharing = SharingConfig.for_group(n)
+        decision_keys = crypto.generate_keypair(rng)
+        shards = crypto.shamir_split(decision_keys.private, chief.sharing, rng)
+        leaf_shards += [shard.payload for shard in shards[:n]]
+        chief.retained_shard = shards[n]
+        tree.contribution_shards[chief.index] = shards[n + 1]
+        tree.retained_shards[chief.index] = shards[n + 2 :]
+        tree.decision_commitments[chief.index] = decision_key_commitment(decision_keys.private)
+    payloads = bytearray().join(leaf_shards)
+    tree.leaf_shards = np.frombuffer(payloads, dtype=np.uint8).reshape(len(leaf_shards), -1)
 
 
 def build_tree(
@@ -385,79 +365,92 @@ def build_tree(
 # ---------------------------------------------------------------------------
 
 def _leaf_document(
-    tree: MatcherTree, chief: ChiefBlock, scores: np.ndarray, leaf_index: int,
+    tree: MatcherTree, chief_index: int, scores: np.ndarray, leaf_index: int,
     cycle_id: str, metric: str,
 ) -> DecisionDocument:
+    row = tree.chief_rows[chief_index].start + leaf_index
     return DecisionDocument(
-        chief_id=chief.index,
-        cycle_id=cycle_id,
-        identity=tree.identities[chief.rows.start + leaf_index],
-        score=float(scores[leaf_index]),
-        metric=metric,
-        leaf_index=leaf_index,
+        chief_index, cycle_id, tree.identities[row], float(scores[row]), metric, leaf_index
     )
 
 
-def chief_draft_document(
-    tree: MatcherTree, chief: ChiefBlock, scores: np.ndarray, cycle_id: str, metric: str
-) -> DecisionDocument:
-    """Draft the path decision from the chief's leaf scores: the identity
-    with the best (lowest) score, ties broken by lowest leaf index."""
-    return _leaf_document(tree, chief, scores, int(np.argmin(scores)), cycle_id, metric)
+def chief_drafts(
+    tree: MatcherTree, scores: np.ndarray, cycle_id: str, metric: str
+) -> list[DecisionDocument]:
+    """Every chief's draft path decision, read from the tree's (N,) leaf
+    scores: the identity among its leaves with the best (lowest) score,
+    ties broken by lowest leaf index."""
+    # +inf pads a short last chief; argmin takes the first of equal minima.
+    padded = np.full(len(tree.chief_rows) * tree.fanout, np.inf)
+    padded[:len(scores)] = scores
+    leaf_indices = np.argmin(padded.reshape(-1, tree.fanout), axis=1).tolist()
+    return [
+        _leaf_document(tree, chief_index, scores, leaf_index, cycle_id, metric)
+        for chief_index, leaf_index in enumerate(leaf_indices)
+    ]
 
 
 def collect_consent(
-    chief: ChiefBlock, document: DecisionDocument, scores: np.ndarray
-) -> ShardPool:
-    """Ask every leaf to endorse the document.
-
-    A leaf consents, adding its shard to the pool, when the document's
-    score is at least as good as its own; otherwise it withholds the
-    shard and dissents. The chief always adds its retained shard.
-    """
+    tree: MatcherTree, documents: Sequence[DecisionDocument], scores: np.ndarray
+) -> np.ndarray:
+    """Ask every leaf to endorse its chief's document; returns the dissent
+    mask over the tree's N rows. A leaf consents, adding its shard to the
+    pool, when the document's score is at least as good as its own."""
+    drafted = np.repeat([document.score for document in documents], tree.fanout)[:len(scores)]
     # Negated rather than ">" so an incomparable (NaN) score also dissents.
-    dissent = ~(document.score <= scores)
-    shards = [leaf.shard for leaf, refused in zip(chief.leaves, dissent) if not refused]
-    shards.append(chief.retained_shard)
-    return ShardPool(shards=shards, dissent=dissent)
+    return ~(drafted <= scores)
 
 
-def root_finalize(tree: MatcherTree, chief: ChiefBlock, pool: ShardPool) -> ConsensusResult:
-    """Add the root's contribution shard and try to reach consensus.
+def root_finalize(tree: MatcherTree, dissent: np.ndarray) -> np.ndarray:
+    """Add the root's contribution shard to every chief's pool and try to
+    reach consensus on every path; True where a path is accepted.
 
-    Consensus requires the pooled shards to reconstruct the link's
-    decision private key exactly: the digest of the reconstruction must
-    equal the commitment the root kept when it dealt the key. Anything
-    else (short pool, corrupted shard) triggers scrutiny.
-    """
-    shards = pool.shards + [tree.contribution_shards[chief.index]]
-    try:
-        secret = crypto.shamir_reconstruct(shards, chief.sharing)
-        if decision_key_commitment(secret) == tree.decision_commitments[chief.index]:
-            return ConsensusResult.ACCEPTED
-    except (crypto.CryptoError, ValueError):
-        pass
-    return ConsensusResult.SCRUTINY
+    A pool holds the consenting leaves' shards, the chief's and the root's,
+    so a chief with any dissent falls short of its threshold ``n + 2`` and
+    is never interpolated. The full pools are reconstructed in one call,
+    and a path is accepted only if its reconstruction's digest equals the
+    commitment the root kept when it dealt the key. Anything else (short
+    pool, corrupted shard) triggers scrutiny."""
+    pooled = np.add.reduceat(~dissent, np.arange(0, len(dissent), tree.fanout), dtype=np.intp) + 2
+    full = [chief for chief, count in zip(tree.chiefs, pooled.tolist())
+            if count >= chief.sharing.threshold]
+    stack = np.zeros((len(full), tree.fanout + 2, tree.leaf_shards.shape[1]), dtype=np.uint8)
+    points = []
+    for pool, chief in zip(stack, full):
+        n = len(chief.leaves)
+        own = (chief.retained_shard, tree.contribution_shards[chief.index])
+        pool[:n] = tree.leaf_shards[chief.rows]
+        pool[n:n + 2] = [np.frombuffer(shard.payload, dtype=np.uint8) for shard in own]
+        points.append((*range(1, n + 1), own[0].index, own[1].index))
+    secrets = crypto.shamir_reconstruct_each(stack, points, [chief.sharing for chief in full])
+    accepted = np.zeros(len(tree.chiefs), dtype=bool)
+    for chief, secret in zip(full, secrets):
+        commitment = decision_key_commitment(secret.tobytes())
+        accepted[chief.index] = commitment == tree.decision_commitments[chief.index]
+    return accepted
 
 
 def root_scrutinize(
-    tree: MatcherTree, chief: ChiefBlock, document: DecisionDocument,
-    scores: np.ndarray, pool: ShardPool,
-) -> DecisionDocument:
-    """Resolve a failed consensus by reading the dissenting leaves' scores.
-
-    The best dissenting score (ties to the lowest leaf index) beats the
-    document only if strictly better; otherwise the document stands (a
-    dissent against a genuinely best document, or a corrupted shard with
-    no dissent at all).
+    tree: MatcherTree, documents: Sequence[DecisionDocument], scores: np.ndarray,
+    dissent: np.ndarray, accepted: np.ndarray,
+) -> list[DecisionDocument]:
+    """The path decisions: every accepted document, and every other one
+    resolved by reading its dissenting leaves' scores. The best dissenting
+    score (ties to the lowest leaf index) beats the document only if
+    strictly better; otherwise the document stands (a dissent against a
+    genuinely best document, or a corrupted shard with no dissent at all).
     """
-    dissenters = np.flatnonzero(pool.dissent)
-    if dissenters.size == 0:
-        return document
-    best = int(dissenters[np.argmin(scores[dissenters])])
-    if not scores[best] < document.score:
-        return document
-    return _leaf_document(tree, chief, scores, best, document.cycle_id, document.metric)
+    decisions = list(documents)
+    for chief_index in np.flatnonzero(~accepted).tolist():
+        rows, document = tree.chief_rows[chief_index], documents[chief_index]
+        dissenters = rows.start + np.flatnonzero(dissent[rows])
+        if dissenters.size:
+            best = int(dissenters[np.argmin(scores[dissenters])])
+            if scores[best] < document.score:
+                decisions[chief_index] = _leaf_document(
+                    tree, chief_index, scores, best - rows.start, document.cycle_id, document.metric
+                )
+    return decisions
 
 
 # ---------------------------------------------------------------------------
@@ -506,45 +499,30 @@ def identify(
     t1 = time.perf_counter()
 
     all_scores = get_row_metric(metric)(tree.vectors, probes)
-    chief_scores = [all_scores[chief.rows] for chief in tree.chiefs]
     t2 = time.perf_counter()
 
-    drafts = [
-        chief_draft_document(tree, chief, scores, cycle_id, metric)
-        for chief, scores in zip(tree.chiefs, chief_scores)
-    ]
+    documents = chief_drafts(tree, all_scores, cycle_id, metric)
+    dissent = collect_consent(tree, documents, all_scores)
     t3 = time.perf_counter()
-
-    sharing_time = 0.0
-    decisions: list[DecisionDocument] = []
-    scrutinized: list[int] = []
-    for chief, scores, document in zip(tree.chiefs, chief_scores, drafts):
-        pool = collect_consent(chief, document, scores)
-        s0 = time.perf_counter()
-        outcome = root_finalize(tree, chief, pool)
-        sharing_time += time.perf_counter() - s0
-        if outcome is ConsensusResult.SCRUTINY:
-            document = root_scrutinize(tree, chief, document, scores, pool)
-            scrutinized.append(chief.index)
-        decisions.append(document)
+    accepted = root_finalize(tree, dissent)
     t4 = time.perf_counter()
+    decisions = root_scrutinize(tree, documents, all_scores, dissent, accepted)
+    t5 = time.perf_counter()
 
     best = min(decisions, key=lambda d: (d.score, d.chief_id))
     # Enrollment order, so the stable sort breaks ties by global index.
-    values = all_scores.tolist()
-    identities = tree.identities
-    candidates = [
-        MatchScore(identities[i], values[i], metric)
-        for i in np.argsort(all_scores, kind="stable").tolist()
-    ]
-    t5 = time.perf_counter()
+    order = np.argsort(all_scores, kind="stable")
+    candidates = list(map(_match_score, zip(
+        map(tree.identities.__getitem__, order.tolist()), all_scores[order].tolist(), repeat(metric)
+    )))
+    t6 = time.perf_counter()
 
     if timings is not None:
         timings.delegate += t1 - t0
         timings.match += t2 - t1
-        timings.compare_leaves += (t3 - t2) + (t4 - t3 - sharing_time)
-        timings.sharing += sharing_time
-        timings.compare_chiefs += t5 - t4
+        timings.compare_leaves += (t3 - t2) + (t5 - t4)
+        timings.sharing += t4 - t3
+        timings.compare_chiefs += t6 - t5
         timings.probes += 1
 
     return IdentifyResult(
@@ -552,7 +530,7 @@ def identify(
         score=best.score,
         metric=metric,
         candidates=candidates,
-        scrutinized_chiefs=tuple(scrutinized),
+        scrutinized_chiefs=tuple(np.flatnonzero(~accepted).tolist()),
     )
 
 

@@ -1,9 +1,9 @@
 """Test-side helpers: plaintext probes for ``identify``, template and
-chain-stage edits, a chain's key bytes, and faults injected into the
-matcher's consensus round.
+chain-stage edits, a chain's key bytes, the leaves' decision shards, and
+faults injected into the matcher's consensus round.
 
 ``matcher.identify`` calls the round functions through the module's
-globals, so replacing ``matcher.chief_draft_document`` or
+globals, so replacing ``matcher.chief_drafts`` or
 ``matcher.collect_consent`` for the length of a ``with`` block makes every
 query inside it meet the faulty party.
 """
@@ -40,21 +40,39 @@ def restore_stage(chain, index):
     chain.blocks[index].params = StageParams.from_canonical(chain.snapshot.blocks[index][2])
 
 
+def leaf_shard(tree, row):
+    """The decision shard held by the leaf at enrollment position ``row``."""
+    rows = tree.chief_rows[row // tree.fanout]
+    return crypto.Shard(row - rows.start + 1, tree.leaf_shards[row].tobytes())
+
+
+@contextmanager
+def corrupted_shard(tree, row):
+    """The leaf at enrollment position ``row`` holds a shard whose first
+    byte is flipped, in the tree's shard matrix."""
+    tree.leaf_shards[row, 0] ^= 0xFF
+    try:
+        yield
+    finally:
+        tree.leaf_shards[row, 0] ^= 0xFF
+
+
 @contextmanager
 def compromised_chief(chief_index, rewrite):
     """Chief ``chief_index`` passes every honest draft through ``rewrite``
     before it seeks consent."""
-    honest = matcher.chief_draft_document
+    honest = matcher.chief_drafts
 
-    def draft(tree, chief, scores, cycle_id, metric):
-        document = honest(tree, chief, scores, cycle_id, metric)
-        return rewrite(document) if chief.index == chief_index else document
+    def drafts(tree, scores, cycle_id, metric):
+        documents = honest(tree, scores, cycle_id, metric)
+        documents[chief_index] = rewrite(documents[chief_index])
+        return documents
 
-    matcher.chief_draft_document = draft
+    matcher.chief_drafts = drafts
     try:
         yield
     finally:
-        matcher.chief_draft_document = honest
+        matcher.chief_drafts = honest
 
 
 @contextmanager
@@ -63,13 +81,11 @@ def dissenting_leaves(positions):
     withhold their shards and dissent whatever the document says."""
     honest = matcher.collect_consent
 
-    def consent(chief, document, scores):
-        dissent = honest(chief, document, scores).dissent.copy()
+    def consent(tree, documents, scores):
+        dissent = honest(tree, documents, scores)
         for chief_index, leaf_index in positions:
-            if chief_index == chief.index:
-                dissent[leaf_index] = True
-        shards = [leaf.shard for leaf, refused in zip(chief.leaves, dissent) if not refused]
-        return matcher.ShardPool(shards=shards + [chief.retained_shard], dissent=dissent)
+            dissent[tree.chief_rows[chief_index].start + leaf_index] = True
+        return dissent
 
     matcher.collect_consent = consent
     try:

@@ -34,12 +34,11 @@ from biochain.harness import (
 )
 from biochain.ledger import Ledger
 from biochain.matcher import (
-    ConsensusResult,
     DecisionDocument,
     Template,
     TemplateArchive,
     build_tree,
-    chief_draft_document,
+    chief_drafts,
     collect_consent,
     restore_leaves,
     root_finalize,
@@ -48,6 +47,7 @@ from biochain.matcher import (
 from biochain.metrics import euclidean, flat_oracle_identify, flat_rank, rank_k_accuracy
 from helpers import (
     compromised_chief,
+    corrupted_shard,
     dissenting_leaves,
     identify_probe,
     perturb_template,
@@ -99,9 +99,9 @@ def test_criterion_2_forged_documents_never_reach_consensus():
                 probe = rng.normal(size=8) * 3
                 cycle = f"h-{n}-{trial}"
                 scores = np.array([euclidean(row, probe) for row in tree.vectors[chief.rows]])
-                honest = chief_draft_document(tree, chief, scores, cycle, "euclidean")
-                pool = collect_consent(chief, honest, scores)
-                if root_finalize(tree, chief, pool) is ConsensusResult.ACCEPTED:
+                [honest] = chief_drafts(tree, scores, cycle, "euclidean")
+                dissent = collect_consent(tree, [honest], scores)
+                if root_finalize(tree, dissent)[chief.index]:
                     honest_accepts += 1
                 honest_trials += 1
 
@@ -110,10 +110,11 @@ def test_criterion_2_forged_documents_never_reach_consensus():
                     honest.score + float(rng.uniform(1e-9, 3.0)),
                     honest.metric, honest.leaf_index,
                 )
-                pool = collect_consent(chief, forged, scores)
-                # the chief can gather at most n shards for a faulty document
-                assert len(pool.shards) <= n
-                if root_finalize(tree, chief, pool) is ConsensusResult.ACCEPTED:
+                dissent = collect_consent(tree, [forged], scores)
+                # the chief can gather at most n shards for a faulty document:
+                # its consenting leaves' and its own
+                assert int((~dissent).sum()) + 1 <= n
+                if root_finalize(tree, dissent)[chief.index]:
                     forged_successes += 1
                 forged_trials += 1
         assert forged_trials >= 3000 and honest_trials >= 3000  # 1000 per shape
@@ -261,18 +262,13 @@ def test_criterion_6_oracle_equivalence():
 
                 # a corrupted shard in one chief's pool forces scrutiny on
                 # that path without changing the answer
-                victim = tree.chiefs[-1].leaves[1]
-                good_shard = victim.shard
-                damaged = bytearray(good_shard.payload)
-                damaged[0] ^= 0xFF
-                victim.shard = crypto.Shard(good_shard.index, bytes(damaged))
-                for _ in range(100):
-                    probe = rng.normal(size=8) * 3
-                    via_tree = identify_probe(tree, probe, metric)
-                    via_scan = flat_oracle_identify(gallery, probe, metric)
-                    assert via_tree.identity == via_scan.identity, (name, metric)
-                    assert tree.chiefs[-1].index in via_tree.scrutinized_chiefs
-                victim.shard = good_shard
+                with corrupted_shard(tree, tree.chiefs[-1].rows.start + 1):
+                    for _ in range(100):
+                        probe = rng.normal(size=8) * 3
+                        via_tree = identify_probe(tree, probe, metric)
+                        via_scan = flat_oracle_identify(gallery, probe, metric)
+                        assert via_tree.identity == via_scan.identity, (name, metric)
+                        assert tree.chiefs[-1].index in via_tree.scrutinized_chiefs
         assert total_clean >= 1000
 
 

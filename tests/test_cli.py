@@ -575,8 +575,8 @@ class TestCrashSafeStateFiles:
         with files_opened_for_writing() as names:
             invoke(runner, tmp_path, "tamper", "--fraction", "0.2", "--block", "0")
             invoke(runner, tmp_path, "restore")
-        # ledger.bin is the append-only transcript; it is opened to append
-        assert [n for n in names if n in STATE_FILES - {cli.LEDGER_FILE}] == []
+        # neither appends to the transcript, so neither opens ledger.bin
+        assert [n for n in names if n in STATE_FILES] == []
         assert {cli.GALLERY_FILE, cli.CHAIN_FILE} <= {temp_target(n) for n in names}
         assert set(os.listdir(tmp_path)) == STATE_FILES
 
@@ -595,6 +595,19 @@ class TestCrashSafeStateFiles:
         assert isinstance(result.exception, OSError)
         # old bytes, and no temporary file left beside them
         assert state_files(tmp_path) == before
+
+    def test_failed_re_enroll_keeps_the_earlier_ledger(self, runner, tmp_path, monkeypatch):
+        bootstrap(runner, tmp_path)
+        invoke(runner, tmp_path, "identify", "--identity", "id0005")
+        before = state_files(tmp_path)
+        assert before[cli.LEDGER_FILE]
+        monkeypatch.setattr(os, "replace", crash_before_rename)
+        result = runner.invoke(main, ["--out", str(tmp_path), "enroll"])
+        assert isinstance(result.exception, OSError)
+        assert state_files(tmp_path) == before
+        monkeypatch.undo()
+        invoke(runner, tmp_path, "enroll")  # a whole enrollment starts an empty transcript
+        assert state_files(tmp_path)[cli.LEDGER_FILE] == b""
 
     @pytest.mark.parametrize("writer", ["gallery", "snapshot", "config", "chain params"])
     def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch, writer):

@@ -540,3 +540,55 @@ class TestShamirPins:
         payload[-1] ^= flip
         subset[0] = Shard(subset[0].index, bytes(payload))
         assert crypto.shamir_reconstruct(subset, cfg) == _ref_reconstruct(subset)
+
+
+class TestShamirStack:
+    """One call over a stack of pools gives each pool's one-pool bytes."""
+
+    @given(
+        length=st.integers(min_value=1, max_value=40),
+        groups=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=20),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_one_pool_calls(self, length, groups, seed, data):
+        rng = np.random.default_rng(seed)
+        pools, configs = [], []
+        for n in groups:
+            cfg = SharingConfig.for_group(n)
+            shards = crypto.shamir_split(rng.bytes(length), cfg, rng)
+            picks = data.draw(st.lists(
+                st.sampled_from(range(cfg.total)), min_size=cfg.threshold,
+                max_size=cfg.total, unique=True,
+            ))
+            pool = [shards[i] for i in picks]
+            if data.draw(st.booleans()):  # a corrupted pool, reconstructed all the same
+                flip = bytes([pool[0].payload[0] ^ data.draw(st.integers(1, 255))])
+                pool[0] = Shard(pool[0].index, flip + pool[0].payload[1:])
+            pools.append(pool)
+            configs.append(cfg)
+        # random bytes in the rows past each pool's own: they must not count
+        width = max(len(pool) for pool in pools)
+        stack = np.frombuffer(rng.bytes(len(pools) * width * length), dtype=np.uint8)
+        stack = stack.reshape(len(pools), width, length).copy()
+        for rows, pool in zip(stack, pools):
+            rows[:len(pool)] = [np.frombuffer(s.payload, dtype=np.uint8) for s in pool]
+        points = [tuple(s.index for s in pool) for pool in pools]
+        secrets = crypto.shamir_reconstruct_each(stack, points, configs)
+        assert secrets.shape == (len(pools), length) and secrets.dtype == np.uint8
+        assert [row.tobytes() for row in secrets] == [
+            crypto.shamir_reconstruct(pool, cfg) for pool, cfg in zip(pools, configs)
+        ]
+
+    def test_a_short_pool_fails_the_whole_stack_before_interpolation(self):
+        cfg = SharingConfig.for_group(2)
+        stack = np.zeros((2, 4, 6), dtype=np.uint8)
+        with pytest.raises(InsufficientShards):
+            crypto.shamir_reconstruct_each(stack, [(1, 2, 3, 4), (1, 2, 3)], [cfg, cfg])
+        with pytest.raises(DuplicateIndex):
+            crypto.shamir_reconstruct_each(stack, [(1, 2, 3, 4), (1, 1, 2, 3)], [cfg, cfg])
+        with pytest.raises(ValueError):  # a pool wider than the stack
+            crypto.shamir_reconstruct_each(stack, [(1, 2, 3, 4), (1, 2, 3, 4, 5)], [cfg, cfg])
+        with pytest.raises(ValueError):  # one config short
+            crypto.shamir_reconstruct_each(stack, [(1, 2, 3, 4), (1, 2, 3, 4)], [cfg])

@@ -1,5 +1,7 @@
 """Tree construction, shard allocation, consensus, scrutiny, localization."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from biochain import crypto, matcher, metrics
 from biochain.crypto import InsufficientShards, Shard
 from biochain.matcher import (
     ArchiveMissing,
-    ConsensusResult,
     DecisionDocument,
     EmptyGallery,
     KeysNotSetUp,
@@ -17,7 +18,7 @@ from biochain.matcher import (
     TemplateArchive,
     build_hash_tree,
     build_tree,
-    chief_draft_document,
+    chief_drafts,
     collect_consent,
     decision_key_commitment,
     leaf_hash,
@@ -28,7 +29,14 @@ from biochain.matcher import (
     verify_tree,
 )
 from biochain.metrics import DimensionMismatch, flat_oracle_identify, flat_rank
-from helpers import compromised_chief, dissenting_leaves, identify_probe, perturb_template
+from helpers import (
+    compromised_chief,
+    corrupted_shard,
+    dissenting_leaves,
+    identify_probe,
+    leaf_shard,
+    perturb_template,
+)
 
 
 def make_gallery(n, d=8, seed=0, scale=3.0):
@@ -74,7 +82,7 @@ class TestBuildTree:
         t2 = build_tree(gallery, fanout=4, rng=np.random.default_rng(1))
         assert t1.hash == t2.hash
         assert t1.keys == t2.keys
-        assert t1.chiefs[0].leaves[0].shard == t2.chiefs[0].leaves[0].shard
+        assert np.array_equal(t1.leaf_shards, t2.leaf_shards)
 
     def test_hash_structure_is_the_full_build_without_keys(self):
         gallery = make_gallery(12)
@@ -100,7 +108,8 @@ class TestShardAllocation:
     def test_n50_link_holds_101_shards(self):
         tree = build_tree(make_gallery(50), fanout=50)
         chief = tree.chiefs[0]
-        assert all(leaf.shard is not None for leaf in chief.leaves)
+        assert tree.leaf_shards.shape == (50, len(tree.keys.private))
+        assert tree.leaf_shards.dtype == np.uint8 and tree.leaf_shards.flags.c_contiguous
         assert chief.retained_shard is not None
         assert chief.index in tree.contribution_shards
         assert len(tree.retained_shards[chief.index]) == 49
@@ -109,7 +118,7 @@ class TestShardAllocation:
     def test_n1_link_root_keeps_only_its_contribution(self):
         tree = build_tree(make_gallery(1))
         chief = tree.chiefs[0]
-        assert chief.leaves[0].shard is not None
+        assert tree.leaf_shards.shape == (1, len(tree.keys.private))
         assert chief.retained_shard is not None
         assert chief.index in tree.contribution_shards
         assert tree.retained_shards[chief.index] == []
@@ -118,7 +127,7 @@ class TestShardAllocation:
     def test_indices_partition_the_full_range(self, n):
         tree = build_tree(make_gallery(n), fanout=max(n, 1))
         chief = tree.chiefs[0]
-        indices = [leaf.shard.index for leaf in chief.leaves]
+        indices = [leaf_shard(tree, row).index for row in range(n)]
         indices.append(chief.retained_shard.index)
         indices.append(tree.contribution_shards[chief.index].index)
         indices.extend(s.index for s in tree.retained_shards[chief.index])
@@ -187,13 +196,13 @@ class TestDraftDocument:
 
     def test_argmin(self):
         tree, chief, scores = self._scored_chief([0.9, 0.1, 0.5])
-        doc = chief_draft_document(tree, chief, scores, "c", "euclidean")
+        [doc] = chief_drafts(tree, scores, "c", "euclidean")
         assert doc.identity == tree.identities[1]
         assert doc.score == 0.1
 
     def test_tie_breaks_to_lowest_leaf_index(self):
         tree, chief, scores = self._scored_chief([0.3, 0.3])
-        doc = chief_draft_document(tree, chief, scores, "c", "euclidean")
+        [doc] = chief_drafts(tree, scores, "c", "euclidean")
         assert doc.identity == tree.identities[0]
         assert doc.leaf_index == 0
 
@@ -202,11 +211,11 @@ class TestDraftDocument:
         with compromised_chief(0, lambda doc: DecisionDocument(
             doc.chief_id, doc.cycle_id, "intruder", 0.7, doc.metric, doc.leaf_index
         )):
-            doc = matcher.chief_draft_document(tree, chief, scores, "c", "euclidean")
+            [doc] = matcher.chief_drafts(tree, scores, "c", "euclidean")
         assert (doc.identity, doc.score) == ("intruder", 0.7)
         # constructible, but consensus will fail
-        pool = collect_consent(chief, doc, scores)
-        assert root_finalize(tree, chief, pool) is ConsensusResult.SCRUTINY
+        dissent = collect_consent(tree, [doc], scores)
+        assert root_finalize(tree, dissent).tolist() == [False]
 
 
 class TestConsent:
@@ -217,33 +226,38 @@ class TestConsent:
 
     def test_honest_document_collects_all_shards(self):
         tree, chief, scores = self._tree()
-        doc = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
-        pool = collect_consent(chief, doc, scores)
-        assert len(pool.shards) == 5 + 1  # every leaf plus the chief
-        assert pool.dissent.tolist() == [False] * 5
+        dissent = collect_consent(tree, chief_drafts(tree, scores, "cycle-1", "euclidean"), scores)
+        assert dissent.tolist() == [False] * 5  # every leaf's shard, plus the chief's
 
     def test_forged_document_loses_dissenting_shards(self):
         tree, chief, scores = self._tree()
-        honest = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
+        [honest] = chief_drafts(tree, scores, "cycle-1", "euclidean")
         forged = DecisionDocument(
             honest.chief_id, honest.cycle_id, "intruder",
             honest.score + 0.5, honest.metric, honest.leaf_index,
         )
-        pool = collect_consent(chief, forged, scores)
-        assert pool.dissent.any()  # at least the true best leaf refuses
-        assert pool.dissent[honest.leaf_index]
-        assert len(pool.shards) <= len(chief.leaves)  # at most n, chief included
-        assert len(pool.shards) == 1 + int((~pool.dissent).sum())
+        dissent = collect_consent(tree, [forged], scores)
+        assert dissent.any()  # at least the true best leaf refuses
+        assert dissent[honest.leaf_index]
+        assert int((~dissent).sum()) + 1 <= len(chief.leaves)  # at most n, chief included
 
     def test_tied_leaves_both_consent(self):
         tree = build_tree(make_gallery(3, d=2, seed=6), fanout=3)
-        chief = tree.chiefs[0]
         scores = np.array([0.2, 0.2, 0.9])
-        doc = chief_draft_document(tree, chief, scores, "c", "euclidean")
+        [doc] = chief_drafts(tree, scores, "c", "euclidean")
         assert doc.score == 0.2
-        pool = collect_consent(chief, doc, scores)
-        assert len(pool.shards) == 3 + 1
-        assert not pool.dissent.any()
+        assert not collect_consent(tree, [doc], scores).any()
+
+    def test_each_leaf_answers_its_own_chief(self):
+        tree = build_tree(make_gallery(7, d=2, seed=5), fanout=3)  # chiefs of 3, 3 and 1
+        scores = np.array([0.5, 0.2, 0.9, 0.4, 0.6, 0.1, 0.3])
+        documents = chief_drafts(tree, scores, "c", "euclidean")
+        assert [(d.chief_id, d.leaf_index, d.score) for d in documents] == [
+            (0, 1, 0.2), (1, 2, 0.1), (2, 0, 0.3)
+        ]
+        forged = DecisionDocument(1, "c", "intruder", 0.45, "euclidean", 0)
+        dissent = collect_consent(tree, [documents[0], forged, documents[2]], scores)
+        assert dissent.tolist() == [False, False, False, True, False, True, False]
 
 
 class TestFinalize:
@@ -252,74 +266,74 @@ class TestFinalize:
         chief = tree.chiefs[0]
         return tree, chief, chief_scores(tree, chief, tree.vectors[2] + 0.1)
 
+    def _honest_dissent(self, tree, scores, cycle="cycle-1"):
+        return collect_consent(tree, chief_drafts(tree, scores, cycle, "euclidean"), scores)
+
     def test_honest_pool_accepted(self):
         tree, chief, scores = self._scored()
-        doc = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
-        pool = collect_consent(chief, doc, scores)
-        assert root_finalize(tree, chief, pool) is ConsensusResult.ACCEPTED
+        assert root_finalize(tree, self._honest_dissent(tree, scores)).tolist() == [True]
 
     def test_forged_pool_triggers_scrutiny(self):
         tree, chief, scores = self._scored()
-        honest = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
+        [honest] = chief_drafts(tree, scores, "cycle-1", "euclidean")
         forged = DecisionDocument(
             honest.chief_id, honest.cycle_id, "intruder",
             honest.score + 1.0, honest.metric, honest.leaf_index,
         )
-        pool = collect_consent(chief, forged, scores)
-        assert root_finalize(tree, chief, pool) is ConsensusResult.SCRUTINY
+        dissent = collect_consent(tree, [forged], scores)
+        assert root_finalize(tree, dissent).tolist() == [False]
 
     def test_corrupted_shard_fails_key_check(self):
         tree, chief, scores = self._scored()
-        doc = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
-        pool = collect_consent(chief, doc, scores)
-        damaged = bytearray(pool.shards[0].payload)
-        damaged[0] ^= 0xFF
-        pool.shards[0] = Shard(pool.shards[0].index, bytes(damaged))
-        assert root_finalize(tree, chief, pool) is ConsensusResult.SCRUTINY
+        dissent = self._honest_dissent(tree, scores)
+        with corrupted_shard(tree, 0):
+            assert root_finalize(tree, dissent).tolist() == [False]
+        assert root_finalize(tree, dissent).tolist() == [True]
 
     def test_reconstruction_off_in_a_clamped_bit_fails_the_key_check(self):
         # X25519 clears bit 0 of its scalar's first byte, so a key that
         # differs from the dealt one only there has the same public half.
         tree, chief, scores = self._scored()
-        doc = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
-        pool = collect_consent(chief, doc, scores)
-        contribution = tree.contribution_shards[chief.index]
-        dealt = crypto.shamir_reconstruct(pool.shards + [contribution], chief.sharing)
+        dissent = self._honest_dissent(tree, scores)
+        n = len(chief.leaves)
+        own = [chief.retained_shard, tree.contribution_shards[chief.index]]
+        pool = [leaf_shard(tree, row) for row in range(n)] + own
+        dealt = crypto.shamir_reconstruct(pool, chief.sharing)
         off_by_one_bit = bytes([dealt[0] ^ 1]) + dealt[1:]
-        target = pool.shards[0]
+        target = pool[0]
         for delta in range(1, 256):
             shard = Shard(target.index, bytes([target.payload[0] ^ delta]) + target.payload[1:])
-            shards = [shard] + pool.shards[1:] + [contribution]
-            if crypto.shamir_reconstruct(shards, chief.sharing) == off_by_one_bit:
+            if crypto.shamir_reconstruct([shard] + pool[1:], chief.sharing) == off_by_one_bit:
                 break
         else:
             pytest.fail("no change to byte 0 of the shard flips bit 0 of the key")
-        pool.shards[0] = shard
-        assert root_finalize(tree, chief, pool) is ConsensusResult.SCRUTINY
+        tree.leaf_shards[0, 0] ^= delta
+        assert root_finalize(tree, dissent).tolist() == [False]
 
     def test_shards_are_reusable_across_cycles(self):
         tree, chief, _ = self._scored()
-        held = [leaf.shard for leaf in chief.leaves]
+        held = tree.leaf_shards.copy()
         for cycle in ("cycle-1", "cycle-2", "cycle-3"):
             scores = chief_scores(tree, chief, tree.vectors[1] + 0.05)
-            doc = chief_draft_document(tree, chief, scores, cycle, "euclidean")
-            pool = collect_consent(chief, doc, scores)
-            assert root_finalize(tree, chief, pool) is ConsensusResult.ACCEPTED
-            assert [leaf.shard for leaf in chief.leaves] == held
+            assert root_finalize(tree, self._honest_dissent(tree, scores, cycle)).tolist() == [True]
+            assert np.array_equal(tree.leaf_shards, held)
             assert chief.retained_shard is not None
             assert chief.index in tree.contribution_shards
             assert len(tree.retained_shards[chief.index]) == len(chief.leaves) - 1
 
 
 class TestScrutiny:
+    @staticmethod
+    def _scrutinize(tree, document, scores, dissent):
+        return root_scrutinize(tree, [document], scores, dissent, root_finalize(tree, dissent))[0]
+
     def test_forged_document_corrected_to_flagged_minimum(self):
         tree = build_tree(make_gallery(4, seed=13), fanout=4)
-        chief = tree.chiefs[0]
         scores = np.array([0.1, 0.4, 0.6, 0.9])
         forged = DecisionDocument(0, "c", "intruder", 0.8, "euclidean", 3)
-        pool = collect_consent(chief, forged, scores)
-        assert pool.dissent.tolist() == [True, True, True, False]  # every score under 0.8
-        corrected = root_scrutinize(tree, chief, forged, scores, pool)
+        dissent = collect_consent(tree, [forged], scores)
+        assert dissent.tolist() == [True, True, True, False]  # every score under 0.8
+        corrected = self._scrutinize(tree, forged, scores, dissent)
         assert corrected.identity == tree.identities[0]
         assert corrected.score == 0.1
 
@@ -327,21 +341,19 @@ class TestScrutiny:
         tree = build_tree(make_gallery(4, seed=14), fanout=4)
         chief = tree.chiefs[0]
         scores = chief_scores(tree, chief, tree.vectors[1] + 0.01)
-        doc = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
+        [doc] = chief_drafts(tree, scores, "cycle-1", "euclidean")
         with dissenting_leaves({(0, 3)}):
-            pool = matcher.collect_consent(chief, doc, scores)
-        assert pool.dissent.tolist() == [False, False, False, True]
-        assert root_finalize(tree, chief, pool) is ConsensusResult.SCRUTINY
-        corrected = root_scrutinize(tree, chief, doc, scores, pool)
-        assert corrected == doc
+            dissent = matcher.collect_consent(tree, [doc], scores)
+        assert dissent.tolist() == [False, False, False, True]
+        assert root_finalize(tree, dissent).tolist() == [False]
+        assert self._scrutinize(tree, doc, scores, dissent) == doc
 
     def test_multiple_flagged_min_wins_tie_by_index(self):
         tree = build_tree(make_gallery(4, seed=15), fanout=4)
-        chief = tree.chiefs[0]
         scores = np.array([0.3, 0.3, 0.5, 0.9])
         forged = DecisionDocument(0, "c", "intruder", 0.7, "euclidean", 3)
-        pool = collect_consent(chief, forged, scores)
-        corrected = root_scrutinize(tree, chief, forged, scores, pool)
+        dissent = collect_consent(tree, [forged], scores)
+        corrected = self._scrutinize(tree, forged, scores, dissent)
         assert corrected.identity == tree.identities[0]
         assert corrected.leaf_index == 0
 
@@ -349,10 +361,11 @@ class TestScrutiny:
         tree = build_tree(make_gallery(3, seed=16), fanout=3)
         chief = tree.chiefs[0]
         scores = chief_scores(tree, chief, tree.vectors[0])
-        doc = chief_draft_document(tree, chief, scores, "cycle-1", "euclidean")
-        pool = collect_consent(chief, doc, scores)
-        assert not pool.dissent.any()
-        assert root_scrutinize(tree, chief, doc, scores, pool) == doc
+        [doc] = chief_drafts(tree, scores, "cycle-1", "euclidean")
+        dissent = collect_consent(tree, [doc], scores)
+        assert not dissent.any()
+        with corrupted_shard(tree, 1):  # a failed consensus without dissent
+            assert self._scrutinize(tree, doc, scores, dissent) == doc
 
 
 class TestIdentify:
@@ -432,15 +445,110 @@ class TestIdentify:
         tree = build_tree(make_gallery(12, seed=78), fanout=5)
         assert len(tree.chiefs) == 3
         calls = []
-        real_reconstruct = crypto.shamir_reconstruct
+        real_reconstruct = crypto.shamir_reconstruct_each
 
-        def counting(shards, config):
-            calls.append(config)
-            return real_reconstruct(shards, config)
+        def counting(payloads, points, configs):
+            secrets = real_reconstruct(payloads, points, configs)
+            calls.append((list(points), list(configs), secrets.shape))
+            return secrets
 
-        monkeypatch.setattr(crypto, "shamir_reconstruct", counting)
+        monkeypatch.setattr(crypto, "shamir_reconstruct_each", counting)
+        monkeypatch.setattr(crypto, "shamir_reconstruct", None)  # never the one-pool form
+        # one batched call per query, over every chief's full pool (the
+        # last chief's smaller), and over none of a dissenting chief's
+        pools = [tuple(range(1, 8)), tuple(range(1, 8)), (1, 2, 3, 4)]
         identify_probe(tree, np.ones(8), "euclidean")
-        assert calls == [chief.sharing for chief in tree.chiefs]
+        with dissenting_leaves({(1, 0)}):
+            result = identify_probe(tree, np.ones(8), "euclidean")
+        assert result.scrutinized_chiefs == (1,)
+        length = tree.leaf_shards.shape[1]
+        assert calls == [
+            (pools, [chief.sharing for chief in tree.chiefs], (3, length)),
+            (pools[::2], [tree.chiefs[0].sharing, tree.chiefs[2].sharing], (2, length)),
+        ]
+
+
+def reference_round(tree, probe, metric, cycle_id, rewrite=None, dissenters=()):
+    """The consensus round one chief at a time, as it ran before the round
+    was batched: scalar scores, a draft, consent, a one-pool reconstruct
+    checked against the commitment, and scrutiny. ``rewrite`` is a
+    compromised chief's (index, draft rewrite); ``dissenters`` are (chief,
+    leaf) pairs that dissent whatever the document says. Returns the
+    root's identity and score and the scrutinized chiefs."""
+    score = metrics.get_metric(metric)
+    decisions, scrutinized = [], []
+    for chief in tree.chiefs:
+        rows = chief.rows
+        scores = np.array([score(row, probe) for row in tree.vectors[rows]])
+
+        def document(leaf):
+            return DecisionDocument(chief.index, cycle_id, tree.identities[rows.start + leaf],
+                                    float(scores[leaf]), metric, leaf)
+
+        draft = document(int(np.argmin(scores)))
+        if rewrite is not None and rewrite[0] == chief.index:
+            draft = rewrite[1](draft)
+        dissent = ~(draft.score <= scores)
+        for chief_index, leaf in dissenters:
+            if chief_index == chief.index:
+                dissent[leaf] = True
+        pool = [leaf_shard(tree, rows.start + leaf) for leaf in np.flatnonzero(~dissent)]
+        pool += [chief.retained_shard, tree.contribution_shards[chief.index]]
+        try:
+            secret = crypto.shamir_reconstruct(pool, chief.sharing)
+            accepted = decision_key_commitment(secret) == tree.decision_commitments[chief.index]
+        except crypto.CryptoError:
+            accepted = False
+        if not accepted:
+            scrutinized.append(chief.index)
+            flagged = np.flatnonzero(dissent)
+            if flagged.size:
+                best = int(flagged[np.argmin(scores[flagged])])
+                if scores[best] < draft.score:
+                    draft = document(best)
+        decisions.append(draft)
+    best = min(decisions, key=lambda d: (d.score, d.chief_id))
+    return best.identity, best.score, tuple(scrutinized)
+
+
+class TestBatchedRound:
+    @given(
+        shape=st.integers(2, 7).flatmap(
+            lambda fanout: st.tuples(st.just(fanout), st.integers(0, 3), st.integers(1, fanout - 1))
+        ),
+        metric=st.sampled_from(["euclidean", "cosine"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_per_chief_round_under_faults(self, shape, metric, seed, data):
+        # full chiefs plus a partial last one
+        fanout, full_chiefs, remainder = shape
+        n = full_chiefs * fanout + remainder
+        rng = np.random.default_rng(seed)
+        gallery = [Template(f"id{i:03d}", row) for i, row in enumerate(rng.normal(size=(n, 6)))]
+        tree = build_tree(gallery, fanout=fanout, rng=rng)
+        rows = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+        dissenters = {(row // fanout, row % fanout) for row in rows}
+        corrupted = data.draw(st.none() | st.integers(0, n - 1))
+        compromised = data.draw(st.none() | st.integers(0, len(tree.chiefs) - 1))
+        shift = data.draw(st.sampled_from([-0.5, 0.0, 1e-9, 0.75]))
+        rewrite = None
+        if compromised is not None:
+            rewrite = (compromised, lambda doc: DecisionDocument(
+                doc.chief_id, doc.cycle_id, "forged", doc.score + shift, doc.metric, doc.leaf_index,
+            ))
+        with contextlib.ExitStack() as faults:
+            faults.enter_context(dissenting_leaves(dissenters))
+            if corrupted is not None:
+                faults.enter_context(corrupted_shard(tree, corrupted))
+            if rewrite is not None:
+                faults.enter_context(compromised_chief(*rewrite))
+            for probe in (rng.normal(size=6), gallery[int(rng.integers(n))].vector * 2.0):
+                result = identify_probe(tree, probe, metric)
+                expected = reference_round(tree, probe, metric, "-", rewrite, dissenters)
+                assert (result.identity, result.score, result.scrutinized_chiefs) == expected
+                assert result.candidates == flat_rank(gallery, probe, metric)
 
 
 class TestIdentifyRegressions:
@@ -610,15 +718,16 @@ class TestForgeryNeverReconstructs:
             probe = rng.normal(size=8) * 3
             cycle = f"trial-{trial}"
             scores = chief_scores(tree, chief, probe)
-            honest = chief_draft_document(tree, chief, scores, cycle, "euclidean")
+            [honest] = chief_drafts(tree, scores, cycle, "euclidean")
             forged = DecisionDocument(
                 honest.chief_id, cycle, "intruder",
                 honest.score + float(rng.uniform(1e-9, 2.0)),
                 honest.metric, honest.leaf_index,
             )
-            pool = collect_consent(chief, forged, scores)
-            assert len(pool.shards) + 1 <= chief.sharing.threshold - 1 + 1
-            assert root_finalize(tree, chief, pool) is ConsensusResult.SCRUTINY
+            dissent = collect_consent(tree, [forged], scores)
+            # consenting leaves, the chief and the root: short of threshold
+            assert int((~dissent).sum()) + 2 <= chief.sharing.threshold - 1
+            assert root_finalize(tree, dissent).tolist() == [False]
 
 
 class TestAdminRecovery:
@@ -632,7 +741,7 @@ class TestAdminRecovery:
         shards += [tree.contribution_shards[chief.index], chief.retained_shard]
         with pytest.raises(InsufficientShards):
             crypto.shamir_reconstruct(shards, chief.sharing)
-        recovered = crypto.shamir_reconstruct(shards + [chief.leaves[0].shard], chief.sharing)
+        recovered = crypto.shamir_reconstruct(shards + [leaf_shard(tree, 0)], chief.sharing)
         assert decision_key_commitment(recovered) == tree.decision_commitments[chief.index]
 
 
