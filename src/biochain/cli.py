@@ -19,8 +19,11 @@ only the parts it reads:
 * ``tamper``, ``audit`` and ``restore`` rebuild the tree's hash structure
   (template matrix and enrollment hashes) under the root's key pair, and
   the chain with its keys;
-* ``identify`` rebuilds the same, then runs the tree's key set-up (node
-  keys, channels, decision keys and shards) before it queries;
+* ``identify`` rebuilds the same, then runs the tree's key set-up before
+  it queries: node key pairs, kept only until they open the channels,
+  the channels, and each link's decision secret, dealt as rows of the
+  (chiefs, 2n + 1, 64) shard tensor (row k is field point k + 1: rows
+  0..n-1 the leaves', row n the chief's, the rest the root's);
 * ``enroll`` and ``experiment`` build the whole deployment.
 
 Only ``identify`` appends to ``ledger.bin``; ``enroll`` replaces it with
@@ -34,9 +37,12 @@ command rebuilds both ends of every chain link from the seed; only the
 signatures already in their ``ledger.bin`` were made with the earlier
 keys, and no command verifies those signatures.
 
-The seed in ``config.json`` regenerates every private key, the matching
-tree's decision keys included, so anyone who can read the state
+The seed in ``config.json`` regenerates every private key and the
+matching tree's decision secrets, so anyone who can read the state
 directory can forge consensus: keep the directory secret.
+
+A configuration that does not parse or violates a constraint is a
+one-line error for every command.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ from .harness import (
     save_gallery,
     tamper_extractor_block,
 )
-from .metrics import DimensionMismatch
+from .metrics import DimensionMismatch, ZeroVector
 from .ledger import Ledger, LedgerError
 from .matcher import (
     TemplateArchive,
@@ -93,10 +99,18 @@ SNAPSHOT_FILE = "snapshot.bin"
 LEDGER_FILE = "ledger.bin"
 
 
-def _load_config(out: Path, overrides: dict) -> ExperimentConfig:
-    path = out / CONFIG_FILE
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data.update({k: v for k, v in overrides.items() if v is not None})
+def _config(ctx: click.Context, **overrides) -> ExperimentConfig:
+    """The one reader of a command's configuration: the ``--config`` file,
+    else the state directory's, else the defaults, under the global options
+    and then the command's ``overrides`` (None overrides nothing), validated."""
+    path = ctx.obj["config_path"]
+    try:
+        data = json.loads(path.read_text()) if path.exists() else {}
+    except ValueError as exc:
+        raise click.ClickException(f"{path} does not parse: {exc}")
+    if not isinstance(data, dict):
+        raise click.ClickException(f"{path} does not hold a JSON object")
+    data.update((k, v) for k, v in {**ctx.obj["overrides"], **overrides}.items() if v is not None)
     return ExperimentConfig.from_dict(data)
 
 
@@ -184,12 +198,20 @@ def _load_system(
         tree=tree,
         archive=TemplateArchive(archive_templates),
         flat_store=live_templates,
-        seed=config.seed,
-        fanout=config.fanout,
     )
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: a configuration error is a one-line error."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except crypto.InvalidConfig as exc:
+            raise click.ClickException(str(exc))
+
+
+@click.group(cls=_Main)
 @click.option("--out", default="runs", type=click.Path(path_type=Path), show_default=True,
               help="State/output directory.")
 @click.option("--config", "config_path", type=click.Path(exists=True, path_type=Path),
@@ -200,14 +222,8 @@ def _load_system(
 @click.pass_context
 def main(ctx, out: Path, config_path, seed, metric):
     """Tamper-evident biometric identification testbed."""
-    overrides = {"seed": seed, "metric": metric}
-    if config_path is not None:
-        base = json.loads(Path(config_path).read_text())
-        base.update({k: v for k, v in overrides.items() if v is not None})
-        file_cfg = ExperimentConfig.from_dict(base)
-        ctx.obj = {"out": out, "config": file_cfg}
-    else:
-        ctx.obj = {"out": out, "config": _load_config(out, overrides)}
+    ctx.obj = {"out": out, "config_path": config_path or out / CONFIG_FILE,
+               "overrides": {"seed": seed, "metric": metric}}
 
 
 @main.command()
@@ -217,11 +233,7 @@ def main(ctx, out: Path, config_path, seed, metric):
 def gen(ctx, gallery_size, template_dim):
     """Generate a synthetic gallery and write it with the configuration."""
     out: Path = ctx.obj["out"]
-    config: ExperimentConfig = ctx.obj["config"]
-    if gallery_size is not None:
-        config.gallery_size = gallery_size
-    if template_dim is not None:
-        config.template_dim = template_dim
+    config = _config(ctx, gallery_size=gallery_size, template_dim=template_dim)
     templates = generate_synthetic_gallery(config)
     out.mkdir(parents=True, exist_ok=True)
     save_gallery(out / GALLERY_FILE, templates)
@@ -235,7 +247,7 @@ def gen(ctx, gallery_size, template_dim):
 def enroll_cmd(ctx):
     """Enroll the gallery: build the chain and tree, snapshot, archive."""
     out: Path = ctx.obj["out"]
-    config: ExperimentConfig = ctx.obj["config"]
+    config = _config(ctx)
     gallery_path = out / GALLERY_FILE
     if not gallery_path.exists():
         raise click.ClickException(f"no gallery at {gallery_path}; run gen first")
@@ -251,7 +263,7 @@ def enroll_cmd(ctx):
     # Last, so a failure before it leaves the earlier transcript in place.
     write_atomic(out / LEDGER_FILE, b"")
     click.echo(f"enrolled {len(templates)} templates: "
-               f"{len(system.tree.chiefs)} chiefs, "
+               f"{len(system.tree.chief_rows)} chiefs, "
                f"{len(system.chain.blocks)} chain stages")
     click.echo(f"tree root hash: {system.tree.hash.hex()}")
     click.echo(f"chain notary hash: {system.chain.notary_hash().hex()}")
@@ -267,7 +279,7 @@ def enroll_cmd(ctx):
 def identify_cmd(ctx, identity, probe_file, probe_noise):
     """Run one query through the chain and the tree."""
     out: Path = ctx.obj["out"]
-    config: ExperimentConfig = ctx.obj["config"]
+    config = _config(ctx)
     if not probe_noise >= 0:
         raise click.ClickException("--probe-noise must be >= 0")
     keys_rng = enrollment_keys_rng(config.seed)
@@ -300,8 +312,8 @@ def identify_cmd(ctx, identity, probe_file, probe_noise):
     setup_tree_keys(system.tree, keys_rng)
     try:
         result = identify(system.tree, handoff_envelope(entry), config.metric)
-    except DimensionMismatch as exc:
-        raise click.ClickException(f"feature does not fit the gallery: {exc}")
+    except (DimensionMismatch, ZeroVector) as exc:
+        raise click.ClickException(f"feature cannot be scored against the gallery: {exc}")
     click.echo(f"identity: {result.identity}")
     click.echo(f"score: {result.score:.17g} ({config.metric})")
     if result.scrutinized_chiefs:
@@ -322,7 +334,7 @@ def identify_cmd(ctx, identity, probe_file, probe_noise):
 def tamper_cmd(ctx, fraction, sigma, block_index, epsilon):
     """Inject tampering into the live template store and/or the chain."""
     out: Path = ctx.obj["out"]
-    config: ExperimentConfig = ctx.obj["config"]
+    config = _config(ctx)
     if fraction is None and block_index is None:
         raise click.ClickException("pass --fraction and/or --block")
     system = _load_system(out, config, enrollment_keys_rng(config.seed))
@@ -349,7 +361,7 @@ def audit_cmd(ctx):
     """Check both integrity surfaces and that the ledger parses; exit
     nonzero on any finding."""
     out: Path = ctx.obj["out"]
-    config: ExperimentConfig = ctx.obj["config"]
+    config = _config(ctx)
     ledger_path, ledger_error = out / LEDGER_FILE, None
     try:
         ledger = Ledger.load(ledger_path) if ledger_path.exists() else Ledger()
@@ -371,7 +383,7 @@ def audit_cmd(ctx):
 def restore_cmd(ctx):
     """Repair whatever the audit locates, from snapshot and archive."""
     out: Path = ctx.obj["out"]
-    config: ExperimentConfig = ctx.obj["config"]
+    config = _config(ctx)
     system = _load_system(out, config, enrollment_keys_rng(config.seed), strict=False)
     findings = run_audit(system)
     if findings.chain_first_tampered is not None:
@@ -407,7 +419,7 @@ def restore_cmd(ctx):
 def experiment_cmd(ctx):
     """Run the full tamper-retention comparison and write the report."""
     out: Path = ctx.obj["out"]
-    config: ExperimentConfig = ctx.obj["config"]
+    config = _config(ctx)
     report = run_experiment(config)
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "report.txt", report.to_text().encode())

@@ -101,7 +101,8 @@ class DuplicateIndex(CryptoError):
     """Two shards in one reconstruction carry the same index."""
 
 
-def _random_bytes(rng: Optional[np.random.Generator], n: int) -> bytes:
+def random_bytes(rng: Optional[np.random.Generator], n: int) -> bytes:
+    """``n`` bytes from ``rng``, or from the operating system's CSPRNG."""
     if rng is None:
         return os.urandom(n)
     return rng.bytes(n)
@@ -160,7 +161,7 @@ PrivateKey = Union[bytes, KeyPair]
 
 
 def generate_keypair(rng: Optional[np.random.Generator] = None) -> KeyPair:
-    private = _random_bytes(rng, KEY_HALF_LEN) + _random_bytes(rng, KEY_HALF_LEN)
+    private = random_bytes(rng, KEY_HALF_LEN) + random_bytes(rng, KEY_HALF_LEN)
     return KeyPair(public=_public_of(private), private=private)
 
 
@@ -213,7 +214,7 @@ def _sig_private(private: PrivateKey) -> Ed25519PrivateKey:
 # ---------------------------------------------------------------------------
 
 def generate_sym_key(rng: Optional[np.random.Generator] = None) -> bytes:
-    return _random_bytes(rng, SYM_KEY_LEN)
+    return random_bytes(rng, SYM_KEY_LEN)
 
 
 # A symmetric key with its AES-GCM key schedule already expanded,
@@ -469,7 +470,7 @@ def shamir_split(
     length = len(secret)
     coeffs = np.empty((config.threshold, length), dtype=np.uint8)
     coeffs[0] = np.frombuffer(secret, dtype=np.uint8)
-    rand = _random_bytes(rng, (config.threshold - 1) * length)
+    rand = random_bytes(rng, (config.threshold - 1) * length)
     coeffs[1:] = np.frombuffer(rand, dtype=np.uint8).reshape(
         config.threshold - 1, length
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -46,7 +46,7 @@ from .matcher import (
     restore_leaves,
     verify_tree,
 )
-from .metrics import CMCData, MatchScore, cmc_curve, flat_rank, rank_k_accuracy
+from .metrics import METRICS, CMCData, MatchScore, cmc_curve, flat_rank, rank_k_accuracy
 
 GALLERY_FORMAT_VERSION = 1
 
@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise InvalidConfig("template_dim must be >= 1")
         if self.fanout < 1:
             raise InvalidConfig("fanout must be >= 1")
+        if self.metric not in METRICS:
+            raise InvalidConfig(f"metric must be one of {sorted(METRICS)}, got {self.metric!r}")
         if self.probe_noise_sigma < 0:
             raise InvalidConfig("probe_noise_sigma must be >= 0")
         if self.noise_sigma is not None and self.noise_sigma < 0:
@@ -141,7 +143,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return cls(**data)
+        """A validated configuration; raises :class:`InvalidConfig` for a key
+        that is not a field or a value out of range."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidConfig(f"unknown configuration keys: {', '.join(unknown)}")
+        config = cls(**data)
+        config.validate()
+        return config
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +325,6 @@ class EnrolledSystem:
     # The unprotected architecture's templates; None when a rebuilt
     # deployment's stored copy does not parse.
     flat_store: Optional[list[Template]]
-    seed: int
-    fanout: int
 
 
 def enroll(
@@ -350,8 +357,6 @@ def enroll(
         tree=tree,
         archive=archive,
         flat_store=flat_store,
-        seed=seed,
-        fanout=fanout,
     )
 
 

@@ -21,7 +21,6 @@ File format (one record per entry, append-only):
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -157,18 +156,8 @@ class Ledger:
             raise UnknownCycle(cycle_id)
         return [self._entries[s] for s in self._cycles[cycle_id]]
 
-    def is_closed(self, cycle_id: str) -> bool:
-        return cycle_id in self._closed
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def transcript_digest(self) -> bytes:
-        """Hash of the full serialized transcript, for replay comparison."""
-        h = hashlib.sha256()
-        for entry in self._entries:
-            h.update(entry.to_bytes())
-        return h.digest()
 
     def close(self) -> None:
         if self._file is not None:

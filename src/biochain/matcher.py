@@ -1,10 +1,10 @@
 """Template matching tree with shard-consensus decisions.
 
 The tree has three levels. Each leaf stands for one gallery template and
-holds its own keys, link and decision shard. Chiefs group up to
-``fanout`` leaves, pick the best score on their path, and must win their
-leaves' consent for it. The root aggregates the chiefs' decisions and
-declares the final match.
+holds its own link and decision shard. Chiefs group up to ``fanout``
+leaves, pick the best score on their path, and must win their leaves'
+consent for it. The root aggregates the chiefs' decisions and declares
+the final match.
 
 The tree is built in two steps. :func:`build_hash_tree` builds its hash
 structure: the gallery as one C-contiguous (N, d) float64 matrix,
@@ -12,10 +12,11 @@ structure: the gallery as one C-contiguous (N, d) float64 matrix,
 row slice in ``MatcherTree.chief_rows``, and every enrollment hash. Row i
 is the template of the leaf at enrollment position i. Verification,
 template writes and restoration read nothing else. :func:`setup_tree_keys`
-then enrolls the nodes: key pairs, channels, decision keys and shards,
-held by the ``ChiefBlock`` and ``LeafBlock`` objects in
-``MatcherTree.chiefs`` and the tree's shard matrix, which only a query
-reads. :func:`build_tree` runs both. ``MatcherTree.write_template`` is
+then enrolls the nodes and leaves the tree only what a query reads:
+``chief_channels``, ``leaf_channels`` (row i's link is entry i),
+``shards`` and ``decision_commitments``. A node's key pair only opens its
+link's key and is not kept; the root's is the one key pair the tree
+holds. :func:`build_tree` runs both. ``MatcherTree.write_template`` is
 the one way a stored template changes, so every edit (loading a live
 store, tampering, restoring from the archive) is seen by the next query
 and the next verification.
@@ -27,43 +28,44 @@ root. The root keeps every leaf's and every chief's enrollment hash,
 which is what makes top-down localization of tampered leaves possible.
 
 Decisions use threshold secret sharing. Every root-chief link gets its
-own decision key pair whose private half is split into ``2n + 1`` shards
-(``n`` leaves on the link), reconstructable from ``n + 2``:
+own 64-byte decision secret, split into ``2n + 1`` shards (``n`` leaves
+on the link) and reconstructable from ``n + 2``. Row k of chief c of the
+(C, 2 n_max + 1, 64) uint8 tensor ``MatcherTree.shards`` (n_max leaves
+on the largest link) is that link's shard at field point k + 1:
 
-* each leaf holds one shard, row i of the (N, len) uint8 shard matrix
-  ``MatcherTree.leaf_shards`` for the leaf at enrollment position i,
-  surrendered only to endorse a decision document whose score is at least
-  as good as the leaf's own result,
-* the chief holds one shard of its own,
-* the root holds the single shard it contributes to every attempt plus
-  ``n - 1`` inert spares kept for administrative key rotation.
+* rows 0..n-1 are the leaves', row i surrendered by leaf i only to
+  endorse a decision document whose score is at least as good as its own,
+* row n is the chief's,
+* row n+1 is the root's contribution to every attempt, and rows n+2..2n
+  are the root's inert spares, kept for administrative key rotation;
+  a short last chief's further rows are zero.
 
 An honest document collects all ``n`` leaf shards; with the chief's and
-the root's that meets the threshold exactly. When it deals the key, the
-root keeps only a commitment to it, a domain-separated SHA-256 digest of
-the private key, and a reconstruction counts only if its digest equals
-the commitment: one hash per chief, and any byte that differs from the
-dealt key fails. A chief that drafts a document worse than some leaf's
-own score loses that leaf's shard, fails by count without interpolation,
-and triggers scrutiny: the root reads the dissenting leaves' scores
-directly and repairs the decision for that path.
+the root's that meets the threshold exactly, so the pool is the chief's
+first ``n + 2`` rows. When it deals the secret, the root keeps only a
+commitment to it, a domain-separated SHA-256 digest, and a
+reconstruction counts only if its digest equals the commitment. A chief
+that drafts a document worse than some leaf's own score loses that
+leaf's shard, fails by count without interpolation, and triggers
+scrutiny: the root reads the dissenting leaves' scores directly and
+repairs the decision for that path.
 
 A round keeps no state on the tree and runs once over all chiefs: drafts
 read the one (N,) score array, consent is one dissent mask over its rows,
-and the pools of every chief without dissent are reconstructed in one
-batched call.
+and the pools of every chief without dissent are gathered from the shard
+tensor in one index and reconstructed in one batched call.
 
 Probe fan-out is encrypted. Each root-chief and chief-leaf link gets its
 channel key at build time, in the paper's key-establishment step: the
 key is sealed to the receiving node's public key and opened with its
-private key. The link's AES-GCM cipher is prepared then, once. A query
-crosses every link as one ciphertext under a fresh nonce, and every leaf
-authenticates its own copy. Each link set, the root's chief links and
-then each chief's leaf links, is crossed in one call that draws all its
-nonces at once. The leaves' copies, in enrollment order, are decoded
-into one (N, d) probe matrix, row i parsed from leaf i's copy, and scored
-against the template matrix with one row kernel whose scores are
-bit-identical to the scalar metrics; each chief reads its slice.
+private key, and the link's AES-GCM cipher is prepared then, once. A
+query crosses every link as one ciphertext under a fresh nonce, and
+every leaf authenticates its own copy. Each link set, the root's chief
+links and then each chief's leaf links, is crossed in one call that
+draws all its nonces at once. The leaves' copies, in enrollment order,
+are decoded into one (N, d) probe matrix and scored against the template
+matrix with one row kernel whose scores are bit-identical to the scalar
+metrics; each chief reads its slice.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import crypto
-from .crypto import KeyPair, Shard, SharingConfig
+from .crypto import KeyPair, SharingConfig
 from .encoding import decode_vectors, encode_vector, lp
 from .metrics import DimensionMismatch, MatchScore, get_row_metric
 
@@ -86,6 +88,8 @@ _NODE_HASH_TAG = b"biochain/node-hash/v1"
 _DECISION_KEY_TAG = b"biochain/decision-key/v1"
 
 DEFAULT_FANOUT = 50
+MAX_CHIEF_LEAVES = 127  # 2n + 1 shards, each at one of GF(2^8)'s 255 nonzero points
+_DECISION_SECRET_LEN = 64
 
 # A MatchScore from a tuple, without a Python-level call per candidate.
 _match_score = partial(tuple.__new__, MatchScore)
@@ -136,31 +140,14 @@ def node_hash(children_hashes: Sequence[bytes]) -> bytes:
     return crypto.digest_parts(_NODE_HASH_TAG, *children_hashes)
 
 
-def decision_key_commitment(private: bytes) -> bytes:
-    """The root's commitment to a link's decision private key."""
-    return crypto.digest_parts(_DECISION_KEY_TAG, private)
+def decision_key_commitment(secret: bytes) -> bytes:
+    """The root's commitment to a link's decision secret."""
+    return crypto.digest_parts(_DECISION_KEY_TAG, secret)
 
 
 # ---------------------------------------------------------------------------
 # Tree nodes
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LeafBlock:
-    keys: KeyPair
-    channel: Optional[crypto.SymCipher] = None  # chief-to-leaf link
-
-
-@dataclass
-class ChiefBlock:
-    index: int
-    rows: slice  # its leaves' rows of the tree's template matrix
-    leaves: list[LeafBlock]
-    keys: KeyPair
-    channel: Optional[crypto.SymCipher] = None  # root-to-chief link
-    retained_shard: Optional[Shard] = None
-    sharing: Optional[SharingConfig] = None
-
 
 @dataclass(frozen=True)
 class DecisionDocument:
@@ -205,9 +192,9 @@ class IdentifyResult:
 
 
 class MatcherTree:
-    """Root block: owns the gallery, the chiefs, a commitment to each
-    link's decision key, and the final say. The chiefs' nodes and keys
-    exist once :func:`setup_tree_keys` has run."""
+    """Root block: owns the gallery, the chiefs' row slices, and the final
+    say; the channels, shards and commitments exist once
+    :func:`setup_tree_keys` has run. Its one key pair is the root's."""
 
     def __init__(self, gallery: Sequence[Template], keys: KeyPair, fanout: int):
         self.vectors = np.array([t.vector for t in gallery], dtype=np.float64)
@@ -215,14 +202,13 @@ class MatcherTree:
         n = len(self.identities)
         self.fanout = fanout
         self.chief_rows = [slice(start, min(start + fanout, n)) for start in range(0, n, fanout)]
-        self.chiefs: list[ChiefBlock] = []
-        self.leaf_shards = np.zeros((0, 0), dtype=np.uint8)  # (N, len) after the key set-up
         self.keys = keys
         self.leaf_hashes: list[bytes] = []  # enrollment-time, one per row
         self.chief_hash_copies: list[bytes] = []
-        self.contribution_shards: dict[int, Shard] = {}
-        self.retained_shards: dict[int, list[Shard]] = {}
-        self.decision_commitments: dict[int, bytes] = {}
+        self.chief_channels: list[crypto.SymCipher] = []  # one per chief
+        self.leaf_channels: list[crypto.SymCipher] = []  # one per row
+        self.shards = np.zeros((0, 0, 0), dtype=np.uint8)  # (C, 2 n_max + 1, 64) once set up
+        self.decision_commitments: list[bytes] = []  # one per chief
         self.hash: bytes = b""
         self._cycle_counter = 0
 
@@ -275,7 +261,8 @@ def _establish_channel(
     """Key establishment for one delegation link, the paper's set-up
     step: a fresh channel key is sealed to the receiving node's public key
     and opened with its private key, so the key never travels in the
-    clear. The node prepares the link's cipher once, here."""
+    clear. The node prepares the link's cipher once, here; its key pair
+    is not needed again."""
     sealed = crypto.seal(crypto.generate_sym_key(rng), keys.public, rng=rng)
     return crypto.SymCipher(crypto.open_envelope(sealed, keys.private))
 
@@ -293,11 +280,18 @@ def build_hash_tree(
 
     Raises:
         EmptyGallery: the gallery has no templates.
+        crypto.InvalidConfig: ``fanout`` is below 1, or a chief would hold
+            more than :data:`MAX_CHIEF_LEAVES` leaves.
     """
     if not gallery:
         raise EmptyGallery("cannot build a tree over an empty gallery")
     if fanout < 1:
-        raise ValueError("fanout must be >= 1")
+        raise crypto.InvalidConfig("fanout must be >= 1")
+    if min(fanout, len(gallery)) > MAX_CHIEF_LEAVES:
+        raise crypto.InvalidConfig(
+            f"fanout {fanout} puts {min(fanout, len(gallery))} leaves under a chief; "
+            f"GF(2^8) sharing allows at most {MAX_CHIEF_LEAVES}"
+        )
     dims = {t.vector.shape[0] for t in gallery}
     if len(dims) != 1:
         raise DimensionMismatch(f"gallery templates disagree on dimension: {dims}")
@@ -311,36 +305,37 @@ def build_hash_tree(
     return tree
 
 
+def _sharing(rows: slice) -> SharingConfig:
+    """The sharing arithmetic of the chief whose leaves are ``rows``."""
+    return SharingConfig.for_group(rows.stop - rows.start)
+
+
 def setup_tree_keys(tree: MatcherTree, rng: Optional[np.random.Generator] = None) -> None:
-    """The tree's key set-up: a key pair for every chief and leaf, a
-    channel on every delegation link, and each root-chief link's decision
-    keys and shards (leaf i of a link holds shard i + 1, the chief the
-    next, the root the next as its contribution and the rest as its
-    reserve), of which the root keeps a commitment. Only a query reads them."""
-    tree.chiefs = []
-    for index, rows in enumerate(tree.chief_rows):
-        leaves = [LeafBlock(keys=crypto.generate_keypair(rng)) for _ in range(rows.start, rows.stop)]
-        chief = ChiefBlock(index=index, rows=rows, leaves=leaves, keys=crypto.generate_keypair(rng))
-        tree.chiefs.append(chief)
+    """The tree's key set-up, drawn from ``rng`` chief by chief in this
+    order: its leaves' key pairs and its own; its channel and its leaves';
+    its decision secret and the secret's split into its rows of
+    ``tree.shards``, and a commitment to the secret. The key pairs are
+    dropped once the channels are open. Only a query reads any of it."""
+    leaf_keys, chief_keys = [], []
+    for rows in tree.chief_rows:
+        leaf_keys += [crypto.generate_keypair(rng) for _ in range(rows.start, rows.stop)]
+        chief_keys.append(crypto.generate_keypair(rng))
 
-    for chief in tree.chiefs:
-        chief.channel = _establish_channel(chief.keys, rng)
-        for leaf in chief.leaves:
-            leaf.channel = _establish_channel(leaf.keys, rng)
+    tree.chief_channels, tree.leaf_channels = [], []
+    for rows, keys in zip(tree.chief_rows, chief_keys):
+        tree.chief_channels.append(_establish_channel(keys, rng))
+        tree.leaf_channels += [_establish_channel(leaf, rng) for leaf in leaf_keys[rows]]
+    del leaf_keys, chief_keys  # every link is open: no node keeps its key pair
 
-    leaf_shards: list[bytes] = []  # payloads only: each Shard is freed with its link
-    for chief in tree.chiefs:
-        n = len(chief.leaves)
-        chief.sharing = SharingConfig.for_group(n)
-        decision_keys = crypto.generate_keypair(rng)
-        shards = crypto.shamir_split(decision_keys.private, chief.sharing, rng)
-        leaf_shards += [shard.payload for shard in shards[:n]]
-        chief.retained_shard = shards[n]
-        tree.contribution_shards[chief.index] = shards[n + 1]
-        tree.retained_shards[chief.index] = shards[n + 2 :]
-        tree.decision_commitments[chief.index] = decision_key_commitment(decision_keys.private)
-    payloads = bytearray().join(leaf_shards)
-    tree.leaf_shards = np.frombuffer(payloads, dtype=np.uint8).reshape(len(leaf_shards), -1)
+    # The first chief is the largest: its 2n + 1 shards set the width.
+    width = 2 * tree.chief_rows[0].stop + 1
+    tree.shards = np.zeros((len(tree.chief_rows), width, _DECISION_SECRET_LEN), dtype=np.uint8)
+    tree.decision_commitments = []
+    for rows, held in zip(tree.chief_rows, tree.shards):
+        secret = crypto.random_bytes(rng, _DECISION_SECRET_LEN)
+        shards = crypto.shamir_split(secret, _sharing(rows), rng)
+        held[:len(shards)] = [np.frombuffer(shard.payload, dtype=np.uint8) for shard in shards]
+        tree.decision_commitments.append(decision_key_commitment(secret))
 
 
 def build_tree(
@@ -353,7 +348,7 @@ def build_tree(
     set-up, continuing the same stream.
 
     Raises:
-        EmptyGallery: the gallery has no templates.
+        EmptyGallery, crypto.InvalidConfig: as :func:`build_hash_tree`.
     """
     tree = build_hash_tree(gallery, crypto.generate_keypair(rng), fanout)
     setup_tree_keys(tree, rng)
@@ -407,26 +402,23 @@ def root_finalize(tree: MatcherTree, dissent: np.ndarray) -> np.ndarray:
 
     A pool holds the consenting leaves' shards, the chief's and the root's,
     so a chief with any dissent falls short of its threshold ``n + 2`` and
-    is never interpolated. The full pools are reconstructed in one call,
-    and a path is accepted only if its reconstruction's digest equals the
-    commitment the root kept when it dealt the key. Anything else (short
-    pool, corrupted shard) triggers scrutiny."""
-    pooled = np.add.reduceat(~dissent, np.arange(0, len(dissent), tree.fanout), dtype=np.intp) + 2
-    full = [chief for chief, count in zip(tree.chiefs, pooled.tolist())
-            if count >= chief.sharing.threshold]
-    stack = np.zeros((len(full), tree.fanout + 2, tree.leaf_shards.shape[1]), dtype=np.uint8)
-    points = []
-    for pool, chief in zip(stack, full):
-        n = len(chief.leaves)
-        own = (chief.retained_shard, tree.contribution_shards[chief.index])
-        pool[:n] = tree.leaf_shards[chief.rows]
-        pool[n:n + 2] = [np.frombuffer(shard.payload, dtype=np.uint8) for shard in own]
-        points.append((*range(1, n + 1), own[0].index, own[1].index))
-    secrets = crypto.shamir_reconstruct_each(stack, points, [chief.sharing for chief in full])
-    accepted = np.zeros(len(tree.chiefs), dtype=bool)
+    is never interpolated. A full pool is the first ``n + 2`` rows of its
+    chief's shards, at field points ``1..n+2``; the full pools are gathered
+    in one index and reconstructed in one call, and a path is accepted only
+    if its reconstruction's digest equals the commitment the root kept when
+    it dealt the secret. Anything else (short pool, corrupted shard)
+    triggers scrutiny."""
+    dissenting = np.logical_or.reduceat(dissent, np.arange(0, len(dissent), tree.fanout))
+    full = np.flatnonzero(~dissenting).tolist()
+    configs = [_sharing(tree.chief_rows[chief]) for chief in full]
+    # A short last chief's extra rows get zero weight in the reconstruction.
+    pools = tree.shards[full, :tree.chief_rows[0].stop + 2]
+    points = [tuple(range(1, config.threshold + 1)) for config in configs]
+    secrets = crypto.shamir_reconstruct_each(pools, points, configs)
+    accepted = np.zeros(len(tree.chief_rows), dtype=bool)
     for chief, secret in zip(full, secrets):
         commitment = decision_key_commitment(secret.tobytes())
-        accepted[chief.index] = commitment == tree.decision_commitments[chief.index]
+        accepted[chief] = commitment == tree.decision_commitments[chief]
     return accepted
 
 
@@ -479,7 +471,7 @@ def identify(
         DimensionMismatch: probe dimension differs from the gallery's.
         ZeroVector: a zero-norm probe or template under cosine.
     """
-    if not tree.chiefs:
+    if not tree.chief_channels:
         raise KeysNotSetUp("the tree has no node keys; run setup_tree_keys before querying")
     t0 = time.perf_counter()
     probe_bytes = crypto.open_envelope(envelope, tree.keys)
@@ -489,11 +481,11 @@ def identify(
     # root to chiefs, then each chief to its leaves. Every leaf
     # authenticates its own copy, and row i of the probe matrix is parsed
     # from leaf i's copy, in enrollment order.
-    channels = [chief.channel for chief in tree.chiefs]
+    channels = tree.chief_channels
     at_chiefs = crypto.sym_decrypt_each(crypto.sym_encrypt_each(probe_bytes, channels), channels)
     copies: list[bytes] = []
-    for chief, at_chief in zip(tree.chiefs, at_chiefs):
-        channels = [leaf.channel for leaf in chief.leaves]
+    for rows, at_chief in zip(tree.chief_rows, at_chiefs):
+        channels = tree.leaf_channels[rows]
         copies += crypto.sym_decrypt_each(crypto.sym_encrypt_each(at_chief, channels), channels)
     probes = decode_vectors(copies)
     t1 = time.perf_counter()

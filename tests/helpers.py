@@ -1,6 +1,6 @@
 """Test-side helpers: plaintext probes for ``identify``, template and
-chain-stage edits, a chain's key bytes, the leaves' decision shards, and
-faults injected into the matcher's consensus round.
+chain-stage edits, a chain's key bytes, and faults injected into the
+matcher's consensus round, a corrupted decision shard among them.
 
 ``matcher.identify`` calls the round functions through the module's
 globals, so replacing ``matcher.chief_drafts`` or
@@ -40,21 +40,16 @@ def restore_stage(chain, index):
     chain.blocks[index].params = StageParams.from_canonical(chain.snapshot.blocks[index][2])
 
 
-def leaf_shard(tree, row):
-    """The decision shard held by the leaf at enrollment position ``row``."""
-    rows = tree.chief_rows[row // tree.fanout]
-    return crypto.Shard(row - rows.start + 1, tree.leaf_shards[row].tobytes())
-
-
 @contextmanager
 def corrupted_shard(tree, row):
     """The leaf at enrollment position ``row`` holds a shard whose first
-    byte is flipped, in the tree's shard matrix."""
-    tree.leaf_shards[row, 0] ^= 0xFF
+    byte is flipped, in the tree's shard tensor."""
+    chief, leaf = divmod(row, tree.fanout)
+    tree.shards[chief, leaf, 0] ^= 0xFF
     try:
         yield
     finally:
-        tree.leaf_shards[row, 0] ^= 0xFF
+        tree.shards[chief, leaf, 0] ^= 0xFF
 
 
 @contextmanager

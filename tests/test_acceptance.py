@@ -93,15 +93,15 @@ def test_criterion_2_forged_documents_never_reach_consensus():
         for n in (1, 5, 50):
             gallery = [Template(f"s{i:03d}", rng.normal(size=8) * 3) for i in range(n)]
             tree = build_tree(gallery, fanout=n, rng=np.random.default_rng(n))
-            chief = tree.chiefs[0]
+            rows = tree.chief_rows[0]
             per_shape = 1000
             for trial in range(per_shape):
                 probe = rng.normal(size=8) * 3
                 cycle = f"h-{n}-{trial}"
-                scores = np.array([euclidean(row, probe) for row in tree.vectors[chief.rows]])
+                scores = np.array([euclidean(row, probe) for row in tree.vectors[rows]])
                 [honest] = chief_drafts(tree, scores, cycle, "euclidean")
                 dissent = collect_consent(tree, [honest], scores)
-                if root_finalize(tree, dissent)[chief.index]:
+                if root_finalize(tree, dissent)[0]:
                     honest_accepts += 1
                 honest_trials += 1
 
@@ -114,7 +114,7 @@ def test_criterion_2_forged_documents_never_reach_consensus():
                 # the chief can gather at most n shards for a faulty document:
                 # its consenting leaves' and its own
                 assert int((~dissent).sum()) + 1 <= n
-                if root_finalize(tree, dissent)[chief.index]:
+                if root_finalize(tree, dissent)[0]:
                     forged_successes += 1
                 forged_trials += 1
         assert forged_trials >= 3000 and honest_trials >= 3000  # 1000 per shape
@@ -199,7 +199,7 @@ def test_criterion_5_tree_tamper_localization():
         gallery = generate_synthetic_gallery(config)
         archive = TemplateArchive(gallery)
         tree = build_tree(gallery, fanout=50, rng=np.random.default_rng(5))
-        assert [len(c.leaves) for c in tree.chiefs] == [50, 50, 20]
+        assert [rows.stop - rows.start for rows in tree.chief_rows] == [50, 50, 20]
 
         rng = np.random.default_rng(1055)
         probes = [gallery[int(rng.integers(0, 120))].vector + rng.normal(scale=0.1, size=16)
@@ -253,7 +253,7 @@ def test_criterion_6_oracle_equivalence():
                         assert via_tree.identity == via_scan.identity, (name, metric)
 
                 # one compromised leaf per chief dissenting on every decision
-                with dissenting_leaves({(chief.index, 0) for chief in tree.chiefs}):
+                with dissenting_leaves({(chief, 0) for chief in range(len(tree.chief_rows))}):
                     for _ in range(150):
                         probe = rng.normal(size=8) * 3
                         via_tree = identify_probe(tree, probe, metric)
@@ -262,13 +262,13 @@ def test_criterion_6_oracle_equivalence():
 
                 # a corrupted shard in one chief's pool forces scrutiny on
                 # that path without changing the answer
-                with corrupted_shard(tree, tree.chiefs[-1].rows.start + 1):
+                with corrupted_shard(tree, tree.chief_rows[-1].start + 1):
                     for _ in range(100):
                         probe = rng.normal(size=8) * 3
                         via_tree = identify_probe(tree, probe, metric)
                         via_scan = flat_oracle_identify(gallery, probe, metric)
                         assert via_tree.identity == via_scan.identity, (name, metric)
-                        assert tree.chiefs[-1].index in via_tree.scrutinized_chiefs
+                        assert len(tree.chief_rows) - 1 in via_tree.scrutinized_chiefs
         assert total_clean >= 1000
 
 

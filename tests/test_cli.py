@@ -116,6 +116,35 @@ class TestGenEnroll:
         assert state_files(out) == state
 
 
+    @pytest.mark.parametrize("config,gallery,command,message", [
+        (None, None, ["gen", "--gallery-size", "0"], "gallery_size must be >= 1"),
+        ('{"bogus": 2}', None, ["gen"], "unknown configuration keys: bogus"),
+        ('{"seed": 1,', None, ["gen"], "does not parse"),
+        ('{"fanout": 0}', None, ["gen"], "fanout must be >= 1"),
+        ('{"metric": "manhattan"}', None, ["gen"], "metric must be one of"),
+        (None, "biochain-gallery 1 16 0\n", ["enroll"], "cannot enroll an empty gallery"),
+        ('{"fanout": 200}', None, ["enroll"], "GF(2^8) sharing allows at most 127"),
+    ], ids=["gen-size-0", "unknown-key", "malformed-json", "fanout-0", "unknown-metric",
+            "empty-gallery", "fanout-200"])
+    def test_bad_configuration_is_a_one_line_error(
+        self, runner, tmp_path, config, gallery, command, message
+    ):
+        out = tmp_path / "run"
+        invoke(runner, out, "--seed", "3", "gen", "--gallery-size", "300")
+        if gallery is not None:
+            (out / "gallery.txt").write_text(gallery)
+        options = []
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            options = ["--config", str(tmp_path / "cfg.json")]
+        state = state_files(out)
+        result = runner.invoke(main, ["--out", str(out), *options, *command])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ") and message in lines[0], lines
+        assert state_files(out) == state
+
+
 class TestIdentify:
     def test_archived_identity_scores_zero(self, runner, tmp_path):
         out = tmp_path / "run"
@@ -168,6 +197,18 @@ class TestIdentify:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == [f"Error: {probe_path}: {reason}"]
         assert state_files(out) == state
+
+    def test_zero_probe_under_cosine_is_a_one_line_error(self, runner, tmp_path):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        probe_path = tmp_path / "zero.txt"
+        probe_path.write_text("biochain-gallery 1 8 1\nzero 0 0 0 0 0 0 0 0\n")
+        result = runner.invoke(main, ["--out", str(out), "--metric", "cosine", "identify",
+                                      "--probe-file", str(probe_path)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            "Error: feature cannot be scored against the gallery: "
+            "cosine distance is undefined for zero vectors"]
 
     def test_ledger_grows_across_queries(self, runner, tmp_path):
         out = tmp_path / "run"
@@ -444,8 +485,9 @@ class TestRebuiltKeys:
         invoke(runner, out, "identify", "--identity", "id0003")
         tree, chain = queried[0][0][0], cycles[0][0][0]
         assert tree.public_key == system.tree.public_key
-        assert len(tree.chiefs) == len(system.tree.chiefs) == 3
+        assert len(tree.chief_channels) == len(system.tree.chief_channels) == 3
         assert tree.decision_commitments == system.tree.decision_commitments
+        assert np.array_equal(tree.shards, system.tree.shards)
         assert len(tree.decision_commitments) == 3
         assert chain_keys(chain) == chain_keys(system.chain)
 
@@ -456,7 +498,7 @@ class TestRebuiltKeys:
         audited = spy(monkeypatch, "run_audit")
         invoke(runner, out, "audit")
         rebuilt = audited[0][0][0]
-        assert rebuilt.tree.chiefs == []
+        assert rebuilt.tree.chief_channels == []
         assert rebuilt.tree.public_key == system.tree.public_key
         assert rebuilt.chain.notary.matcher_root_public == system.tree.public_key
         assert chain_keys(rebuilt.chain) == chain_keys(system.chain)

@@ -28,7 +28,7 @@ from biochain.extractor import (
     _turn_token,
     GENESIS_DIGEST,
 )
-from biochain.ledger import Ledger
+from biochain.ledger import ClosedCycle, Ledger
 from helpers import restore_stage
 
 
@@ -305,7 +305,10 @@ class TestRunQueryCycle:
         feature = decode_vector(crypto.open_envelope(handoff_envelope(final), root.private))
         assert np.array_equal(feature, x)
         cycles = {e.cycle_id for e in ledger.entries()}
-        assert len(cycles) == 2 and all(ledger.is_closed(c) for c in cycles)
+        assert len(cycles) == 2
+        for cycle_id in cycles:
+            with pytest.raises(ClosedCycle):
+                ledger.append(cycle_id, ed=b"late")
 
     def test_tampered_chain_refuses_to_run(self):
         chain, _ = build_chain(identity_stages(4))
@@ -385,7 +388,10 @@ class TestPollOrder:
         # hop 0 acts at once; at hop 1 every block tries the marker and refuses
         assert trials == [(0, True), (1, False), (2, False), (0, False)]
         (cycle_id,) = {e.cycle_id for e in ledger.entries()}
-        assert ledger.is_closed(cycle_id) and chain.notary.progress == {}
+        assert chain.notary.progress == {}
+        with pytest.raises(ClosedCycle):
+            ledger.append(cycle_id, ed=b"late")
+        ledger.append("later", ed=b"opens")  # the failed cycle left none open
 
     def test_permuted_route_reaches_the_same_blocks(self, monkeypatch):
         rng = np.random.default_rng(57)

@@ -146,7 +146,7 @@ class TestEnroll:
     def test_chain_keys_do_not_depend_on_the_gallery(self):
         gallery = generate_synthetic_gallery(small_config(gallery_size=60))
         small, large = enroll(gallery[:30], seed=4), enroll(gallery, seed=4)
-        assert len(small.tree.chiefs) != len(large.tree.chiefs)
+        assert len(small.tree.chief_rows) != len(large.tree.chief_rows)
         assert chain_keys(small.chain) == chain_keys(large.chain)
         assert small.tree.public_key == large.tree.public_key
 
@@ -154,7 +154,7 @@ class TestEnroll:
         config = ExperimentConfig(seed=5, gallery_size=120, template_dim=16)
         gallery = generate_synthetic_gallery(config)
         system = enroll(gallery, fanout=50, seed=config.seed)
-        assert [len(c.leaves) for c in system.tree.chiefs] == [50, 50, 20]
+        assert [rows.stop - rows.start for rows in system.tree.chief_rows] == [50, 50, 20]
         assert system.chain.verify() is None
         assert verify_tree(system.tree) == []
 

@@ -51,7 +51,6 @@ class TestAppend:
         chain, _ = identity_chain()
         ledger = Ledger()
         final = run_query_cycle(chain, ledger, np.ones(4))
-        assert ledger.is_closed(final.cycle_id)
         with pytest.raises(ClosedCycle):
             ledger.append(final.cycle_id, ed=b"late")
 
@@ -112,16 +111,13 @@ class TestWireFormat:
 
         replayed = Ledger.load(path)
         assert replayed.entries() == ledger.entries()
-        assert replayed.transcript_digest() == ledger.transcript_digest()
 
-    def test_replay_digest_stable_across_loads(self, tmp_path):
+    def test_replay_stable_across_loads(self, tmp_path):
         path = tmp_path / "ledger.bin"
         ledger = Ledger(path)
         ledger.append("c1", ed=b"data", ek=b"k", em=b"m", sig=b"s")
         ledger.close()
-        d1 = Ledger.load(path).transcript_digest()
-        d2 = Ledger.load(path).transcript_digest()
-        assert d1 == d2
+        assert Ledger.load(path).entries() == Ledger.load(path).entries() == ledger.entries()
 
     def test_loaded_cycles_are_finalized(self, tmp_path):
         path = tmp_path / "ledger.bin"

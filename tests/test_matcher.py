@@ -1,6 +1,8 @@
 """Tree construction, shard allocation, consensus, scrutiny, localization."""
 
 import contextlib
+import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biochain import crypto, matcher, metrics
-from biochain.crypto import InsufficientShards, Shard
+from biochain.crypto import InsufficientShards, Shard, SharingConfig
 from biochain.matcher import (
     ArchiveMissing,
     DecisionDocument,
@@ -26,6 +28,7 @@ from biochain.matcher import (
     restore_leaves,
     root_finalize,
     root_scrutinize,
+    setup_tree_keys,
     verify_tree,
 )
 from biochain.metrics import DimensionMismatch, flat_oracle_identify, flat_rank
@@ -34,7 +37,6 @@ from helpers import (
     corrupted_shard,
     dissenting_leaves,
     identify_probe,
-    leaf_shard,
     perturb_template,
 )
 
@@ -44,13 +46,19 @@ def make_gallery(n, d=8, seed=0, scale=3.0):
     return [Template(f"id{i:03d}", rng.normal(size=d) * scale) for i in range(n)]
 
 
-def chief_scores(tree, chief, probe, metric="euclidean"):
+def chief_scores(tree, rows, probe, metric="euclidean"):
     score = metrics.get_metric(metric)
-    return np.array([score(row, probe) for row in tree.vectors[chief.rows]])
+    return np.array([score(row, probe) for row in tree.vectors[rows]])
 
 
-def all_leaves(tree):
-    return [leaf for chief in tree.chiefs for leaf in chief.leaves]
+def chief_sizes(tree):
+    return [rows.stop - rows.start for rows in tree.chief_rows]
+
+
+def held_shards(tree, chief, rows):
+    """Chief ``chief``'s shards in tensor rows ``rows``, row k at field
+    point k + 1."""
+    return [Shard(k + 1, tree.shards[chief, k].tobytes()) for k in rows]
 
 
 def chief_hashes(tree):
@@ -60,17 +68,17 @@ def chief_hashes(tree):
 class TestBuildTree:
     def test_120_templates_fanout_50(self):
         tree = build_tree(make_gallery(120), fanout=50)
-        assert [len(c.leaves) for c in tree.chiefs] == [50, 50, 20]
+        assert chief_sizes(tree) == [50, 50, 20]
+        assert (len(tree.chief_channels), len(tree.leaf_channels)) == (3, 120)
 
     def test_exact_division_single_chief(self):
         tree = build_tree(make_gallery(50), fanout=50)
-        assert [len(c.leaves) for c in tree.chiefs] == [50]
+        assert chief_sizes(tree) == [50]
 
     def test_single_template(self):
         tree = build_tree(make_gallery(1), fanout=50)
-        chief = tree.chiefs[0]
-        assert len(chief.leaves) == 1
-        assert (chief.sharing.total, chief.sharing.threshold) == (3, 3)
+        assert chief_sizes(tree) == [1]
+        assert (len(tree.chief_channels), len(tree.leaf_channels)) == (1, 1)
 
     def test_empty_gallery_rejected(self):
         with pytest.raises(EmptyGallery):
@@ -82,18 +90,18 @@ class TestBuildTree:
         t2 = build_tree(gallery, fanout=4, rng=np.random.default_rng(1))
         assert t1.hash == t2.hash
         assert t1.keys == t2.keys
-        assert np.array_equal(t1.leaf_shards, t2.leaf_shards)
+        assert np.array_equal(t1.shards, t2.shards)
+        assert t1.decision_commitments == t2.decision_commitments
 
     def test_hash_structure_is_the_full_build_without_keys(self):
         gallery = make_gallery(12)
         full = build_tree(gallery, fanout=5, rng=np.random.default_rng(1))
         bare = build_hash_tree(gallery, crypto.generate_keypair(np.random.default_rng(1)), 5)
         assert bare.keys == full.keys  # the root's key pair is the stream's first draw
-        assert bare.chief_rows == [c.rows for c in full.chiefs] == [slice(0, 5), slice(5, 10),
-                                                                    slice(10, 12)]
+        assert bare.chief_rows == full.chief_rows == [slice(0, 5), slice(5, 10), slice(10, 12)]
         assert (bare.hash, bare.chief_hash_copies, bare.leaf_hashes) == (
             full.hash, full.chief_hash_copies, full.leaf_hashes)
-        assert bare.chiefs == [] and bare.decision_commitments == {}
+        assert bare.chief_channels == [] and bare.decision_commitments == []
         perturb_template(bare, 7, 0.5)
         assert [loc.global_index for loc in verify_tree(bare)] == [7]
 
@@ -107,31 +115,54 @@ class TestBuildTree:
 class TestShardAllocation:
     def test_n50_link_holds_101_shards(self):
         tree = build_tree(make_gallery(50), fanout=50)
-        chief = tree.chiefs[0]
-        assert tree.leaf_shards.shape == (50, len(tree.keys.private))
-        assert tree.leaf_shards.dtype == np.uint8 and tree.leaf_shards.flags.c_contiguous
-        assert chief.retained_shard is not None
-        assert chief.index in tree.contribution_shards
-        assert len(tree.retained_shards[chief.index]) == 49
-        assert len(chief.leaves) + 1 + 1 + 49 == 2 * 50 + 1
+        assert tree.shards.shape == (1, 2 * 50 + 1, 64)
+        assert tree.shards.dtype == np.uint8 and tree.shards.flags.c_contiguous
+        assert tree.shards.any(axis=2).all()  # every row is dealt
+
+    def test_short_last_chief_rows_past_its_shards_are_zero(self):
+        tree = build_tree(make_gallery(7), fanout=3)  # chiefs of 3, 3 and 1
+        assert tree.shards.shape == (3, 7, 64)
+        assert tree.shards[:2].any(axis=2).all()
+        assert tree.shards[2, :3].any(axis=1).all() and not tree.shards[2, 3:].any()
 
     def test_n1_link_root_keeps_only_its_contribution(self):
+        # The leaf's row, the chief's and the root's contribution: no
+        # reserve, and no row for the fanout the gallery does not fill.
         tree = build_tree(make_gallery(1))
-        chief = tree.chiefs[0]
-        assert tree.leaf_shards.shape == (1, len(tree.keys.private))
-        assert chief.retained_shard is not None
-        assert chief.index in tree.contribution_shards
-        assert tree.retained_shards[chief.index] == []
+        assert tree.shards.shape == (1, 3, 64)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 20])
     def test_indices_partition_the_full_range(self, n):
+        # Any n + 2 rows, taken at those points, reconstruct the committed
+        # secret: the leaves' and the chief's, the reserve with one leaf's.
         tree = build_tree(make_gallery(n), fanout=max(n, 1))
-        chief = tree.chiefs[0]
-        indices = [leaf_shard(tree, row).index for row in range(n)]
-        indices.append(chief.retained_shard.index)
-        indices.append(tree.contribution_shards[chief.index].index)
-        indices.extend(s.index for s in tree.retained_shards[chief.index])
-        assert sorted(indices) == list(range(1, 2 * n + 2))
+        config = SharingConfig.for_group(n)
+        rng = np.random.default_rng(n)
+        for rows in (range(n + 2), range(n - 1, 2 * n + 1),
+                     rng.choice(2 * n + 1, size=n + 2, replace=False).tolist()):
+            secret = crypto.shamir_reconstruct(held_shards(tree, 0, rows), config)
+            assert decision_key_commitment(secret) == tree.decision_commitments[0]
+
+    def test_key_stream_is_pinned(self):
+        # Every shard row in field-point order, every commitment, and every
+        # channel key (one block under a fixed nonce) of a seeded tree with
+        # chiefs of 50, 50 and 30 leaves: a change to what the key set-up
+        # draws, or in what order, changes a digest.
+        rng = np.random.default_rng(130)
+        gallery = [Template(f"id{i:03d}", row) for i, row in enumerate(rng.normal(size=(130, 8)))]
+        tree = build_tree(gallery, fanout=50, rng=np.random.default_rng(2026))
+        assert chief_sizes(tree) == [50, 50, 30]
+        dealt = hashlib.sha256()
+        for n, held in zip(chief_sizes(tree), tree.shards):
+            dealt.update(held[:2 * n + 1].tobytes())
+        for commitment in tree.decision_commitments:
+            dealt.update(commitment)
+        assert dealt.hexdigest() == (
+            "5521daf6cd6106be5205fcea345588860332bd35a59db1180285161450e7ce1c")
+        channels = tree.chief_channels + tree.leaf_channels
+        blocks = b"".join(channel.encrypt(bytes(12), b"pin", None) for channel in channels)
+        assert hashlib.sha256(blocks).hexdigest() == (
+            "c57c1ba078b06d144a888226815a328a76b534afc3b656b8d5e5ce82f8549d80")
 
 
 class TestNodeHash:
@@ -192,22 +223,22 @@ class TestLeafScore:
 class TestDraftDocument:
     def _scored_chief(self, scores):
         tree = build_tree(make_gallery(len(scores), d=2, seed=9), fanout=len(scores))
-        return tree, tree.chiefs[0], np.array(scores)
+        return tree, np.array(scores)
 
     def test_argmin(self):
-        tree, chief, scores = self._scored_chief([0.9, 0.1, 0.5])
+        tree, scores = self._scored_chief([0.9, 0.1, 0.5])
         [doc] = chief_drafts(tree, scores, "c", "euclidean")
         assert doc.identity == tree.identities[1]
         assert doc.score == 0.1
 
     def test_tie_breaks_to_lowest_leaf_index(self):
-        tree, chief, scores = self._scored_chief([0.3, 0.3])
+        tree, scores = self._scored_chief([0.3, 0.3])
         [doc] = chief_drafts(tree, scores, "c", "euclidean")
         assert doc.identity == tree.identities[0]
         assert doc.leaf_index == 0
 
     def test_compromised_chief_can_draft_anything(self):
-        tree, chief, scores = self._scored_chief([0.9, 0.1, 0.5])
+        tree, scores = self._scored_chief([0.9, 0.1, 0.5])
         with compromised_chief(0, lambda doc: DecisionDocument(
             doc.chief_id, doc.cycle_id, "intruder", 0.7, doc.metric, doc.leaf_index
         )):
@@ -221,16 +252,15 @@ class TestDraftDocument:
 class TestConsent:
     def _tree(self, n=5):
         tree = build_tree(make_gallery(n, seed=4), fanout=n)
-        chief = tree.chiefs[0]
-        return tree, chief, chief_scores(tree, chief, tree.vectors[0] + 0.25)
+        return tree, chief_scores(tree, tree.chief_rows[0], tree.vectors[0] + 0.25)
 
     def test_honest_document_collects_all_shards(self):
-        tree, chief, scores = self._tree()
+        tree, scores = self._tree()
         dissent = collect_consent(tree, chief_drafts(tree, scores, "cycle-1", "euclidean"), scores)
         assert dissent.tolist() == [False] * 5  # every leaf's shard, plus the chief's
 
     def test_forged_document_loses_dissenting_shards(self):
-        tree, chief, scores = self._tree()
+        tree, scores = self._tree()
         [honest] = chief_drafts(tree, scores, "cycle-1", "euclidean")
         forged = DecisionDocument(
             honest.chief_id, honest.cycle_id, "intruder",
@@ -239,7 +269,7 @@ class TestConsent:
         dissent = collect_consent(tree, [forged], scores)
         assert dissent.any()  # at least the true best leaf refuses
         assert dissent[honest.leaf_index]
-        assert int((~dissent).sum()) + 1 <= len(chief.leaves)  # at most n, chief included
+        assert int((~dissent).sum()) + 1 <= 5  # at most n, chief included
 
     def test_tied_leaves_both_consent(self):
         tree = build_tree(make_gallery(3, d=2, seed=6), fanout=3)
@@ -263,18 +293,17 @@ class TestConsent:
 class TestFinalize:
     def _scored(self, n=5):
         tree = build_tree(make_gallery(n, seed=11), fanout=n)
-        chief = tree.chiefs[0]
-        return tree, chief, chief_scores(tree, chief, tree.vectors[2] + 0.1)
+        return tree, chief_scores(tree, tree.chief_rows[0], tree.vectors[2] + 0.1)
 
     def _honest_dissent(self, tree, scores, cycle="cycle-1"):
         return collect_consent(tree, chief_drafts(tree, scores, cycle, "euclidean"), scores)
 
     def test_honest_pool_accepted(self):
-        tree, chief, scores = self._scored()
+        tree, scores = self._scored()
         assert root_finalize(tree, self._honest_dissent(tree, scores)).tolist() == [True]
 
     def test_forged_pool_triggers_scrutiny(self):
-        tree, chief, scores = self._scored()
+        tree, scores = self._scored()
         [honest] = chief_drafts(tree, scores, "cycle-1", "euclidean")
         forged = DecisionDocument(
             honest.chief_id, honest.cycle_id, "intruder",
@@ -284,42 +313,39 @@ class TestFinalize:
         assert root_finalize(tree, dissent).tolist() == [False]
 
     def test_corrupted_shard_fails_key_check(self):
-        tree, chief, scores = self._scored()
+        tree, scores = self._scored()
         dissent = self._honest_dissent(tree, scores)
         with corrupted_shard(tree, 0):
             assert root_finalize(tree, dissent).tolist() == [False]
         assert root_finalize(tree, dissent).tolist() == [True]
 
     def test_reconstruction_off_in_a_clamped_bit_fails_the_key_check(self):
-        # X25519 clears bit 0 of its scalar's first byte, so a key that
-        # differs from the dealt one only there has the same public half.
-        tree, chief, scores = self._scored()
+        # X25519 clears bit 0 of its scalar's first byte, so a key derived
+        # from a secret that differs from the dealt one only there would
+        # have the same public half; the commitment tells them apart.
+        tree, scores = self._scored()
         dissent = self._honest_dissent(tree, scores)
-        n = len(chief.leaves)
-        own = [chief.retained_shard, tree.contribution_shards[chief.index]]
-        pool = [leaf_shard(tree, row) for row in range(n)] + own
-        dealt = crypto.shamir_reconstruct(pool, chief.sharing)
+        config = SharingConfig.for_group(5)
+        pool = held_shards(tree, 0, range(5 + 2))
+        dealt = crypto.shamir_reconstruct(pool, config)
         off_by_one_bit = bytes([dealt[0] ^ 1]) + dealt[1:]
         target = pool[0]
         for delta in range(1, 256):
             shard = Shard(target.index, bytes([target.payload[0] ^ delta]) + target.payload[1:])
-            if crypto.shamir_reconstruct([shard] + pool[1:], chief.sharing) == off_by_one_bit:
+            if crypto.shamir_reconstruct([shard] + pool[1:], config) == off_by_one_bit:
                 break
         else:
-            pytest.fail("no change to byte 0 of the shard flips bit 0 of the key")
-        tree.leaf_shards[0, 0] ^= delta
+            pytest.fail("no change to byte 0 of the shard flips bit 0 of the secret")
+        tree.shards[0, 0, 0] ^= delta
         assert root_finalize(tree, dissent).tolist() == [False]
 
     def test_shards_are_reusable_across_cycles(self):
-        tree, chief, _ = self._scored()
-        held = tree.leaf_shards.copy()
+        tree, _ = self._scored()
+        held = tree.shards.copy()
         for cycle in ("cycle-1", "cycle-2", "cycle-3"):
-            scores = chief_scores(tree, chief, tree.vectors[1] + 0.05)
+            scores = chief_scores(tree, tree.chief_rows[0], tree.vectors[1] + 0.05)
             assert root_finalize(tree, self._honest_dissent(tree, scores, cycle)).tolist() == [True]
-            assert np.array_equal(tree.leaf_shards, held)
-            assert chief.retained_shard is not None
-            assert chief.index in tree.contribution_shards
-            assert len(tree.retained_shards[chief.index]) == len(chief.leaves) - 1
+            assert np.array_equal(tree.shards, held)
 
 
 class TestScrutiny:
@@ -339,8 +365,7 @@ class TestScrutiny:
 
     def test_valid_document_survives_compromised_leaf(self):
         tree = build_tree(make_gallery(4, seed=14), fanout=4)
-        chief = tree.chiefs[0]
-        scores = chief_scores(tree, chief, tree.vectors[1] + 0.01)
+        scores = chief_scores(tree, tree.chief_rows[0], tree.vectors[1] + 0.01)
         [doc] = chief_drafts(tree, scores, "cycle-1", "euclidean")
         with dissenting_leaves({(0, 3)}):
             dissent = matcher.collect_consent(tree, [doc], scores)
@@ -359,8 +384,7 @@ class TestScrutiny:
 
     def test_no_flags_means_document_stands(self):
         tree = build_tree(make_gallery(3, seed=16), fanout=3)
-        chief = tree.chiefs[0]
-        scores = chief_scores(tree, chief, tree.vectors[0])
+        scores = chief_scores(tree, tree.chief_rows[0], tree.vectors[0])
         [doc] = chief_drafts(tree, scores, "cycle-1", "euclidean")
         dissent = collect_consent(tree, [doc], scores)
         assert not dissent.any()
@@ -432,7 +456,7 @@ class TestIdentify:
         gallery = make_gallery(40, seed=25)
         tree = build_tree(gallery, fanout=15)
         rng = np.random.default_rng(26)
-        with dissenting_leaves({(chief.index, 0) for chief in tree.chiefs}):
+        with dissenting_leaves({(chief, 0) for chief in range(len(tree.chief_rows))}):
             for _ in range(40):
                 probe = rng.normal(size=8) * 3
                 via_tree = identify_probe(tree, probe, "euclidean")
@@ -443,7 +467,7 @@ class TestIdentify:
 
     def test_one_reconstruction_per_chief(self, monkeypatch):
         tree = build_tree(make_gallery(12, seed=78), fanout=5)
-        assert len(tree.chiefs) == 3
+        assert chief_sizes(tree) == [5, 5, 2]
         calls = []
         real_reconstruct = crypto.shamir_reconstruct_each
 
@@ -457,15 +481,12 @@ class TestIdentify:
         # one batched call per query, over every chief's full pool (the
         # last chief's smaller), and over none of a dissenting chief's
         pools = [tuple(range(1, 8)), tuple(range(1, 8)), (1, 2, 3, 4)]
+        configs = [SharingConfig.for_group(n) for n in (5, 5, 2)]
         identify_probe(tree, np.ones(8), "euclidean")
         with dissenting_leaves({(1, 0)}):
             result = identify_probe(tree, np.ones(8), "euclidean")
         assert result.scrutinized_chiefs == (1,)
-        length = tree.leaf_shards.shape[1]
-        assert calls == [
-            (pools, [chief.sharing for chief in tree.chiefs], (3, length)),
-            (pools[::2], [tree.chiefs[0].sharing, tree.chiefs[2].sharing], (2, length)),
-        ]
+        assert calls == [(pools, configs, (3, 64)), (pools[::2], configs[::2], (2, 64))]
 
 
 def reference_round(tree, probe, metric, cycle_id, rewrite=None, dissenters=()):
@@ -477,30 +498,30 @@ def reference_round(tree, probe, metric, cycle_id, rewrite=None, dissenters=()):
     root's identity and score and the scrutinized chiefs."""
     score = metrics.get_metric(metric)
     decisions, scrutinized = [], []
-    for chief in tree.chiefs:
-        rows = chief.rows
+    for chief, rows in enumerate(tree.chief_rows):
+        n = rows.stop - rows.start
         scores = np.array([score(row, probe) for row in tree.vectors[rows]])
 
         def document(leaf):
-            return DecisionDocument(chief.index, cycle_id, tree.identities[rows.start + leaf],
+            return DecisionDocument(chief, cycle_id, tree.identities[rows.start + leaf],
                                     float(scores[leaf]), metric, leaf)
 
         draft = document(int(np.argmin(scores)))
-        if rewrite is not None and rewrite[0] == chief.index:
+        if rewrite is not None and rewrite[0] == chief:
             draft = rewrite[1](draft)
         dissent = ~(draft.score <= scores)
         for chief_index, leaf in dissenters:
-            if chief_index == chief.index:
+            if chief_index == chief:
                 dissent[leaf] = True
-        pool = [leaf_shard(tree, rows.start + leaf) for leaf in np.flatnonzero(~dissent)]
-        pool += [chief.retained_shard, tree.contribution_shards[chief.index]]
+        # consenting leaves' rows, the chief's row n and the root's row n + 1
+        pool = held_shards(tree, chief, [*np.flatnonzero(~dissent).tolist(), n, n + 1])
         try:
-            secret = crypto.shamir_reconstruct(pool, chief.sharing)
-            accepted = decision_key_commitment(secret) == tree.decision_commitments[chief.index]
+            secret = crypto.shamir_reconstruct(pool, SharingConfig.for_group(n))
+            accepted = decision_key_commitment(secret) == tree.decision_commitments[chief]
         except crypto.CryptoError:
             accepted = False
         if not accepted:
-            scrutinized.append(chief.index)
+            scrutinized.append(chief)
             flagged = np.flatnonzero(dissent)
             if flagged.size:
                 best = int(flagged[np.argmin(scores[flagged])])
@@ -531,7 +552,7 @@ class TestBatchedRound:
         rows = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
         dissenters = {(row // fanout, row % fanout) for row in rows}
         corrupted = data.draw(st.none() | st.integers(0, n - 1))
-        compromised = data.draw(st.none() | st.integers(0, len(tree.chiefs) - 1))
+        compromised = data.draw(st.none() | st.integers(0, len(tree.chief_rows) - 1))
         shift = data.draw(st.sampled_from([-0.5, 0.0, 1e-9, 0.75]))
         rewrite = None
         if compromised is not None:
@@ -557,7 +578,7 @@ class TestIdentifyRegressions:
         gallery = make_gallery(23, seed=70)
         gallery[9] = Template("twin", gallery[2].vector.copy())  # a tie across chiefs
         tree = build_tree(gallery, fanout=5)
-        assert [len(c.leaves) for c in tree.chiefs] == [5, 5, 5, 5, 3]
+        assert chief_sizes(tree) == [5, 5, 5, 5, 3]
         rng = np.random.default_rng(71)
         probes = [rng.normal(size=8) * 3 for _ in range(20)] + [gallery[2].vector * 2.0]
         for probe in probes:
@@ -588,7 +609,7 @@ class TestIdentifyRegressions:
         assert tree.vectors.flags.c_contiguous
         assert np.array_equal(tree.vectors, np.stack([t.vector for t in gallery]))
         assert tree.identities == [t.identity for t in gallery]
-        assert [(c.rows.start, c.rows.stop) for c in tree.chiefs] == [(0, 5), (5, 10), (10, 12)]
+        assert tree.chief_rows == [slice(0, 5), slice(5, 10), slice(10, 12)]
 
     def test_editing_listed_templates_leaves_the_tree_unchanged(self):
         gallery = make_gallery(12, seed=79)
@@ -636,9 +657,8 @@ class TestDelegation:
 
     def test_one_authenticated_hop_per_link(self, monkeypatch):
         tree = build_tree(make_gallery(12, seed=75), fanout=5)
-        channels = [chief.channel for chief in tree.chiefs] + [
-            leaf.channel for leaf in all_leaves(tree)
-        ]
+        channels = tree.chief_channels + tree.leaf_channels
+        assert len(channels) == 3 + 12
         assert all(isinstance(c, crypto.SymCipher) for c in channels)
         assert len({id(c) for c in channels}) == len(channels)
         used = {"encrypt": [], "decrypt": []}
@@ -661,7 +681,7 @@ class TestDelegation:
 
     def test_leaf_copy_that_fails_authentication_stops_the_query(self, monkeypatch):
         tree = build_tree(make_gallery(12, seed=76), fanout=5)
-        target = tree.chiefs[1].leaves[2].channel
+        target = tree.leaf_channels[tree.chief_rows[1].start + 2]
         real_encrypt = crypto.sym_encrypt_each
 
         def flip_one(message, ciphers):
@@ -701,23 +721,27 @@ class TestDelegation:
             assert whole[rows].tobytes() == sliced.tobytes()
 
     def test_only_the_root_key_pair_is_parsed(self):
-        tree = build_tree(make_gallery(12, seed=77), fanout=5)
+        # No node key pair outlives the key set-up, so none is kept parsed.
+        def live_key_pairs():
+            gc.collect()
+            return sum(isinstance(o, crypto.KeyPair) for o in gc.get_objects())
+
+        tree = build_hash_tree(make_gallery(12, seed=77), crypto.generate_keypair(), 5)
+        before = live_key_pairs()
+        setup_tree_keys(tree)
         identify_probe(tree, np.ones(8), "euclidean")
-        parsed = ("decryption_key", "signing_key")
-        nodes = tree.chiefs + all_leaves(tree)
-        assert not any(name in vars(node.keys) for node in nodes for name in parsed)
+        assert live_key_pairs() == before
         assert "decryption_key" in vars(tree.keys)
 
 
 class TestForgeryNeverReconstructs:
     def test_randomized_forgeries_all_fail(self):
         tree = build_tree(make_gallery(10, seed=27), fanout=10)
-        chief = tree.chiefs[0]
         rng = np.random.default_rng(28)
         for trial in range(200):
             probe = rng.normal(size=8) * 3
             cycle = f"trial-{trial}"
-            scores = chief_scores(tree, chief, probe)
+            scores = chief_scores(tree, tree.chief_rows[0], probe)
             [honest] = chief_drafts(tree, scores, cycle, "euclidean")
             forged = DecisionDocument(
                 honest.chief_id, cycle, "intruder",
@@ -726,23 +750,23 @@ class TestForgeryNeverReconstructs:
             )
             dissent = collect_consent(tree, [forged], scores)
             # consenting leaves, the chief and the root: short of threshold
-            assert int((~dissent).sum()) + 2 <= chief.sharing.threshold - 1
+            assert int((~dissent).sum()) + 2 <= SharingConfig.for_group(10).threshold - 1
             assert root_finalize(tree, dissent).tolist() == [False]
 
 
 class TestAdminRecovery:
     @pytest.mark.parametrize("n", [1, 2, 10])
     def test_reserve_shards_recover_the_decision_key(self, n):
-        # The root's reserve, its contribution and the chief's shard fall
-        # one short of the threshold; one cooperating leaf completes it.
+        # The chief's row n, the root's contribution n + 1 and its reserve
+        # n + 2..2n fall one short of the threshold; one cooperating leaf's
+        # row completes it.
         tree = build_tree(make_gallery(n, seed=60), fanout=n)
-        chief = tree.chiefs[0]
-        shards = list(tree.retained_shards[chief.index])
-        shards += [tree.contribution_shards[chief.index], chief.retained_shard]
+        config = SharingConfig.for_group(n)
+        shards = held_shards(tree, 0, range(n, 2 * n + 1))
         with pytest.raises(InsufficientShards):
-            crypto.shamir_reconstruct(shards, chief.sharing)
-        recovered = crypto.shamir_reconstruct(shards + [leaf_shard(tree, 0)], chief.sharing)
-        assert decision_key_commitment(recovered) == tree.decision_commitments[chief.index]
+            crypto.shamir_reconstruct(shards, config)
+        recovered = crypto.shamir_reconstruct(shards + held_shards(tree, 0, [0]), config)
+        assert decision_key_commitment(recovered) == tree.decision_commitments[0]
 
 
 class TestVerifyTree:
