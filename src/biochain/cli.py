@@ -20,10 +20,10 @@ only the parts it reads:
   (template matrix and enrollment hashes) under the root's key pair, and
   the chain with its keys;
 * ``identify`` rebuilds the same, then runs the tree's key set-up before
-  it queries: node key pairs, kept only until they open the channels,
-  the channels, and each link's decision secret, dealt as rows of the
-  (chiefs, 2n + 1, 64) shard tensor (row k is field point k + 1: rows
-  0..n-1 the leaves', row n the chief's, the rest the root's);
+  it queries: X25519-only node keys, kept only until the ends of each link
+  agree its key, the channels, and each link's decision secret, dealt as
+  rows of the (chiefs, 2n + 1, 64) shard tensor (row k is field point
+  k + 1: rows 0..n-1 the leaves', row n the chief's, the rest the root's);
 * ``enroll`` and ``experiment`` build the whole deployment.
 
 Only ``identify`` appends to ``ledger.bin``; ``enroll`` replaces it with
@@ -136,6 +136,11 @@ def _load_chain_params(path: Path) -> list[StageParams]:
     return stages
 
 
+class _EmptyArchive(click.ClickException):
+    """``archive.txt`` parses but holds no record, so no tree can be built:
+    an ``archive:`` finding for ``audit``, a one-line error elsewhere."""
+
+
 def _load_system(
     out: Path, config: ExperimentConfig, keys_rng: np.random.Generator,
     strict: bool = True, ledger: Optional[Ledger] = None, resume: bool = False,
@@ -147,8 +152,9 @@ def _load_system(
     :func:`setup_tree_keys`. The system's ledger is ``ledger``, or else
     ``ledger.bin`` replayed, reopened to append only if ``resume``.
 
-    An archive or a ledger that does not parse is a one-line error. So is
-    a snapshot or a live store that does not parse, or a live store whose
+    An archive that does not parse or holds no record (:class:`_EmptyArchive`)
+    and a ledger that does not parse are one-line errors. So is a snapshot
+    or a live store that does not parse, or a live store whose
     records do not fit the tree's rows, unless ``strict`` is False (audit
     and restore): the chain then has no snapshot, the system no live
     store, or the tree keeps the archive's templates, and the audit
@@ -160,6 +166,8 @@ def _load_system(
         archive_templates = load_gallery(out / ARCHIVE_FILE)
     except ValueError as exc:
         raise click.ClickException(str(exc))
+    if not archive_templates:
+        raise _EmptyArchive(f"{ARCHIVE_FILE} holds no record; no tree can be built from it")
     try:
         live_templates = load_gallery(out / GALLERY_FILE)
     except ValueError as exc:
@@ -192,13 +200,8 @@ def _load_system(
             raise click.ClickException(f"{LEDGER_FILE} does not parse: {exc}; run audit")
     elif ledger is None:
         ledger = Ledger(ledger_path if resume else None)
-    return EnrolledSystem(
-        chain=chain,
-        ledger=ledger,
-        tree=tree,
-        archive=TemplateArchive(archive_templates),
-        flat_store=live_templates,
-    )
+    return EnrolledSystem(chain=chain, ledger=ledger, tree=tree,
+                          archive=TemplateArchive(archive_templates), flat_store=live_templates)
 
 
 class _Main(click.Group):
@@ -367,8 +370,12 @@ def audit_cmd(ctx):
         ledger = Ledger.load(ledger_path) if ledger_path.exists() else Ledger()
     except (ValueError, LedgerError) as exc:
         ledger, ledger_error = Ledger(), exc
-    system = _load_system(out, config, enrollment_keys_rng(config.seed), strict=False,
-                          ledger=ledger)
+    try:
+        system = _load_system(out, config, enrollment_keys_rng(config.seed), strict=False,
+                              ledger=ledger)
+    except _EmptyArchive as exc:
+        click.echo(f"archive: {exc.message}")
+        sys.exit(1)
     findings = run_audit(system)
     for line in findings.lines:
         click.echo(line)

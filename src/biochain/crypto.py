@@ -13,6 +13,7 @@ Concrete choices (the rest of the package depends only on the contracts):
 * asymmetric     ephemeral X25519 + HKDF-SHA256 + AES-256-GCM, bounded to
                  short payloads (it carries wrapped keys and control
                  messages, never bulk data)
+* key agreement  static-static X25519 + HKDF-SHA256 (:func:`link_key`)
 * signatures     Ed25519
 * secret sharing byte-wise polynomial sharing over GF(2^8) with
                  index-tagged shards, recombined a stack of pools at a
@@ -47,7 +48,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -71,6 +72,7 @@ KEY_HALF_LEN = 32
 ASYM_MAX_PAYLOAD = 1024
 
 _ECIES_INFO = b"biochain/ecies/v1"
+_LINK_INFO = b"biochain/link-key/v1"
 
 
 class CryptoError(Exception):
@@ -179,14 +181,8 @@ def derive_public(private: bytes) -> bytes:
 
 
 def _public_of(private: bytes) -> bytes:
-    enc_priv = X25519PrivateKey.from_private_bytes(private[:KEY_HALF_LEN])
-    sig_priv = Ed25519PrivateKey.from_private_bytes(private[KEY_HALF_LEN:])
-    raw = serialization.Encoding.Raw
-    pub_fmt = serialization.PublicFormat.Raw
-    return (
-        enc_priv.public_key().public_bytes(raw, pub_fmt)
-        + sig_priv.public_key().public_bytes(raw, pub_fmt)
-    )
+    return (_enc_private(private).public_key().public_bytes_raw()
+            + _sig_private(private).public_key().public_bytes_raw())
 
 
 def _enc_public(public: bytes) -> X25519PublicKey:
@@ -197,6 +193,30 @@ def _enc_private(private: PrivateKey) -> X25519PrivateKey:
     if isinstance(private, KeyPair):
         return private.decryption_key
     return X25519PrivateKey.from_private_bytes(private[:KEY_HALF_LEN])
+
+
+# An X25519-only private key, parsed: it agrees keys and does nothing else.
+AgreementKey = X25519PrivateKey
+
+
+def agreement_keys(private: bytes) -> list[AgreementKey]:
+    """One :data:`AgreementKey` per ``KEY_HALF_LEN`` bytes of ``private``,
+    in order. Parsing a key computes its public point."""
+    return [X25519PrivateKey.from_private_bytes(private[start:start + KEY_HALF_LEN])
+            for start in range(0, len(private), KEY_HALF_LEN)]
+
+
+def link_key(own: AgreementKey, peer: X25519PublicKey, position: bytes) -> bytes:
+    """One end's key for the link between the holders of ``own`` and
+    ``peer``: HKDF-SHA256 of their static-static X25519 shared secret (the
+    C(0e, 2s) scheme of NIST SP 800-56A), bound to the link's ``position``.
+    The other end, from its own private key and ``own``'s public key,
+    derives the same key; nothing secret is sent."""
+    return _hkdf(own.exchange(peer), _LINK_INFO + position)
+
+
+def _hkdf(shared: bytes, info: bytes) -> bytes:
+    return HKDF(algorithm=hashes.SHA256(), length=SYM_KEY_LEN, salt=None, info=info).derive(shared)
 
 
 def _sig_public(public: bytes) -> Ed25519PublicKey:
@@ -298,13 +318,8 @@ def asym_encrypt(message: bytes, public: bytes) -> bytes:
             f"{len(message)} bytes exceeds the {ASYM_MAX_PAYLOAD}-byte bound"
         )
     eph = X25519PrivateKey.generate()
-    eph_pub = eph.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
-    shared = eph.exchange(_enc_public(public))
-    key = HKDF(
-        algorithm=hashes.SHA256(), length=SYM_KEY_LEN, salt=None, info=_ECIES_INFO
-    ).derive(shared)
+    eph_pub = eph.public_key().public_bytes_raw()
+    key = _hkdf(eph.exchange(_enc_public(public)), _ECIES_INFO)
     nonce = os.urandom(SYM_NONCE_LEN)
     return eph_pub + nonce + AESGCM(key).encrypt(nonce, message, eph_pub)
 
@@ -323,12 +338,8 @@ def asym_decrypt(ciphertext: bytes, private: PrivateKey) -> bytes:
     nonce = ciphertext[KEY_HALF_LEN:header]
     body = ciphertext[header:]
     try:
-        shared = _enc_private(private).exchange(
-            X25519PublicKey.from_public_bytes(eph_pub)
-        )
-        key = HKDF(
-            algorithm=hashes.SHA256(), length=SYM_KEY_LEN, salt=None, info=_ECIES_INFO
-        ).derive(shared)
+        shared = _enc_private(private).exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        key = _hkdf(shared, _ECIES_INFO)
         return AESGCM(key).decrypt(nonce, body, eph_pub)
     except (InvalidTag, ValueError) as exc:
         raise DecryptionFailure("not the intended recipient") from exc
@@ -363,13 +374,11 @@ class Envelope:
     ek: bytes
 
 
-def seal(
-    payload: bytes,
-    recipient_public: bytes,
-    sym_key: Optional[bytes] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> Envelope:
-    key = sym_key if sym_key is not None else generate_sym_key(rng)
+def seal(payload: bytes, recipient_public: bytes) -> Envelope:
+    """Encrypt ``payload`` under a fresh symmetric key wrapped to
+    ``recipient_public``. Nothing in the package calls it; tests seal
+    probes with it, and ``perfbench/tracing.py`` wraps it by name."""
+    key = generate_sym_key()
     return Envelope(ed=sym_encrypt(payload, key), ek=asym_encrypt(key, recipient_public))
 
 

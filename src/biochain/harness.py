@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -93,6 +94,11 @@ def default_chain_spec() -> list[dict]:
     ]
 
 
+# What each annotated field type accepts: a float field takes an int, none a bool.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
+                "Optional[float]": (numbers.Real, type(None)), "list[dict]": list}
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 7
@@ -110,24 +116,23 @@ class ExperimentConfig:
     chain_spec: list[dict] = field(default_factory=default_chain_spec)
 
     def validate(self) -> None:
-        if self.gallery_size < 1:
-            raise InvalidConfig("gallery_size must be >= 1")
-        if self.template_dim < 1:
-            raise InvalidConfig("template_dim must be >= 1")
-        if self.fanout < 1:
-            raise InvalidConfig("fanout must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise InvalidConfig(f"{f.name} must be of type {f.type}, got {value!r}")
+        if not all(isinstance(stage, dict) for stage in self.chain_spec):
+            raise InvalidConfig("chain_spec must be a list of objects")
+        for name in ("gallery_size", "template_dim", "fanout", "probes_per_identity", "ranks"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"{name} must be >= 1")
         if self.metric not in METRICS:
             raise InvalidConfig(f"metric must be one of {sorted(METRICS)}, got {self.metric!r}")
-        if self.probe_noise_sigma < 0:
+        if not self.probe_noise_sigma >= 0:  # NaN fails too
             raise InvalidConfig("probe_noise_sigma must be >= 0")
-        if self.noise_sigma is not None and self.noise_sigma < 0:
+        if self.noise_sigma is not None and not self.noise_sigma >= 0:
             raise InvalidConfig("noise_sigma must be >= 0")
         if not 0 < self.tamper_fraction <= 1:
             raise InvalidConfig("tamper_fraction must be in (0, 1]")
-        if self.probes_per_identity < 1:
-            raise InvalidConfig("probes_per_identity must be >= 1")
-        if self.ranks < 1:
-            raise InvalidConfig("ranks must be >= 1")
 
     def separation_bound(self) -> float:
         """Minimum pairwise template distance enforced at generation."""
@@ -268,7 +273,7 @@ def build_stage_params(
     stages = []
     dim = input_dim
     for desc in chain_spec:
-        kind = desc["kind"]
+        kind, activation = desc["kind"], desc.get("activation", "linear")
         if kind == "dense":
             out_dim = int(desc.get("out", dim))
             if desc.get("init", "random") == "identity":
@@ -279,34 +284,20 @@ def build_stage_params(
             else:
                 weights = rng.normal(scale=0.5, size=(out_dim, dim))
                 bias = rng.normal(scale=0.1, size=out_dim)
-            stages.append(
-                StageParams(
-                    kind="dense",
-                    weights=weights,
-                    bias=bias,
-                    activation=desc.get("activation", "linear"),
-                )
-            )
+            stages.append(StageParams(kind="dense", weights=weights, bias=bias, activation=activation))
             dim = out_dim
         elif kind == "convolution":
             k = int(desc.get("kernel", 3))
-            stages.append(
-                StageParams(
-                    kind="convolution",
-                    weights=rng.normal(scale=0.5, size=k),
-                    bias=np.array([float(desc.get("bias", 0.0))]),
-                    activation=desc.get("activation", "linear"),
-                )
-            )
+            stages.append(StageParams(kind="convolution", weights=rng.normal(scale=0.5, size=k),
+                                      bias=np.array([float(desc.get("bias", 0.0))]),
+                                      activation=activation))
             dim = dim - k + 1
         elif kind == "pooling":
             size = int(desc.get("pool_size", 2))
             stages.append(StageParams(kind="pooling", pool_size=size))
             dim = dim // size
         elif kind == "activation":
-            stages.append(
-                StageParams(kind="activation", activation=desc.get("activation", "linear"))
-            )
+            stages.append(StageParams(kind="activation", activation=activation))
         else:
             raise InvalidConfig(f"unknown stage kind {kind!r}")
         if dim < 1:
@@ -349,14 +340,9 @@ def enroll(
     stages = build_stage_params(descriptors, dim, _rng(seed, _STREAM_CHAIN))
     chain = ExtractorChain.build(stages, tree.public_key, rng=chain_keys_rng(seed))
     chain.take_snapshot()
-    archive = TemplateArchive(gallery)
-    flat_store = [t.copy() for t in gallery]
     return EnrolledSystem(
-        chain=chain,
-        ledger=ledger if ledger is not None else Ledger(),
-        tree=tree,
-        archive=archive,
-        flat_store=flat_store,
+        chain=chain, ledger=ledger if ledger is not None else Ledger(), tree=tree,
+        archive=TemplateArchive(gallery), flat_store=[t.copy() for t in gallery],
     )
 
 

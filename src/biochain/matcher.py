@@ -14,8 +14,8 @@ is the template of the leaf at enrollment position i. Verification,
 template writes and restoration read nothing else. :func:`setup_tree_keys`
 then enrolls the nodes and leaves the tree only what a query reads:
 ``chief_channels``, ``leaf_channels`` (row i's link is entry i),
-``shards`` and ``decision_commitments``. A node's key pair only opens its
-link's key and is not kept; the root's is the one key pair the tree
+``shards`` and ``decision_commitments``. A node's X25519 key only agrees
+its links' keys and is not kept; the root's is the one key pair the tree
 holds. :func:`build_tree` runs both. ``MatcherTree.write_template`` is
 the one way a stored template changes, so every edit (loading a live
 store, tampering, restoring from the archive) is seen by the next query
@@ -56,16 +56,16 @@ and the pools of every chief without dissent are gathered from the shard
 tensor in one index and reconstructed in one batched call.
 
 Probe fan-out is encrypted. Each root-chief and chief-leaf link gets its
-channel key at build time, in the paper's key-establishment step: the
-key is sealed to the receiving node's public key and opened with its
-private key, and the link's AES-GCM cipher is prepared then, once. A
-query crosses every link as one ciphertext under a fresh nonce, and
-every leaf authenticates its own copy. Each link set, the root's chief
-links and then each chief's leaf links, is crossed in one call that
-draws all its nonces at once. The leaves' copies, in enrollment order,
-are decoded into one (N, d) probe matrix and scored against the template
-matrix with one row kernel whose scores are bit-identical to the scalar
-metrics; each chief reads its slice.
+channel key at build time, in the paper's key-establishment step: both
+ends derive it by static-static X25519 agreement bound to the link's
+position, and its AES-GCM cipher is prepared once the two keys are found
+equal. A query crosses every link as one ciphertext under a fresh nonce,
+and every leaf authenticates its own copy. Each link set, the root's
+chief links and then each chief's leaf links, is crossed in one call
+that draws all its nonces at once. The leaves' copies, in enrollment
+order, are decoded into one (N, d) probe matrix and scored against the
+template matrix with one row kernel whose scores are bit-identical to
+the scalar metrics; each chief reads its slice.
 """
 
 from __future__ import annotations
@@ -255,18 +255,6 @@ class MatcherTree:
 # Construction
 # ---------------------------------------------------------------------------
 
-def _establish_channel(
-    keys: KeyPair, rng: Optional[np.random.Generator] = None
-) -> crypto.SymCipher:
-    """Key establishment for one delegation link, the paper's set-up
-    step: a fresh channel key is sealed to the receiving node's public key
-    and opened with its private key, so the key never travels in the
-    clear. The node prepares the link's cipher once, here; its key pair
-    is not needed again."""
-    sealed = crypto.seal(crypto.generate_sym_key(rng), keys.public, rng=rng)
-    return crypto.SymCipher(crypto.open_envelope(sealed, keys.private))
-
-
 def build_hash_tree(
     gallery: Sequence[Template], keys: KeyPair, fanout: int = DEFAULT_FANOUT
 ) -> MatcherTree:
@@ -310,28 +298,38 @@ def _sharing(rows: slice) -> SharingConfig:
     return SharingConfig.for_group(rows.stop - rows.start)
 
 
+def _link_cipher(
+    sender: crypto.AgreementKey, receiver: crypto.AgreementKey, position: bytes
+) -> crypto.SymCipher:
+    """Key establishment for one delegation link, the paper's set-up step:
+    each end derives the link key from its own private key and the other
+    end's public key, so the key never travels. The cipher is prepared
+    once, here, and only after the two ends' keys are found equal."""
+    key = crypto.link_key(sender, receiver.public_key(), position)
+    if key != crypto.link_key(receiver, sender.public_key(), position):
+        raise crypto.CryptoError(f"the ends of link {position!r} derived different keys")
+    return crypto.SymCipher(key)
+
+
 def setup_tree_keys(tree: MatcherTree, rng: Optional[np.random.Generator] = None) -> None:
-    """The tree's key set-up, drawn from ``rng`` chief by chief in this
-    order: its leaves' key pairs and its own; its channel and its leaves';
-    its decision secret and the secret's split into its rows of
-    ``tree.shards``, and a commitment to the secret. The key pairs are
-    dropped once the channels are open. Only a query reads any of it."""
-    leaf_keys, chief_keys = [], []
-    for rows in tree.chief_rows:
-        leaf_keys += [crypto.generate_keypair(rng) for _ in range(rows.start, rows.stop)]
-        chief_keys.append(crypto.generate_keypair(rng))
-
-    tree.chief_channels, tree.leaf_channels = [], []
-    for rows, keys in zip(tree.chief_rows, chief_keys):
-        tree.chief_channels.append(_establish_channel(keys, rng))
-        tree.leaf_channels += [_establish_channel(leaf, rng) for leaf in leaf_keys[rows]]
-    del leaf_keys, chief_keys  # every link is open: no node keeps its key pair
-
+    """The tree's key set-up, drawn from ``rng`` chief by chief: in one
+    draw, X25519-only private keys for its leaves and then itself; then its
+    decision secret, split into its rows of ``tree.shards`` and kept as a
+    commitment. Each link's cipher is keyed by static-static agreement
+    between its ends, bound to its position: ``b"c"`` for chief c's link
+    to the root, ``b"c/i"`` for its link to the leaf in row i. No node key
+    outlives the set-up; only a query reads any of it."""
+    root = tree.keys.decryption_key
     # The first chief is the largest: its 2n + 1 shards set the width.
     width = 2 * tree.chief_rows[0].stop + 1
     tree.shards = np.zeros((len(tree.chief_rows), width, _DECISION_SECRET_LEN), dtype=np.uint8)
-    tree.decision_commitments = []
-    for rows, held in zip(tree.chief_rows, tree.shards):
+    tree.chief_channels, tree.leaf_channels, tree.decision_commitments = [], [], []
+    for c, (rows, held) in enumerate(zip(tree.chief_rows, tree.shards)):
+        *leaves, chief = crypto.agreement_keys(
+            crypto.random_bytes(rng, crypto.KEY_HALF_LEN * (rows.stop - rows.start + 1)))
+        tree.chief_channels.append(_link_cipher(root, chief, b"%d" % c))
+        tree.leaf_channels += [_link_cipher(chief, leaf, b"%d/%d" % (c, row))
+                               for row, leaf in zip(range(rows.start, rows.stop), leaves)]
         secret = crypto.random_bytes(rng, _DECISION_SECRET_LEN)
         shards = crypto.shamir_split(secret, _sharing(rows), rng)
         held[:len(shards)] = [np.frombuffer(shard.payload, dtype=np.uint8) for shard in shards]

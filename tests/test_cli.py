@@ -124,8 +124,14 @@ class TestGenEnroll:
         ('{"metric": "manhattan"}', None, ["gen"], "metric must be one of"),
         (None, "biochain-gallery 1 16 0\n", ["enroll"], "cannot enroll an empty gallery"),
         ('{"fanout": 200}', None, ["enroll"], "GF(2^8) sharing allows at most 127"),
+        ('{"fanout": "5"}', None, ["gen"], "fanout must be of type int, got '5'"),
+        ('{"fanout": "5"}', None, ["enroll"], "fanout must be of type int, got '5'"),
+        ('{"seed": true}', None, ["enroll"], "seed must be of type int, got True"),
+        ('{"probe_noise_sigma": NaN}', None, ["gen"], "probe_noise_sigma must be >= 0"),
+        ('{"chain_spec": [1]}', None, ["enroll"], "chain_spec must be a list of objects"),
     ], ids=["gen-size-0", "unknown-key", "malformed-json", "fanout-0", "unknown-metric",
-            "empty-gallery", "fanout-200"])
+            "empty-gallery", "fanout-200", "fanout-str-gen", "fanout-str-enroll", "seed-bool",
+            "sigma-nan", "stage-not-object"])
     def test_bad_configuration_is_a_one_line_error(
         self, runner, tmp_path, config, gallery, command, message
     ):
@@ -467,6 +473,22 @@ class TestUnreadableState:
             assert "archive.txt: line 6 is blank" in lines[0]
         assert state_files(out) == state
 
+    def test_empty_archive_is_an_audit_finding_or_a_one_line_error(self, runner, tmp_path):
+        out = tmp_path / "run"
+        bootstrap(runner, out, size="20")
+        (out / "archive.txt").write_text("biochain-gallery 1 8 0\n")
+        state = state_files(out)
+        message = "archive.txt holds no record; no tree can be built from it"
+        audit_result = runner.invoke(main, ["--out", str(out), "audit"])
+        assert audit_result.exit_code == 1 and isinstance(audit_result.exception, SystemExit)
+        assert audit_result.output.splitlines() == [f"archive: {message}"]
+        for command in (["identify", "--identity", "id0001"], ["tamper", "--fraction", "0.1"],
+                        ["restore"]):
+            result = runner.invoke(main, ["--out", str(out), *command])
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+            assert result.output.splitlines() == [f"Error: {message}"]
+        assert state_files(out) == state
+
 
 class TestRebuiltKeys:
     @pytest.fixture
@@ -486,6 +508,13 @@ class TestRebuiltKeys:
         tree, chain = queried[0][0][0], cycles[0][0][0]
         assert tree.public_key == system.tree.public_key
         assert len(tree.chief_channels) == len(system.tree.chief_channels) == 3
+        assert len(tree.leaf_channels) == len(system.tree.leaf_channels) == 120
+        # Every rebuilt channel holds its enrolled key: one block under a
+        # fixed nonce encrypts to the same bytes.
+        for rebuilt, enrolled in zip(tree.chief_channels + tree.leaf_channels,
+                                     system.tree.chief_channels + system.tree.leaf_channels):
+            assert rebuilt.encrypt(bytes(12), b"block", None) == enrolled.encrypt(
+                bytes(12), b"block", None)
         assert tree.decision_commitments == system.tree.decision_commitments
         assert np.array_equal(tree.shards, system.tree.shards)
         assert len(tree.decision_commitments) == 3
@@ -507,7 +536,7 @@ class TestRebuiltKeys:
         out = tmp_path / "run"
         bootstrap(runner, out)
         calls = Counter()
-        for name in ("seal", "shamir_split", "generate_keypair"):
+        for name in ("link_key", "shamir_split", "generate_keypair"):
             def counted(*args, _name=name, _original=getattr(crypto, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -520,12 +549,12 @@ class TestRebuiltKeys:
             calls.clear()
             result = runner.invoke(main, ["--out", str(out), *command])
             assert result.exit_code == expect, result.output
-            assert calls["seal"] == calls["shamir_split"] == 0, command
+            assert calls["link_key"] == calls["shamir_split"] == 0, command
             assert 0 < calls["generate_keypair"] <= rebuilds * per_rebuild, command
         calls.clear()
         invoke(runner, out, "restore")
         invoke(runner, out, "identify", "--identity", "id0001")
-        assert calls["seal"] > 0 and calls["shamir_split"] > 0
+        assert calls["link_key"] > 0 and calls["shamir_split"] > 0
 
 
 class TestExperimentCommand:

@@ -276,6 +276,35 @@ class TestEnvelope:
             crypto.open_envelope(env, b.private)
 
 
+class TestLinkKey:
+    def test_both_ends_derive_the_same_key(self):
+        a, b = crypto.agreement_keys(np.random.default_rng(14).bytes(64))
+        key = crypto.link_key(a, b.public_key(), b"3/7")
+        assert len(key) == crypto.SYM_KEY_LEN
+        assert crypto.link_key(b, a.public_key(), b"3/7") == key
+
+    def test_the_key_is_bound_to_the_position_and_the_pair(self):
+        a, b, c = crypto.agreement_keys(np.random.default_rng(15).bytes(96))
+        keys = {crypto.link_key(a, b.public_key(), b"1"), crypto.link_key(a, b.public_key(), b"1/0"),
+                crypto.link_key(a, c.public_key(), b"1"), crypto.link_key(b, c.public_key(), b"1")}
+        assert len(keys) == 4
+
+    def test_agreement_keys_are_one_per_32_bytes_in_order(self):
+        drawn = np.random.default_rng(16).bytes(3 * crypto.KEY_HALF_LEN)
+        keys = crypto.agreement_keys(drawn)
+        assert [k.private_bytes_raw() for k in keys] == [drawn[:32], drawn[32:64], drawn[64:]]
+        assert crypto.agreement_keys(b"") == []
+
+    def test_a_node_key_agrees_with_a_key_pair_encryption_half(self):
+        # The root's end of a chief link is its key pair's X25519 half.
+        kp = crypto.generate_keypair(np.random.default_rng(17))
+        [node] = crypto.agreement_keys(np.random.default_rng(18).bytes(32))
+        root_public = kp.decryption_key.public_key()
+        assert root_public.public_bytes_raw() == kp.public[:crypto.KEY_HALF_LEN]
+        assert crypto.link_key(kp.decryption_key, node.public_key(), b"0") == crypto.link_key(
+            node, root_public, b"0")
+
+
 class TestParsedKeyPair:
     """A KeyPair parses its private halves once; raw bytes still work."""
 

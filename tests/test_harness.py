@@ -383,6 +383,30 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             config.validate()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("fanout", "5"),
+            ("fanout", True),
+            ("gallery_size", 2.0),
+            ("seed", None),
+            ("metric", 3),
+            ("noise_sigma", "1"),
+            ("tamper_fraction", False),
+            ("probe_noise_sigma", float("nan")),
+            ("chain_spec", {"kind": "dense"}),
+            ("chain_spec", [1]),
+        ],
+    )
+    def test_values_of_the_wrong_type_rejected(self, field, value):
+        config = small_config(**{field: value})
+        with pytest.raises(InvalidConfig):
+            config.validate()
+
+    def test_float_fields_take_ints_and_int_fields_take_numpy_ints(self):
+        small_config(probe_noise_sigma=0, noise_sigma=2, tamper_fraction=1).validate()
+        small_config(seed=np.int64(3), fanout=np.int32(5)).validate()
+
     def test_config_dict_round_trip(self):
         config = small_config(metric="cosine", noise_sigma=2.5)
         assert ExperimentConfig.from_dict(config.to_dict()) == config

@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -143,14 +144,19 @@ class TestShardAllocation:
             secret = crypto.shamir_reconstruct(held_shards(tree, 0, rows), config)
             assert decision_key_commitment(secret) == tree.decision_commitments[0]
 
-    def test_key_stream_is_pinned(self):
-        # Every shard row in field-point order, every commitment, and every
-        # channel key (one block under a fixed nonce) of a seeded tree with
-        # chiefs of 50, 50 and 30 leaves: a change to what the key set-up
-        # draws, or in what order, changes a digest.
+    @staticmethod
+    def pinned_tree():
+        """A seeded N=130 tree under fanout 50: chiefs of 50, 50 and 30."""
         rng = np.random.default_rng(130)
         gallery = [Template(f"id{i:03d}", row) for i, row in enumerate(rng.normal(size=(130, 8)))]
-        tree = build_tree(gallery, fanout=50, rng=np.random.default_rng(2026))
+        return build_tree(gallery, fanout=50, rng=np.random.default_rng(2026))
+
+    def test_key_stream_is_pinned(self):
+        # Every shard row in field-point order, every commitment, and every
+        # channel key (one block under a fixed nonce) of the pinned tree: a
+        # change to what the key set-up draws, or in what order, changes a
+        # digest.
+        tree = self.pinned_tree()
         assert chief_sizes(tree) == [50, 50, 30]
         dealt = hashlib.sha256()
         for n, held in zip(chief_sizes(tree), tree.shards):
@@ -158,11 +164,57 @@ class TestShardAllocation:
         for commitment in tree.decision_commitments:
             dealt.update(commitment)
         assert dealt.hexdigest() == (
-            "5521daf6cd6106be5205fcea345588860332bd35a59db1180285161450e7ce1c")
+            "b8e096042afce74f8c78ffd8a89f1cfb84eb9e22825985dc6f4095876670e7e6")
         channels = tree.chief_channels + tree.leaf_channels
         blocks = b"".join(channel.encrypt(bytes(12), b"pin", None) for channel in channels)
         assert hashlib.sha256(blocks).hexdigest() == (
-            "c57c1ba078b06d144a888226815a328a76b534afc3b656b8d5e5ce82f8549d80")
+            "92207a41b69c80df502368f77f264cba08ae164a7a25ed47a52c9c2e07bd0bcf")
+
+    def test_every_channel_of_the_pinned_tree_has_its_own_key(self):
+        # 3 chief links and 130 leaf links: one block under one fixed nonce
+        # gives 133 different ciphertexts only if no two links share a key.
+        tree = self.pinned_tree()
+        channels = tree.chief_channels + tree.leaf_channels
+        blocks = {channel.encrypt(bytes(12), b"pin", None) for channel in channels}
+        assert len(channels) == len(blocks) == 133
+
+    def test_link_keys_are_the_documented_static_static_agreement(self):
+        # Rebuilt from the raw key stream with the primitives themselves:
+        # the root's X25519 half, then chief 0's draw, its 5 leaves' keys
+        # and then its own, 32 bytes each.
+        from cryptography.hazmat.primitives import hashes
+        from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+        from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+
+        tree = build_tree(make_gallery(12), fanout=5, rng=np.random.default_rng(31))
+        stream = np.random.default_rng(31)
+        root = X25519PrivateKey.from_private_bytes(stream.bytes(64)[:32])
+        drawn = stream.bytes(32 * 6)
+        leaf, chief = (X25519PrivateKey.from_private_bytes(drawn[k:k + 32]) for k in (64, 160))
+
+        def cipher(own, peer, position):
+            shared = own.exchange(peer.public_key())
+            key = HKDF(algorithm=hashes.SHA256(), length=32, salt=None,
+                       info=b"biochain/link-key/v1" + position).derive(shared)
+            return crypto.SymCipher(key)
+
+        for built, expected in ((tree.chief_channels[0], cipher(root, chief, b"0")),
+                                (tree.leaf_channels[2], cipher(leaf, chief, b"0/2"))):
+            assert built.encrypt(bytes(12), b"pin", None) == expected.encrypt(bytes(12), b"pin", None)
+
+    def test_ends_that_disagree_prepare_no_channel(self, monkeypatch):
+        tree = build_hash_tree(make_gallery(12), crypto.generate_keypair(), fanout=5)
+        real_link_key = crypto.link_key
+        calls = itertools.count()
+
+        def one_end_off(own, peer, position):
+            # Call 7 is the leaf's end of chief 0's link to its third leaf.
+            key = real_link_key(own, peer, position)
+            return key if next(calls) != 7 else bytes([key[0] ^ 1]) + key[1:]
+
+        monkeypatch.setattr(crypto, "link_key", one_end_off)
+        with pytest.raises(crypto.CryptoError, match="derived different keys"):
+            setup_tree_keys(tree)
 
 
 class TestNodeHash:
