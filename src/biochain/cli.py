@@ -16,15 +16,15 @@ A deployment is rebuilt deterministically from (archive, fanout, seed),
 so no key material is stored between commands. Each command rebuilds
 only the parts it reads:
 
-* ``tamper``, ``audit`` and ``restore`` rebuild the tree's hash structure
-  (template matrix and enrollment hashes) under the root's key pair, and
-  the chain with its keys;
+* ``enroll``, ``tamper``, ``audit`` and ``restore`` build the tree's hash
+  structure (template matrix and enrollment hashes) under the root's key
+  pair, and the chain with its keys;
 * ``identify`` rebuilds the same, then runs the tree's key set-up before
   it queries: X25519-only node keys, kept only until the ends of each link
   agree its key, the channels, and each link's decision secret, dealt as
   rows of the (chiefs, 2n + 1, 64) shard tensor (row k is field point
   k + 1: rows 0..n-1 the leaves', row n the chief's, the rest the root's);
-* ``enroll`` and ``experiment`` build the whole deployment.
+* ``experiment`` builds the whole deployment.
 
 Only ``identify`` appends to ``ledger.bin``; ``enroll`` replaces it with
 an empty one, last. A ledger that does not parse is an ``audit`` finding
@@ -72,8 +72,8 @@ from .harness import (
     ExperimentConfig,
     audit as run_audit,
     chain_keys_rng,
-    enroll,
     enrollment_keys_rng,
+    enrollment_stages,
     generate_synthetic_gallery,
     inject_template_noise,
     load_gallery,
@@ -84,6 +84,8 @@ from .harness import (
 from .metrics import DimensionMismatch, ZeroVector
 from .ledger import Ledger, LedgerError
 from .matcher import (
+    MatcherTree,
+    Template,
     TemplateArchive,
     build_hash_tree,
     identify,
@@ -136,6 +138,17 @@ def _load_chain_params(path: Path) -> list[StageParams]:
     return stages
 
 
+def _build_system(
+    templates: list[Template], stages: list[StageParams], config: ExperimentConfig,
+    keys_rng: np.random.Generator,
+) -> tuple[MatcherTree, ExtractorChain]:
+    """The tree's hash structure over ``templates`` under the root's key
+    pair, the first draw of ``keys_rng``, then the chain over ``stages`` with
+    its keys; a command that queries continues ``keys_rng``."""
+    tree = build_hash_tree(templates, crypto.generate_keypair(keys_rng), config.fanout)
+    return tree, ExtractorChain.build(stages, tree.public_key, rng=chain_keys_rng(config.seed))
+
+
 class _EmptyArchive(click.ClickException):
     """``archive.txt`` parses but holds no record, so no tree can be built:
     an ``archive:`` finding for ``audit``, a one-line error elsewhere."""
@@ -146,11 +159,9 @@ def _load_system(
     strict: bool = True, ledger: Optional[Ledger] = None, resume: bool = False,
 ) -> EnrolledSystem:
     """Rebuild the enrolled deployment's checkable state from the state
-    directory: the tree's hash structure under the root's key pair, the
-    first draw of ``keys_rng``, and the chain with its keys. The tree has
-    no node keys; a command that queries continues ``keys_rng`` with
-    :func:`setup_tree_keys`. The system's ledger is ``ledger``, or else
-    ``ledger.bin`` replayed, reopened to append only if ``resume``.
+    directory, the archive and the stored stages, with :func:`_build_system`.
+    The system's ledger is ``ledger``, or else ``ledger.bin`` replayed,
+    reopened to append only if ``resume``.
 
     An archive that does not parse or holds no record (:class:`_EmptyArchive`)
     and a ledger that does not parse are one-line errors. So is a snapshot
@@ -174,10 +185,9 @@ def _load_system(
         if strict:
             raise click.ClickException(f"{exc}; run audit")
         live_templates = None
-    tree = build_hash_tree(archive_templates, crypto.generate_keypair(keys_rng), config.fanout)
     try:
-        stages = _load_chain_params(out / CHAIN_FILE)
-        chain = ExtractorChain.build(stages, tree.public_key, rng=chain_keys_rng(config.seed))
+        tree, chain = _build_system(
+            archive_templates, _load_chain_params(out / CHAIN_FILE), config, keys_rng)
     except ValueError as exc:
         raise click.ClickException(f"{CHAIN_FILE} holds no usable stage list: {exc}")
     try:
@@ -258,18 +268,20 @@ def enroll_cmd(ctx):
         templates = load_gallery(gallery_path)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    system = enroll(templates, config.chain_spec, fanout=config.fanout, seed=config.seed)
+    stages = enrollment_stages(templates, config.chain_spec, config.seed)
+    tree, chain = _build_system(templates, stages, config, enrollment_keys_rng(config.seed))
+    chain.take_snapshot()
     save_gallery(out / ARCHIVE_FILE, templates)
-    _save_chain_params(out / CHAIN_FILE, _chain_params(system.chain))
-    system.chain.snapshot.save(out / SNAPSHOT_FILE)
+    _save_chain_params(out / CHAIN_FILE, _chain_params(chain))
+    chain.snapshot.save(out / SNAPSHOT_FILE)
     _save_config(out, config)
     # Last, so a failure before it leaves the earlier transcript in place.
     write_atomic(out / LEDGER_FILE, b"")
     click.echo(f"enrolled {len(templates)} templates: "
-               f"{len(system.tree.chief_rows)} chiefs, "
-               f"{len(system.chain.blocks)} chain stages")
-    click.echo(f"tree root hash: {system.tree.hash.hex()}")
-    click.echo(f"chain notary hash: {system.chain.notary_hash().hex()}")
+               f"{len(tree.chief_rows)} chiefs, "
+               f"{len(chain.blocks)} chain stages")
+    click.echo(f"tree root hash: {tree.hash.hex()}")
+    click.echo(f"chain notary hash: {chain.notary_hash().hex()}")
 
 
 @main.command("identify")

@@ -25,12 +25,12 @@ Concrete choices (the rest of the package depends only on the contracts):
 A :class:`KeyPair` bundles an encryption half and a signing half so a
 single party identity can both receive wrapped keys and sign messages.
 
-The operations keep no state between calls, with one exception: a
-:class:`KeyPair` that decrypts or signs parses its private halves on
-first use and keeps the parsed keys for its lifetime, because parsing a
-private key computes its public point, a full scalar multiplication.
-:func:`asym_decrypt`, :func:`open_envelope` and :func:`sign` take a key
-pair or raw private bytes, which are parsed on each call.
+Each operation takes one form of its key. :func:`asym_decrypt`,
+:func:`open_envelope` and :func:`sign` take a :class:`KeyPair`, which
+parses its private halves on first use and keeps them, because parsing a
+private key computes its public point, a full scalar multiplication;
+nothing else keeps state between calls. :func:`sym_encrypt` and
+:func:`sym_decrypt` take raw key bytes, the link-set calls prepared ciphers.
 
 Pass a seeded ``numpy.random.Generator`` to the generators when
 reproducible key material is needed (enrollment does this so a
@@ -44,7 +44,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
@@ -156,12 +156,6 @@ class KeyPair:
         return _sig_private(self.private)
 
 
-# A private key: a :class:`KeyPair`, whose parsed halves are kept, or raw
-# private bytes, parsed on every call. A party that decrypts or signs
-# repeatedly passes its key pair.
-PrivateKey = Union[bytes, KeyPair]
-
-
 def generate_keypair(rng: Optional[np.random.Generator] = None) -> KeyPair:
     private = random_bytes(rng, KEY_HALF_LEN) + random_bytes(rng, KEY_HALF_LEN)
     return KeyPair(public=_public_of(private), private=private)
@@ -189,9 +183,7 @@ def _enc_public(public: bytes) -> X25519PublicKey:
     return X25519PublicKey.from_public_bytes(public[:KEY_HALF_LEN])
 
 
-def _enc_private(private: PrivateKey) -> X25519PrivateKey:
-    if isinstance(private, KeyPair):
-        return private.decryption_key
+def _enc_private(private: bytes) -> X25519PrivateKey:
     return X25519PrivateKey.from_private_bytes(private[:KEY_HALF_LEN])
 
 
@@ -223,9 +215,7 @@ def _sig_public(public: bytes) -> Ed25519PublicKey:
     return Ed25519PublicKey.from_public_bytes(public[KEY_HALF_LEN:])
 
 
-def _sig_private(private: PrivateKey) -> Ed25519PrivateKey:
-    if isinstance(private, KeyPair):
-        return private.signing_key
+def _sig_private(private: bytes) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(private[KEY_HALF_LEN:])
 
 
@@ -239,14 +229,9 @@ def generate_sym_key(rng: Optional[np.random.Generator] = None) -> bytes:
 
 # A symmetric key with its AES-GCM key schedule already expanded,
 # ``SymCipher(key)``. A link that carries many messages prepares its
-# cipher once and passes it wherever a raw key is accepted; it lives
-# exactly as long as the object that holds it.
+# cipher once and passes it to the link-set calls; it lives exactly as
+# long as the object that holds it.
 SymCipher = AESGCM
-SymKey = Union[bytes, SymCipher]
-
-
-def _cipher(key: SymKey) -> SymCipher:
-    return key if isinstance(key, AESGCM) else AESGCM(key)
 
 
 def sym_encrypt_each(
@@ -279,15 +264,14 @@ def sym_decrypt_each(
         raise AuthenticationFailure("authentication tag mismatch") from exc
 
 
-def sym_encrypt(message: bytes, key: SymKey) -> bytes:
-    """Encrypt one message with :func:`sym_encrypt_each`; output is the
-    nonce followed by the ciphertext. ``key`` is raw key bytes or a
-    prepared :data:`SymCipher`."""
-    [(nonce, body)] = sym_encrypt_each(message, [_cipher(key)])
+def sym_encrypt(message: bytes, key: bytes) -> bytes:
+    """Encrypt one message under raw key bytes with :func:`sym_encrypt_each`;
+    output is the nonce followed by the ciphertext."""
+    [(nonce, body)] = sym_encrypt_each(message, [SymCipher(key)])
     return nonce + body
 
 
-def sym_decrypt(ciphertext: bytes, key: SymKey) -> bytes:
+def sym_decrypt(ciphertext: bytes, key: bytes) -> bytes:
     """Invert :func:`sym_encrypt`.
 
     Raises:
@@ -296,7 +280,7 @@ def sym_decrypt(ciphertext: bytes, key: SymKey) -> bytes:
     if len(ciphertext) < SYM_NONCE_LEN + 16:
         raise AuthenticationFailure("ciphertext too short")
     sealed = (ciphertext[:SYM_NONCE_LEN], ciphertext[SYM_NONCE_LEN:])
-    return sym_decrypt_each([sealed], [_cipher(key)])[0]
+    return sym_decrypt_each([sealed], [SymCipher(key)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +308,8 @@ def asym_encrypt(message: bytes, public: bytes) -> bytes:
     return eph_pub + nonce + AESGCM(key).encrypt(nonce, message, eph_pub)
 
 
-def asym_decrypt(ciphertext: bytes, private: PrivateKey) -> bytes:
-    """Invert :func:`asym_encrypt` with the matching private key, a
-    :class:`KeyPair` or raw private bytes.
+def asym_decrypt(ciphertext: bytes, keys: KeyPair) -> bytes:
+    """Invert :func:`asym_encrypt` with the recipient's key pair.
 
     Raises:
         DecryptionFailure: wrong private key or damaged ciphertext.
@@ -338,17 +321,16 @@ def asym_decrypt(ciphertext: bytes, private: PrivateKey) -> bytes:
     nonce = ciphertext[KEY_HALF_LEN:header]
     body = ciphertext[header:]
     try:
-        shared = _enc_private(private).exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        shared = keys.decryption_key.exchange(X25519PublicKey.from_public_bytes(eph_pub))
         key = _hkdf(shared, _ECIES_INFO)
         return AESGCM(key).decrypt(nonce, body, eph_pub)
     except (InvalidTag, ValueError) as exc:
         raise DecryptionFailure("not the intended recipient") from exc
 
 
-def sign(private: PrivateKey, message: bytes) -> bytes:
-    """Ed25519 signature (deterministic) with a :class:`KeyPair` or raw
-    private bytes."""
-    return _sig_private(private).sign(message)
+def sign(keys: KeyPair, message: bytes) -> bytes:
+    """Ed25519 signature (deterministic) with the signer's key pair."""
+    return keys.signing_key.sign(message)
 
 
 def verify(public: bytes, signature: bytes, message: bytes) -> bool:
@@ -382,8 +364,8 @@ def seal(payload: bytes, recipient_public: bytes) -> Envelope:
     return Envelope(ed=sym_encrypt(payload, key), ek=asym_encrypt(key, recipient_public))
 
 
-def open_envelope(envelope: Envelope, private: PrivateKey) -> bytes:
-    key = asym_decrypt(envelope.ek, private)
+def open_envelope(envelope: Envelope, keys: KeyPair) -> bytes:
+    key = asym_decrypt(envelope.ek, keys)
     return sym_decrypt(envelope.ed, key)
 
 
@@ -435,29 +417,27 @@ class Shard:
 @dataclass(frozen=True)
 class SharingConfig:
     """Sharing arithmetic for a group of ``n`` participants: the secret is
-    split into ``2n + 1`` shards and any ``n + 2`` of them reconstruct it."""
+    split into ``2n + 1`` shards and any ``n + 2`` of them reconstruct it.
+    An ``n`` below 1, or one whose shards outnumber the 255 nonzero points
+    of GF(2^8), is an :class:`InvalidConfig` when the config is built."""
 
-    total: int
-    threshold: int
     n: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.n <= 127:
+            raise InvalidConfig(f"group size must be in 1..127, got {self.n}")
 
     @classmethod
     def for_group(cls, n: int) -> "SharingConfig":
-        return cls(total=2 * n + 1, threshold=n + 2, n=n)
+        return cls(n)
 
-    def validate(self) -> None:
-        if self.n < 1:
-            raise InvalidConfig(f"group size must be >= 1, got {self.n}")
-        if self.total != 2 * self.n + 1:
-            raise InvalidConfig(
-                f"total must be 2n+1 = {2 * self.n + 1}, got {self.total}"
-            )
-        if self.threshold != self.n + 2:
-            raise InvalidConfig(
-                f"threshold must be n+2 = {self.n + 2}, got {self.threshold}"
-            )
-        if self.total > 255:
-            raise InvalidConfig("GF(2^8) sharing supports at most 255 shards")
+    @property
+    def total(self) -> int:
+        return 2 * self.n + 1
+
+    @property
+    def threshold(self) -> int:
+        return self.n + 2
 
 
 def shamir_split(
@@ -473,7 +453,6 @@ def shamir_split(
     (total, len) accumulator with the points ``1..total`` as a column, so
     the split takes ``threshold`` table gathers, not ``total * threshold``.
     """
-    config.validate()
     if not secret:
         raise ValueError("cannot split an empty secret")
     length = len(secret)
@@ -500,7 +479,6 @@ def _lagrange_weights(points: tuple[int, ...], config: SharingConfig, width: int
     padded, read-only (width, 1) column, once the pool passes every check.
     Weight i is the product over j != i of x_j / (x_i ^ x_j), taken as a
     sum of logarithms."""
-    config.validate()
     if len(points) < config.threshold:
         raise InsufficientShards(
             f"{len(points)} shards supplied, {config.threshold} required"
@@ -535,7 +513,7 @@ def shamir_reconstruct_each(
 
     Raises:
         InsufficientShards, DuplicateIndex, InvalidConfig: a pool fails a
-            check (count, distinct indices, config and index range).
+            check (count, distinct indices, index range).
         ValueError: the stack, ``points`` and ``configs`` disagree on the
             number of pools, or a pool has more shards than the stack rows.
     """

@@ -133,6 +133,10 @@ class ExperimentConfig:
             raise InvalidConfig("noise_sigma must be >= 0")
         if not 0 < self.tamper_fraction <= 1:
             raise InvalidConfig("tamper_fraction must be in (0, 1]")
+        try:  # every stage must build at the configured dimension
+            build_stage_params(self.chain_spec, self.template_dim, np.random.default_rng(0))
+        except (InvalidConfig, TypeError, ValueError) as exc:
+            raise InvalidConfig(f"chain_spec does not build: {exc}")
 
     def separation_bound(self) -> float:
         """Minimum pairwise template distance enforced at generation."""
@@ -273,7 +277,7 @@ def build_stage_params(
     stages = []
     dim = input_dim
     for desc in chain_spec:
-        kind, activation = desc["kind"], desc.get("activation", "linear")
+        kind, activation = desc.get("kind"), desc.get("activation", "linear")
         if kind == "dense":
             out_dim = int(desc.get("out", dim))
             if desc.get("init", "random") == "identity":
@@ -305,6 +309,16 @@ def build_stage_params(
     return stages
 
 
+def enrollment_stages(
+    gallery: Sequence[Template], chain_spec: Sequence[dict], seed: int
+) -> list[StageParams]:
+    """The chain's stage parameters for ``gallery``, drawn from the seed's
+    stage stream; an empty gallery is an :class:`InvalidConfig`."""
+    if not gallery:
+        raise InvalidConfig("cannot enroll an empty gallery")
+    return build_stage_params(chain_spec, gallery[0].vector.shape[0], _rng(seed, _STREAM_CHAIN))
+
+
 @dataclass
 class EnrolledSystem:
     """Everything enrollment produces, for both architectures."""
@@ -332,12 +346,9 @@ def enroll(
     deployment can be reconstructed from its inputs. The chain's keys
     depend on the seed alone.
     """
-    if not gallery:
-        raise InvalidConfig("cannot enroll an empty gallery")
-    dim = gallery[0].vector.shape[0]
-    descriptors = list(chain_spec) if chain_spec is not None else default_chain_spec()
+    stages = enrollment_stages(
+        gallery, chain_spec if chain_spec is not None else default_chain_spec(), seed)
     tree = build_tree(list(gallery), fanout=fanout, rng=enrollment_keys_rng(seed))
-    stages = build_stage_params(descriptors, dim, _rng(seed, _STREAM_CHAIN))
     chain = ExtractorChain.build(stages, tree.public_key, rng=chain_keys_rng(seed))
     chain.take_snapshot()
     return EnrolledSystem(
@@ -639,7 +650,6 @@ def run_experiment(config: ExperimentConfig) -> Report:
     architecture is scored as-is, and the protected one audits, restores
     from the archive, and is scored again.
     """
-    config.validate()
     gallery = generate_synthetic_gallery(config)
     system = enroll(
         gallery, config.chain_spec, fanout=config.fanout, seed=config.seed

@@ -577,15 +577,13 @@ class TemplateArchive:
 def restore_leaves(
     tree: MatcherTree,
     locators: Sequence[LeafLocator],
-    archive: Optional[TemplateArchive],
+    archive: TemplateArchive,
 ) -> None:
     """Restore the located leaves' templates from the archive, byte-exactly.
 
     Raises:
-        ArchiveMissing: no archive, or a locator the archive cannot serve.
+        ArchiveMissing: a locator the archive cannot serve.
     """
-    if archive is None:
-        raise ArchiveMissing("no template archive available")
     for locator in locators:
         tree.write_template(locator.global_index, archive.get(locator.global_index))
 

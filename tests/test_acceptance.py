@@ -168,7 +168,7 @@ def test_criterion_4_chain_tamper_localization():
             chain.take_snapshot()
             x = rng.normal(size=8)
             baseline = crypto.open_envelope(
-                handoff_envelope(run_query_cycle(chain, Ledger(), x)), root.private
+                handoff_envelope(run_query_cycle(chain, Ledger(), x)), root
             )
             chains.append((chain, root, x, baseline))
 
@@ -184,7 +184,7 @@ def test_criterion_4_chain_tamper_localization():
             restore_stage(chain, index)
             assert chain.verify() is None
             recovered = crypto.open_envelope(
-                handoff_envelope(run_query_cycle(chain, Ledger(), x)), root.private
+                handoff_envelope(run_query_cycle(chain, Ledger(), x)), root
             )
             assert recovered == baseline
         assert hits == 200
@@ -301,7 +301,7 @@ def test_criterion_7_protocol_soundness_and_access_control():
             chain, root, stages, dim = random_chain()
             x = rng.normal(size=dim)
             via_protocol = crypto.open_envelope(
-                handoff_envelope(run_query_cycle(chain, Ledger(), x)), root.private
+                handoff_envelope(run_query_cycle(chain, Ledger(), x)), root
             )
             assert via_protocol == encode_vector(compose_stages(stages, x))
 
@@ -317,7 +317,7 @@ def test_criterion_7_protocol_soundness_and_access_control():
                 openers = 0
                 for keys in parties:
                     try:
-                        sym = crypto.asym_decrypt(entry.ek, keys.private)
+                        sym = crypto.asym_decrypt(entry.ek, keys)
                         crypto.sym_decrypt(entry.ed, sym)
                         openers += 1
                     except crypto.CryptoError:
@@ -338,7 +338,7 @@ def test_criterion_7_protocol_soundness_and_access_control():
                 ed=crypto.sym_encrypt(payload, sym),
                 ek=crypto.asym_encrypt(sym, chain.blocks[0].keys.public),
                 em=crypto.asym_encrypt(_turn_token(cid), chain.blocks[0].keys.public),
-                sig=crypto.sign(adversary.private, _auth_token(cid)),
+                sig=crypto.sign(adversary, _auth_token(cid)),
             )
             produced = []
             for block in chain.blocks:

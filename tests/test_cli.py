@@ -17,7 +17,7 @@ from biochain import cli, crypto
 from biochain.cli import main
 from biochain.encoding import lp
 from biochain.extractor import StableSnapshot, StageParams
-from biochain.harness import ExperimentConfig, save_gallery
+from biochain.harness import ExperimentConfig, enroll, load_gallery, save_gallery
 from biochain.matcher import Template
 from helpers import chain_keys
 
@@ -51,6 +51,9 @@ def spy(monkeypatch, name):
 
     monkeypatch.setattr(cli, name, recorded)
     return calls
+
+
+BOGUS_STAGE = '{"chain_spec": [{"kind": "activation", "activation": "bogus"}]}'
 
 
 def state_files(out):
@@ -129,9 +132,14 @@ class TestGenEnroll:
         ('{"seed": true}', None, ["enroll"], "seed must be of type int, got True"),
         ('{"probe_noise_sigma": NaN}', None, ["gen"], "probe_noise_sigma must be >= 0"),
         ('{"chain_spec": [1]}', None, ["enroll"], "chain_spec must be a list of objects"),
+        (BOGUS_STAGE, None, ["gen"], "unknown activation 'bogus'"),
+        (BOGUS_STAGE, None, ["enroll"], "unknown activation 'bogus'"),
+        ('{"chain_spec": [{"init": "identity"}]}', None, ["gen"], "unknown stage kind None"),
+        ('{"chain_spec": [{"init": "identity"}]}', None, ["enroll"], "unknown stage kind None"),
     ], ids=["gen-size-0", "unknown-key", "malformed-json", "fanout-0", "unknown-metric",
             "empty-gallery", "fanout-200", "fanout-str-gen", "fanout-str-enroll", "seed-bool",
-            "sigma-nan", "stage-not-object"])
+            "sigma-nan", "stage-not-object", "bogus-activation-gen", "bogus-activation-enroll",
+            "stage-without-kind-gen", "stage-without-kind-enroll"])
     def test_bad_configuration_is_a_one_line_error(
         self, runner, tmp_path, config, gallery, command, message
     ):
@@ -492,13 +500,15 @@ class TestUnreadableState:
 
 class TestRebuiltKeys:
     @pytest.fixture
-    def enrolled(self, runner, tmp_path, monkeypatch):
-        """A state directory and the deployment ``enroll`` built for it."""
+    def enrolled(self, runner, tmp_path):
+        """A state directory and the whole deployment enrollment builds for
+        its gallery, configuration and seed."""
         out = tmp_path / "run"
         invoke(runner, out, "--seed", "3", "gen", "--gallery-size", "120", "--template-dim", "8")
-        built = spy(monkeypatch, "enroll")
         invoke(runner, out, "enroll")
-        return out, built[0][1]
+        config = ExperimentConfig.from_dict(json.loads((out / "config.json").read_text()))
+        return out, enroll(load_gallery(out / "gallery.txt"), config.chain_spec,
+                           fanout=config.fanout, seed=config.seed)
 
     def test_identify_rebuilds_the_enrolled_keys(self, runner, monkeypatch, enrolled):
         out, system = enrolled
@@ -543,7 +553,8 @@ class TestRebuiltKeys:
             monkeypatch.setattr(crypto, name, counted)
         # Per rebuild: the chain's notary and blocks, and the tree's root.
         per_rebuild = len(StableSnapshot.load(out / "snapshot.bin").blocks) + 2
-        for command, expect, rebuilds in ((["tamper", "--fraction", "0.1"], 0, 1),
+        for command, expect, rebuilds in ((["enroll"], 0, 1),
+                                          (["tamper", "--fraction", "0.1"], 0, 1),
                                           (["audit"], 1, 1), (["restore"], 0, 2),
                                           (["tamper", "--block", "0"], 0, 1)):
             calls.clear()

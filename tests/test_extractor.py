@@ -182,10 +182,10 @@ class TestBeginCycle:
         captured = crypto.asym_encrypt(encode_vector(np.ones(4)), chain.notary.keys.public)
         entry = notary_begin_cycle(chain.notary, ledger, captured)
         token = _turn_token(entry.cycle_id)
-        assert crypto.asym_decrypt(entry.em, chain.blocks[0].keys.private) == token
+        assert crypto.asym_decrypt(entry.em, chain.blocks[0].keys) == token
         for block in chain.blocks[1:]:
             with pytest.raises(crypto.DecryptionFailure):
-                crypto.asym_decrypt(entry.em, block.keys.private)
+                crypto.asym_decrypt(entry.em, block.keys)
 
     def test_capture_for_wrong_key_rejected(self):
         chain, _ = build_chain(identity_stages(4))
@@ -220,7 +220,7 @@ class TestBlockHandleUpdate:
         entry = block_handle_update(chain.blocks[0], ledger, cid)
         assert entry is not None
         # the new update is addressed back to the notary
-        sym = crypto.asym_decrypt(entry.ek, chain.notary.keys.private)
+        sym = crypto.asym_decrypt(entry.ek, chain.notary.keys)
         payload = decode_vector(crypto.sym_decrypt(entry.ed, sym))
         assert np.array_equal(payload, np.ones(4))
         assert crypto.verify(chain.blocks[0].keys.public, entry.sig, _auth_token(cid))
@@ -238,7 +238,7 @@ class TestBlockHandleUpdate:
             ed=crypto.sym_encrypt(encode_vector(np.zeros(4)), adversary_sym),
             ek=crypto.asym_encrypt(adversary_sym, chain.blocks[1].keys.public),
             em=crypto.asym_encrypt(_turn_token(cid), chain.blocks[1].keys.public),
-            sig=crypto.sign(adversary.private, _auth_token(cid)),
+            sig=crypto.sign(adversary, _auth_token(cid)),
         )
         before = len(ledger)
         with pytest.raises(SignatureRejected):
@@ -258,7 +258,7 @@ class TestRunQueryCycle:
         chain, root = build_chain(identity_stages(6))
         x = np.linspace(-1, 1, 6)
         final = run_query_cycle(chain, Ledger(), x)
-        feature = decode_vector(crypto.open_envelope(handoff_envelope(final), root.private))
+        feature = decode_vector(crypto.open_envelope(handoff_envelope(final), root))
         assert np.array_equal(feature, x)
 
     def test_matches_plain_composition_byte_exactly(self):
@@ -268,7 +268,7 @@ class TestRunQueryCycle:
             chain, root = build_chain(stages)
             x = rng.normal(size=8)
             final = run_query_cycle(chain, Ledger(), x)
-            via_protocol = crypto.open_envelope(handoff_envelope(final), root.private)
+            via_protocol = crypto.open_envelope(handoff_envelope(final), root)
             direct = encode_vector(compose_stages(stages, x))
             assert via_protocol == direct
 
@@ -288,7 +288,7 @@ class TestRunQueryCycle:
             ed=crypto.sym_encrypt(encode_vector(np.zeros(4)), sym),
             ek=crypto.asym_encrypt(sym, chain.blocks[1].keys.public),
             em=crypto.asym_encrypt(_turn_token(cid), chain.blocks[1].keys.public),
-            sig=crypto.sign(adversary.private, _auth_token(cid)),
+            sig=crypto.sign(adversary, _auth_token(cid)),
         )
         with pytest.raises(SignatureRejected):
             for block in chain.blocks:
@@ -302,7 +302,7 @@ class TestRunQueryCycle:
         assert chain.notary.progress == {}
         x = np.array([0.5, -1.0, 2.0, 0.0])
         final = run_query_cycle(chain, ledger, x)
-        feature = decode_vector(crypto.open_envelope(handoff_envelope(final), root.private))
+        feature = decode_vector(crypto.open_envelope(handoff_envelope(final), root))
         assert np.array_equal(feature, x)
         cycles = {e.cycle_id for e in ledger.entries()}
         assert len(cycles) == 2
@@ -329,7 +329,7 @@ class TestRunQueryCycle:
             ed=crypto.sym_encrypt(encode_vector(np.ones(4)), sym),
             ek=crypto.asym_encrypt(sym, chain.blocks[0].keys.public),
             em=crypto.asym_encrypt(_turn_token(cid), chain.blocks[0].keys.public),
-            sig=crypto.sign(adversary.private, _auth_token(cid)),
+            sig=crypto.sign(adversary, _auth_token(cid)),
         )
         produced = []
         for block in chain.blocks:
@@ -375,7 +375,7 @@ class TestPollOrder:
         final = run_query_cycle(chain, Ledger(), x)
         assert trials == [(i, True) for i in range(5)]
         assert failures == []
-        feature = decode_vector(crypto.open_envelope(handoff_envelope(final), root.private))
+        feature = decode_vector(crypto.open_envelope(handoff_envelope(final), root))
         assert np.array_equal(feature, x)
 
     def test_marker_outside_the_chain_rejected_and_cycle_closed(self, monkeypatch):
@@ -407,7 +407,7 @@ class TestPollOrder:
         x = rng.normal(size=4)
         final = run_query_cycle(chain, Ledger(), x)
         assert [index for index, acted in trials if acted] == order
-        via_protocol = crypto.open_envelope(handoff_envelope(final), root.private)
+        via_protocol = crypto.open_envelope(handoff_envelope(final), root)
         assert via_protocol == encode_vector(compose_stages([stages[i] for i in order], x))
 
 
@@ -471,13 +471,13 @@ class TestVerifyAndRestore:
         chain, root = build_chain(stages)
         x = rng.normal(size=8)
         baseline = crypto.open_envelope(
-            handoff_envelope(run_query_cycle(chain, Ledger(), x)), root.private
+            handoff_envelope(run_query_cycle(chain, Ledger(), x)), root
         )
         chain.blocks[0].params.weights[0, 0] += 0.5
         restore_stage(chain, 0)
         assert chain.verify() is None
         recovered = crypto.open_envelope(
-            handoff_envelope(run_query_cycle(chain, Ledger(), x)), root.private
+            handoff_envelope(run_query_cycle(chain, Ledger(), x)), root
         )
         assert recovered == baseline
 
@@ -574,4 +574,4 @@ class TestThreadedPolling:
         for t in threads:
             t.join()
         assert final is not None
-        assert crypto.open_envelope(handoff_envelope(final), root.private) == expected
+        assert crypto.open_envelope(handoff_envelope(final), root) == expected

@@ -172,7 +172,7 @@ class TestEnroll:
         probe = gallery[4].vector + 0.125
         entry = run_query_cycle(system.chain, system.ledger, probe)
         feature = decode_vector(
-            crypto.open_envelope(handoff_envelope(entry), system.tree.keys.private)
+            crypto.open_envelope(handoff_envelope(entry), system.tree.keys)
         )
         assert np.array_equal(feature, probe)
 
@@ -218,14 +218,14 @@ class TestTamperInjection:
         probe = gallery[0].vector
         baseline = run_query_cycle(system.chain, system.ledger, probe)
         base_feature = crypto.open_envelope(
-            handoff_envelope(baseline), system.tree.keys.private
+            handoff_envelope(baseline), system.tree.keys
         )
         tamper_extractor_block(system.chain, 0, 1e-6)
         assert system.chain.verify() == 0
         restore_stage(system.chain, 0)
         recovered = run_query_cycle(system.chain, system.ledger, probe)
         assert crypto.open_envelope(
-            handoff_envelope(recovered), system.tree.keys.private
+            handoff_envelope(recovered), system.tree.keys
         ) == base_feature
 
     def test_zero_epsilon_keeps_chain_intact(self):

@@ -146,7 +146,7 @@ class TestConfidentiality:
                 continue  # initiation entry carries the capture only
             for keys in all_keys:
                 try:
-                    sym = crypto.asym_decrypt(entry.ek, keys.private)
+                    sym = crypto.asym_decrypt(entry.ek, keys)
                     crypto.sym_decrypt(entry.ed, sym)
                     opened += 1
                 except crypto.CryptoError:

@@ -887,8 +887,9 @@ class TestRestoreLeaves:
             assert chief_hashes(tree) == stable
 
     def test_missing_archive(self):
+        # a locator past the archive's last record
         gallery = make_gallery(4, seed=38)
         tree = build_tree(gallery, fanout=4)
-        perturb_template(tree, 0, 1.0)
+        perturb_template(tree, 3, 1.0)
         with pytest.raises(ArchiveMissing):
-            restore_leaves(tree, verify_tree(tree), None)
+            restore_leaves(tree, verify_tree(tree), TemplateArchive(gallery[:3]))
