@@ -135,7 +135,7 @@ class ExperimentConfig:
             raise InvalidConfig("tamper_fraction must be in (0, 1]")
         try:  # every stage must build at the configured dimension
             build_stage_params(self.chain_spec, self.template_dim, np.random.default_rng(0))
-        except (InvalidConfig, TypeError, ValueError) as exc:
+        except (InvalidConfig, TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfig(f"chain_spec does not build: {exc}")
 
     def separation_bound(self) -> float:
@@ -269,6 +269,15 @@ def load_gallery(path: Path) -> list[Template]:
 # Enrollment
 # ---------------------------------------------------------------------------
 
+# The keys each stage kind reads; a descriptor holding any other is refused.
+_STAGE_KEYS = {
+    "dense": {"kind", "activation", "out", "init"},
+    "convolution": {"kind", "activation", "kernel", "bias"},
+    "pooling": {"kind", "pool_size"},
+    "activation": {"kind", "activation"},
+}
+
+
 def build_stage_params(
     chain_spec: Sequence[dict], input_dim: int, rng: np.random.Generator
 ) -> list[StageParams]:
@@ -278,6 +287,11 @@ def build_stage_params(
     dim = input_dim
     for desc in chain_spec:
         kind, activation = desc.get("kind"), desc.get("activation", "linear")
+        if not isinstance(kind, str) or kind not in _STAGE_KEYS:
+            raise InvalidConfig(f"unknown stage kind {kind!r}")
+        unread = sorted(set(desc) - _STAGE_KEYS[kind])
+        if unread:
+            raise InvalidConfig(f"stage kind {kind!r} reads no key {', '.join(map(repr, unread))}")
         if kind == "dense":
             out_dim = int(desc.get("out", dim))
             if desc.get("init", "random") == "identity":
@@ -300,10 +314,8 @@ def build_stage_params(
             size = int(desc.get("pool_size", 2))
             stages.append(StageParams(kind="pooling", pool_size=size))
             dim = dim // size
-        elif kind == "activation":
-            stages.append(StageParams(kind="activation", activation=activation))
         else:
-            raise InvalidConfig(f"unknown stage kind {kind!r}")
+            stages.append(StageParams(kind="activation", activation=activation))
         if dim < 1:
             raise InvalidConfig("chain collapses the vector to nothing")
     return stages
@@ -631,7 +643,7 @@ def evaluate_proposed(
     the consensus tree."""
     from .matcher import identify
 
-    results: list[list[MatchScore]] = []
+    results: list[Sequence[MatchScore]] = []
     for probe in probes:
         entry = run_query_cycle(system.chain, system.ledger, probe)
         outcome = identify(system.tree, handoff_envelope(entry), metric, timings)

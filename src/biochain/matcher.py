@@ -72,8 +72,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -81,7 +79,7 @@ import numpy as np
 from . import crypto
 from .crypto import KeyPair, SharingConfig
 from .encoding import decode_vectors, encode_vector, lp
-from .metrics import DimensionMismatch, MatchScore, get_row_metric
+from .metrics import DimensionMismatch, Ranking, get_row_metric
 
 _LEAF_HASH_TAG = b"biochain/leaf-hash/v1"
 _NODE_HASH_TAG = b"biochain/node-hash/v1"
@@ -90,9 +88,6 @@ _DECISION_KEY_TAG = b"biochain/decision-key/v1"
 DEFAULT_FANOUT = 50
 MAX_CHIEF_LEAVES = 127  # 2n + 1 shards, each at one of GF(2^8)'s 255 nonzero points
 _DECISION_SECRET_LEN = 64
-
-# A MatchScore from a tuple, without a Python-level call per candidate.
-_match_score = partial(tuple.__new__, MatchScore)
 
 
 class EmptyGallery(Exception):
@@ -187,7 +182,7 @@ class IdentifyResult:
     identity: str
     score: float
     metric: str
-    candidates: list[MatchScore]
+    candidates: Ranking
     scrutinized_chiefs: tuple[int, ...] = ()
 
 
@@ -460,7 +455,7 @@ def identify(
     chief drafts and defends a path decision (scrutiny repairing any path
     that fails consensus), and the root takes the best path decision,
     ties broken by lowest chief index. The full ascending candidate list
-    over all leaves is returned alongside the decision.
+    over all leaves, a :class:`Ranking`, is returned alongside the decision.
 
     Raises:
         KeysNotSetUp: the tree holds only its hash structure.
@@ -501,10 +496,7 @@ def identify(
 
     best = min(decisions, key=lambda d: (d.score, d.chief_id))
     # Enrollment order, so the stable sort breaks ties by global index.
-    order = np.argsort(all_scores, kind="stable")
-    candidates = list(map(_match_score, zip(
-        map(tree.identities.__getitem__, order.tolist()), all_scores[order].tolist(), repeat(metric)
-    )))
+    candidates = Ranking(tree.identities, all_scores, metric)
     t6 = time.perf_counter()
 
     if timings is not None:

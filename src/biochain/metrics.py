@@ -5,14 +5,17 @@ similarity is therefore reported as cosine distance (one minus the
 similarity). The flat linear-scan identifier here is the reference the
 matching tree is checked against, so it deliberately stays a plain loop
 over the scalar metrics. The matching tree scores through the row
-kernels, which give the scalar metrics' bits for every row.
+kernels, which give the scalar metrics' bits for every row. Both rank
+their scores through one :class:`Ranking`: :func:`flat_rank` shares only
+that final sort with the tree, and computes its scores independently.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -125,12 +128,46 @@ def _lookup(table: dict, name: str):
 
 
 class MatchScore(NamedTuple):
-    """One scored gallery entry. A named tuple: immutable, and cheap to
-    build for every entry of a candidate list."""
+    """One scored gallery entry: an immutable named tuple."""
 
     identity: str
     score: float
     metric: str
+
+
+class Ranking(Sequence):
+    """A candidate list: every gallery entry ascending by score, ties to
+    the lowest gallery index. It holds a snapshot of the identities, in
+    gallery order, the stable argsort ``order`` and the sorted ``scores``,
+    both read-only, and builds a :class:`MatchScore` only for an entry
+    that is read. It equals any sequence of equal entries in its order."""
+
+    __slots__ = ("identities", "order", "scores", "metric")
+
+    def __init__(self, identities: Sequence[str], scores, metric: str):
+        scores = np.asarray(scores, dtype=np.float64)
+        self.identities, self.metric = tuple(identities), metric
+        self.order = np.argsort(scores, kind="stable")
+        self.scores = scores[self.order]
+        self.order.flags.writeable = self.scores.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            rows = zip(self.order[index].tolist(), self.scores[index].tolist())
+            return [MatchScore(self.identities[i], s, self.metric) for i, s in rows]
+        i = range(len(self))[index]  # a list's negative indices and IndexError
+        return MatchScore(self.identities[self.order[i]], float(self.scores[i]), self.metric)
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and self[:] == list(other)
 
 
 def flat_oracle_identify(gallery, probe: np.ndarray, metric: str) -> MatchScore:
@@ -152,15 +189,12 @@ def flat_oracle_identify(gallery, probe: np.ndarray, metric: str) -> MatchScore:
     return MatchScore(identity=best_identity, score=best_score, metric=metric)
 
 
-def flat_rank(gallery, probe: np.ndarray, metric: str) -> list[MatchScore]:
-    """All gallery entries scored and sorted ascending, ties by index."""
+def flat_rank(gallery, probe: np.ndarray, metric: str) -> Ranking:
+    """All gallery entries scored one by one and ranked ascending, ties to
+    the lowest index."""
     fn = get_metric(metric)
-    scored = [
-        (fn(entry.vector, probe), idx, entry.identity)
-        for idx, entry in enumerate(gallery)
-    ]
-    scored.sort(key=lambda t: (t[0], t[1]))
-    return [MatchScore(ident, s, metric) for s, _, ident in scored]
+    scores = [fn(entry.vector, probe) for entry in gallery]
+    return Ranking([entry.identity for entry in gallery], scores, metric)
 
 
 def rank_k_accuracy(

@@ -54,6 +54,7 @@ def spy(monkeypatch, name):
 
 
 BOGUS_STAGE = '{"chain_spec": [{"kind": "activation", "activation": "bogus"}]}'
+MISSPELLED_STAGE = '{"chain_spec": [{"kind": "activation", "activaton": "relu"}]}'
 
 
 def state_files(out):
@@ -136,10 +137,15 @@ class TestGenEnroll:
         (BOGUS_STAGE, None, ["enroll"], "unknown activation 'bogus'"),
         ('{"chain_spec": [{"init": "identity"}]}', None, ["gen"], "unknown stage kind None"),
         ('{"chain_spec": [{"init": "identity"}]}', None, ["enroll"], "unknown stage kind None"),
+        (MISSPELLED_STAGE, None, ["gen"], "stage kind 'activation' reads no key 'activaton'"),
+        (MISSPELLED_STAGE, None, ["enroll"], "stage kind 'activation' reads no key 'activaton'"),
+        ('{"chain_spec": [{"kind": "dense", "out": 1e999}]}', None, ["gen"],
+         "cannot convert float infinity to integer"),
     ], ids=["gen-size-0", "unknown-key", "malformed-json", "fanout-0", "unknown-metric",
             "empty-gallery", "fanout-200", "fanout-str-gen", "fanout-str-enroll", "seed-bool",
             "sigma-nan", "stage-not-object", "bogus-activation-gen", "bogus-activation-enroll",
-            "stage-without-kind-gen", "stage-without-kind-enroll"])
+            "stage-without-kind-gen", "stage-without-kind-enroll", "misspelled-stage-key-gen",
+            "misspelled-stage-key-enroll", "infinite-stage-size"])
     def test_bad_configuration_is_a_one_line_error(
         self, runner, tmp_path, config, gallery, command, message
     ):

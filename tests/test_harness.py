@@ -403,6 +403,24 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             config.validate()
 
+    @pytest.mark.parametrize("stage,key", [
+        ({"kind": "activation", "activaton": "relu"}, "activaton"),
+        ({"kind": "pooling", "pool_size": 2, "activation": "relu"}, "activation"),
+        ({"kind": "dense", "kernel": 3}, "kernel"),
+        ({"kind": "convolution", "out": 4}, "out"),
+    ])
+    def test_stage_keys_the_kind_does_not_read_rejected(self, stage, key):
+        with pytest.raises(InvalidConfig, match=f"kind '{stage['kind']}' reads no key '{key}'"):
+            small_config(chain_spec=[stage]).validate()
+
+    def test_every_key_a_stage_kind_reads_accepted(self):
+        small_config(chain_spec=[
+            {"kind": "dense", "out": 8, "init": "identity", "activation": "relu"},
+            {"kind": "convolution", "kernel": 3, "bias": 0.5, "activation": "tanh"},
+            {"kind": "pooling", "pool_size": 2},
+            {"kind": "activation", "activation": "sigmoid"},
+        ]).validate()
+
     def test_float_fields_take_ints_and_int_fields_take_numpy_ints(self):
         small_config(probe_noise_sigma=0, noise_sigma=2, tamper_fraction=1).validate()
         small_config(seed=np.int64(3), fanout=np.int32(5)).validate()

@@ -32,7 +32,7 @@ from biochain.matcher import (
     setup_tree_keys,
     verify_tree,
 )
-from biochain.metrics import DimensionMismatch, flat_oracle_identify, flat_rank
+from biochain.metrics import DimensionMismatch, Ranking, flat_oracle_identify, flat_rank
 from helpers import (
     compromised_chief,
     corrupted_shard,
@@ -622,6 +622,57 @@ class TestBatchedRound:
                 expected = reference_round(tree, probe, metric, "-", rewrite, dissenters)
                 assert (result.identity, result.score, result.scrutinized_chiefs) == expected
                 assert result.candidates == flat_rank(gallery, probe, metric)
+
+
+def integer_gallery():
+    """130 templates of small nonzero integers, so every score is exact
+    whatever the BLAS, and many (36 distinct rows) tie."""
+    i, j = np.arange(130)[:, None], np.arange(8)
+    v = (i * (2 * j + 3) + (i // 7) * (j + 1)) % 6 - 3
+    return [Template(f"id{k:03d}", row) for k, row in enumerate((v + (v >= 0)).astype(np.float64))]
+
+
+def candidate_digest(rankings):
+    digest = hashlib.sha256()
+    for ranking in rankings:
+        for c in ranking:
+            digest.update(repr((c.identity, c.score.hex(), c.metric)).encode())
+    return digest.hexdigest()
+
+
+class TestCandidateRanking:
+    # Digests of the MatchScore lists that identify and flat_rank built
+    # before candidate lists became Rankings.
+    @pytest.mark.parametrize("metric,expected", [
+        ("euclidean", "9c044aaee6131a0ecd7f6650fbe1ac8cae512646193d11fbfdb5301d212bc739"),
+        ("cosine", "3a118b9400a529f06e77407f8bee858130605bf09aca96897c285aff0cbfb9ab"),
+    ], ids=["euclidean", "cosine"])
+    def test_candidates_keep_their_bits(self, metric, expected):
+        gallery = integer_gallery()
+        tree = build_tree(gallery, fanout=50, rng=np.random.default_rng(0))
+        assert chief_sizes(tree) == [50, 50, 30]
+        vectors = tree.vectors.copy()
+        # an exact match with duplicates, a scaled template, and two others;
+        # every probe meets tied scores
+        probes = [vectors[5], vectors[77] * 2.0, np.arange(8.0) - 3.5, np.ones(8)]
+        tree_lists = [identify_probe(tree, p, metric).candidates for p in probes]
+        flat_lists = [flat_rank(gallery, p, metric) for p in probes]
+        for ranking in flat_lists:
+            scores = [c.score for c in ranking]
+            assert len(set(scores)) < len(scores)
+        assert all(isinstance(r, Ranking) for r in tree_lists + flat_lists)
+        assert tree_lists == flat_lists
+        assert candidate_digest(tree_lists) == candidate_digest(flat_lists) == expected
+
+    def test_ranking_keeps_the_identities_of_its_query(self):
+        gallery = make_gallery(12, seed=79)
+        tree = build_tree(gallery, fanout=5)
+        probe = gallery[3].vector.copy()
+        before = identify_probe(tree, probe, "euclidean").candidates
+        snapshot = list(before)
+        tree.write_template(3, Template("renamed", probe.copy()))
+        assert before == snapshot and before[0] == ("id003", 0.0, "euclidean")
+        assert identify_probe(tree, probe, "euclidean").candidates[0].identity == "renamed"
 
 
 class TestIdentifyRegressions:

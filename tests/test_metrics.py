@@ -13,6 +13,7 @@ from biochain.metrics import (
     DimensionMismatch,
     EmptyResults,
     MatchScore,
+    Ranking,
     ZeroVector,
     cmc_curve,
     cosine_distance,
@@ -224,10 +225,75 @@ class TestFlatOracle:
         gallery = small_gallery()
         probe = np.array([0.1, 0.1])
         ranking = flat_rank(gallery, probe, "euclidean")
+        assert isinstance(ranking, Ranking)
         assert [r.identity for r in ranking] == ["alice", "bob", "carol"]
         scores = [r.score for r in ranking]
         assert scores == sorted(scores)
         assert ranking[0].identity == flat_oracle_identify(gallery, probe, "euclidean").identity
+
+
+class TestRanking:
+    def ranking(self):
+        # ties at 0.5 (rows 1 and 3) and at 2.0 (rows 0 and 4)
+        return Ranking(["a", "b", "c", "d", "e"], np.array([2.0, 0.5, 1.0, 0.5, 2.0]), "euclidean")
+
+    def test_sorted_ascending_ties_to_lowest_index(self):
+        assert self.ranking() == [
+            MatchScore("b", 0.5, "euclidean"), MatchScore("d", 0.5, "euclidean"),
+            MatchScore("c", 1.0, "euclidean"), MatchScore("a", 2.0, "euclidean"),
+            MatchScore("e", 2.0, "euclidean"),
+        ]
+
+    def test_indexing_and_slicing_behave_like_a_list(self):
+        ranking = self.ranking()
+        entries = list(ranking)
+        assert len(ranking) == 5
+        for i in range(-5, 5):
+            assert ranking[i] == entries[i] and type(ranking[i]) is MatchScore
+        for index in (5, -6, 100):
+            with pytest.raises(IndexError):
+                ranking[index]
+        for span in (slice(None, 2), slice(-2, None), slice(1, 4), slice(None, None, -2),
+                     slice(3, 1), slice(0, 100)):
+            assert ranking[span] == entries[span]
+        assert all(type(c) is MatchScore for c in ranking[:3])
+        assert [type(s) for s in (ranking[0].score, ranking[:1][0].score)] == [float, float]
+
+    def test_equality_in_both_directions(self):
+        ranking = self.ranking()
+        entries = list(ranking)
+        assert ranking == entries and entries == ranking
+        assert ranking == tuple(entries) and ranking == self.ranking()
+        assert ranking != entries[:-1] and entries[:-1] != ranking
+        swapped = [entries[1], entries[0], *entries[2:]]
+        assert ranking != swapped and swapped != ranking
+        assert ranking != entries + [entries[0]]
+        assert ranking != "abcde" and ranking != 5
+
+    def test_immutable_and_unhashable(self):
+        ranking = self.ranking()
+        with pytest.raises(TypeError):
+            ranking[0] = MatchScore("z", 0.0, "euclidean")
+        with pytest.raises(TypeError):
+            del ranking[0]
+        for array in (ranking.scores, ranking.order):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        with pytest.raises(TypeError):
+            hash(ranking)
+
+    def test_caller_arrays_are_neither_frozen_nor_shared(self):
+        identities, scores = ["a", "b"], np.array([1.0, 0.0])
+        ranking = Ranking(identities, scores, "cosine")
+        identities[1], scores[1] = "z", 5.0
+        assert ranking == [MatchScore("b", 0.0, "cosine"), MatchScore("a", 1.0, "cosine")]
+
+    def test_empty(self):
+        ranking = Ranking([], np.zeros(0), "euclidean")
+        assert len(ranking) == 0 and ranking == [] and ranking[:3] == []
+        with pytest.raises(IndexError):
+            ranking[0]
 
 
 class TestRankK:
