@@ -43,11 +43,19 @@ directory can forge consensus: keep the directory secret.
 
 A configuration that does not parse or violates a constraint is a
 one-line error for every command.
+
+One writer at a time: every command holds an advisory ``flock`` on the
+state directory itself until it ends, shared for ``audit`` and ``report``
+and exclusive for the rest, and a command that finds it locked exits 1
+at once. The lock adds no file; it is POSIX-only and binds only the
+processes that take it.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -86,7 +94,6 @@ from .ledger import Ledger, LedgerError
 from .matcher import (
     MatcherTree,
     Template,
-    TemplateArchive,
     build_hash_tree,
     identify,
     restore_leaves,
@@ -211,7 +218,25 @@ def _load_system(
     elif ledger is None:
         ledger = Ledger(ledger_path if resume else None)
     return EnrolledSystem(chain=chain, ledger=ledger, tree=tree,
-                          archive=TemplateArchive(archive_templates), flat_store=live_templates)
+                          archive=archive_templates, flat_store=live_templates)
+
+
+def _lock_state(ctx: click.Context) -> None:
+    """Hold an advisory ``flock`` on the state directory until the command
+    ends, shared for ``audit`` and ``report`` and exclusive for the rest; a
+    directory not yet made has nothing to guard, and a lock held is kept.
+    A command that cannot get the lock at once is a one-line error."""
+    root = ctx.find_root()
+    out: Path = root.obj["out"]
+    if "lock" in root.obj or not out.is_dir():
+        return
+    root.obj["lock"] = fd = os.open(out, os.O_RDONLY)
+    root.call_on_close(lambda: os.close(fd))
+    shared = root.invoked_subcommand in ("audit", "report")
+    try:
+        fcntl.flock(fd, (fcntl.LOCK_SH if shared else fcntl.LOCK_EX) | fcntl.LOCK_NB)
+    except BlockingIOError:
+        raise click.ClickException(f"{out} is in use by another biochain command; try again later")
 
 
 class _Main(click.Group):
@@ -237,6 +262,7 @@ def main(ctx, out: Path, config_path, seed, metric):
     """Tamper-evident biometric identification testbed."""
     ctx.obj = {"out": out, "config_path": config_path or out / CONFIG_FILE,
                "overrides": {"seed": seed, "metric": metric}}
+    _lock_state(ctx)
 
 
 @main.command()
@@ -249,6 +275,7 @@ def gen(ctx, gallery_size, template_dim):
     config = _config(ctx, gallery_size=gallery_size, template_dim=template_dim)
     templates = generate_synthetic_gallery(config)
     out.mkdir(parents=True, exist_ok=True)
+    _lock_state(ctx)
     save_gallery(out / GALLERY_FILE, templates)
     _save_config(out, config)
     click.echo(f"wrote {len(templates)} templates of dimension "
@@ -308,7 +335,7 @@ def identify_cmd(ctx, identity, probe_file, probe_noise):
             raise click.ClickException(f"{probe_file}: holds no record")
         probe = records[0].vector
     elif identity is not None:
-        matches = [t for t in system.archive.templates() if t.identity == identity]
+        matches = [t for t in system.archive if t.identity == identity]
         if not matches:
             raise click.ClickException(f"identity {identity!r} not in the archive")
         probe = matches[0].vector
@@ -441,6 +468,7 @@ def experiment_cmd(ctx):
     config = _config(ctx)
     report = run_experiment(config)
     out.mkdir(parents=True, exist_ok=True)
+    _lock_state(ctx)
     write_atomic(out / "report.txt", report.to_text().encode())
     write_atomic(out / "summary.json", report.to_json().encode())
     write_atomic(out / "timings.txt", report.timing_text().encode())

@@ -42,7 +42,6 @@ from .matcher import (
     MatchTimings,
     MatcherTree,
     Template,
-    TemplateArchive,
     build_tree,
     restore_leaves,
     verify_tree,
@@ -278,6 +277,14 @@ _STAGE_KEYS = {
 }
 
 
+def _stage_value(desc: dict, key: str, default, kind: type):
+    """``desc[key]``, or ``default``, as ``kind``: an int passes as a float, a bool as neither."""
+    value = desc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind.__name__]):
+        raise InvalidConfig(f"stage key {key!r} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def build_stage_params(
     chain_spec: Sequence[dict], input_dim: int, rng: np.random.Generator
 ) -> list[StageParams]:
@@ -293,8 +300,11 @@ def build_stage_params(
         if unread:
             raise InvalidConfig(f"stage kind {kind!r} reads no key {', '.join(map(repr, unread))}")
         if kind == "dense":
-            out_dim = int(desc.get("out", dim))
-            if desc.get("init", "random") == "identity":
+            out_dim = _stage_value(desc, "out", dim, int)
+            init = desc.get("init", "random")
+            if init not in ("identity", "random"):
+                raise InvalidConfig(f"stage key 'init' must be 'identity' or 'random', got {init!r}")
+            if init == "identity":
                 if out_dim != dim:
                     raise InvalidConfig("identity dense stage cannot change dimension")
                 weights = np.eye(dim)
@@ -305,13 +315,13 @@ def build_stage_params(
             stages.append(StageParams(kind="dense", weights=weights, bias=bias, activation=activation))
             dim = out_dim
         elif kind == "convolution":
-            k = int(desc.get("kernel", 3))
+            k = _stage_value(desc, "kernel", 3, int)
             stages.append(StageParams(kind="convolution", weights=rng.normal(scale=0.5, size=k),
-                                      bias=np.array([float(desc.get("bias", 0.0))]),
+                                      bias=np.array([_stage_value(desc, "bias", 0.0, float)]),
                                       activation=activation))
             dim = dim - k + 1
         elif kind == "pooling":
-            size = int(desc.get("pool_size", 2))
+            size = _stage_value(desc, "pool_size", 2, int)
             stages.append(StageParams(kind="pooling", pool_size=size))
             dim = dim // size
         else:
@@ -338,7 +348,7 @@ class EnrolledSystem:
     chain: ExtractorChain
     ledger: Ledger
     tree: MatcherTree
-    archive: TemplateArchive
+    archive: list[Template]  # enrollment-time copies, in enrollment order
     # The unprotected architecture's templates; None when a rebuilt
     # deployment's stored copy does not parse.
     flat_store: Optional[list[Template]]
@@ -365,7 +375,7 @@ def enroll(
     chain.take_snapshot()
     return EnrolledSystem(
         chain=chain, ledger=ledger if ledger is not None else Ledger(), tree=tree,
-        archive=TemplateArchive(gallery), flat_store=[t.copy() for t in gallery],
+        archive=[t.copy() for t in gallery], flat_store=[t.copy() for t in gallery],
     )
 
 

@@ -50,10 +50,13 @@ leaf's shard, fails by count without interpolation, and triggers
 scrutiny: the root reads the dissenting leaves' scores directly and
 repairs the decision for that path.
 
-A round keeps no state on the tree and runs once over all chiefs: drafts
-read the one (N,) score array, consent is one dissent mask over its rows,
-and the pools of every chief without dissent are gathered from the shard
-tensor in one index and reconstructed in one batched call.
+A decision document is the identity and score a chief claims; its
+position in the round's list of documents is the chief. A round keeps no
+state on the tree, not even a cycle id (the ledger's cycle names the
+query), and runs once over all chiefs: drafts read the one (N,) score
+array, consent is one dissent mask over its rows, and the pools of every
+chief without dissent are gathered from the shard tensor in one index and
+reconstructed in one batched call.
 
 Probe fan-out is encrypted. Each root-chief and chief-leaf link gets its
 channel key at build time, in the paper's key-establishment step: both
@@ -91,10 +94,6 @@ _DECISION_SECRET_LEN = 64
 
 
 class EmptyGallery(Exception):
-    pass
-
-
-class ArchiveMissing(Exception):
     pass
 
 
@@ -146,12 +145,8 @@ def decision_key_commitment(secret: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class DecisionDocument:
-    chief_id: int
-    cycle_id: str
     identity: str
     score: float
-    metric: str
-    leaf_index: int  # drafting leaf's position within the chief
 
 
 @dataclass(frozen=True)
@@ -205,7 +200,6 @@ class MatcherTree:
         self.shards = np.zeros((0, 0, 0), dtype=np.uint8)  # (C, 2 n_max + 1, 64) once set up
         self.decision_commitments: list[bytes] = []  # one per chief
         self.hash: bytes = b""
-        self._cycle_counter = 0
 
     @property
     def public_key(self) -> bytes:
@@ -240,10 +234,6 @@ class MatcherTree:
             leaf_hash(identity, row)
             for identity, row in zip(self.identities[rows], self.vectors[rows])
         ]
-
-    def next_cycle_id(self) -> str:
-        self._cycle_counter += 1
-        return f"match-{self._cycle_counter}"
 
 
 # ---------------------------------------------------------------------------
@@ -352,29 +342,21 @@ def build_tree(
 # Scoring and consensus
 # ---------------------------------------------------------------------------
 
-def _leaf_document(
-    tree: MatcherTree, chief_index: int, scores: np.ndarray, leaf_index: int,
-    cycle_id: str, metric: str,
-) -> DecisionDocument:
-    row = tree.chief_rows[chief_index].start + leaf_index
-    return DecisionDocument(
-        chief_index, cycle_id, tree.identities[row], float(scores[row]), metric, leaf_index
-    )
+def _leaf_document(tree: MatcherTree, scores: np.ndarray, row: int) -> DecisionDocument:
+    return DecisionDocument(tree.identities[row], float(scores[row]))
 
 
-def chief_drafts(
-    tree: MatcherTree, scores: np.ndarray, cycle_id: str, metric: str
-) -> list[DecisionDocument]:
+def chief_drafts(tree: MatcherTree, scores: np.ndarray) -> list[DecisionDocument]:
     """Every chief's draft path decision, read from the tree's (N,) leaf
     scores: the identity among its leaves with the best (lowest) score,
-    ties broken by lowest leaf index."""
+    ties broken by lowest leaf index. Entry c is chief c's."""
     # +inf pads a short last chief; argmin takes the first of equal minima.
     padded = np.full(len(tree.chief_rows) * tree.fanout, np.inf)
     padded[:len(scores)] = scores
     leaf_indices = np.argmin(padded.reshape(-1, tree.fanout), axis=1).tolist()
     return [
-        _leaf_document(tree, chief_index, scores, leaf_index, cycle_id, metric)
-        for chief_index, leaf_index in enumerate(leaf_indices)
+        _leaf_document(tree, scores, rows.start + leaf_index)
+        for rows, leaf_index in zip(tree.chief_rows, leaf_indices)
     ]
 
 
@@ -432,9 +414,7 @@ def root_scrutinize(
         if dissenters.size:
             best = int(dissenters[np.argmin(scores[dissenters])])
             if scores[best] < document.score:
-                decisions[chief_index] = _leaf_document(
-                    tree, chief_index, scores, best - rows.start, document.cycle_id, document.metric
-                )
+                decisions[chief_index] = _leaf_document(tree, scores, best)
     return decisions
 
 
@@ -468,7 +448,6 @@ def identify(
         raise KeysNotSetUp("the tree has no node keys; run setup_tree_keys before querying")
     t0 = time.perf_counter()
     probe_bytes = crypto.open_envelope(envelope, tree.keys)
-    cycle_id = tree.next_cycle_id()
 
     # Fan the probe down the encrypted channels, one call per link set:
     # root to chiefs, then each chief to its leaves. Every leaf
@@ -486,7 +465,7 @@ def identify(
     all_scores = get_row_metric(metric)(tree.vectors, probes)
     t2 = time.perf_counter()
 
-    documents = chief_drafts(tree, all_scores, cycle_id, metric)
+    documents = chief_drafts(tree, all_scores)
     dissent = collect_consent(tree, documents, all_scores)
     t3 = time.perf_counter()
     accepted = root_finalize(tree, dissent)
@@ -494,7 +473,8 @@ def identify(
     decisions = root_scrutinize(tree, documents, all_scores, dissent, accepted)
     t5 = time.perf_counter()
 
-    best = min(decisions, key=lambda d: (d.score, d.chief_id))
+    # min keeps the first of equal scores: ties go to the lowest chief.
+    best = min(decisions, key=lambda d: d.score)
     # Enrollment order, so the stable sort breaks ties by global index.
     candidates = Ranking(tree.identities, all_scores, metric)
     t6 = time.perf_counter()
@@ -548,34 +528,13 @@ def verify_tree(tree: MatcherTree) -> list[LeafLocator]:
     return locators
 
 
-class TemplateArchive:
-    """Enrollment-time template copies, indexed by enrollment order."""
-
-    def __init__(self, templates: Sequence[Template]):
-        self._templates = [t.copy() for t in templates]
-
-    def __len__(self) -> int:
-        return len(self._templates)
-
-    def get(self, global_index: int) -> Template:
-        if not 0 <= global_index < len(self._templates):
-            raise ArchiveMissing(f"no archived template at index {global_index}")
-        return self._templates[global_index]
-
-    def templates(self) -> list[Template]:
-        return [t.copy() for t in self._templates]
-
-
 def restore_leaves(
     tree: MatcherTree,
     locators: Sequence[LeafLocator],
-    archive: TemplateArchive,
+    archive: Sequence[Template],
 ) -> None:
-    """Restore the located leaves' templates from the archive, byte-exactly.
-
-    Raises:
-        ArchiveMissing: a locator the archive cannot serve.
-    """
+    """Restore the located leaves' templates from the archive, the
+    enrollment-time templates in enrollment order, byte-exactly."""
     for locator in locators:
-        tree.write_template(locator.global_index, archive.get(locator.global_index))
+        tree.write_template(locator.global_index, archive[locator.global_index])
 

@@ -58,8 +58,8 @@ def compromised_chief(chief_index, rewrite):
     before it seeks consent."""
     honest = matcher.chief_drafts
 
-    def drafts(tree, scores, cycle_id, metric):
-        documents = honest(tree, scores, cycle_id, metric)
+    def drafts(tree, scores):
+        documents = honest(tree, scores)
         documents[chief_index] = rewrite(documents[chief_index])
         return documents
 

@@ -36,7 +36,6 @@ from biochain.ledger import Ledger
 from biochain.matcher import (
     DecisionDocument,
     Template,
-    TemplateArchive,
     build_tree,
     chief_drafts,
     collect_consent,
@@ -99,16 +98,15 @@ def test_criterion_2_forged_documents_never_reach_consensus():
                 probe = rng.normal(size=8) * 3
                 cycle = f"h-{n}-{trial}"
                 scores = np.array([euclidean(row, probe) for row in tree.vectors[rows]])
-                [honest] = chief_drafts(tree, scores, cycle, "euclidean")
+                [honest] = chief_drafts(tree, scores)
                 dissent = collect_consent(tree, [honest], scores)
                 if root_finalize(tree, dissent)[0]:
                     honest_accepts += 1
                 honest_trials += 1
 
                 forged = DecisionDocument(
-                    honest.chief_id, cycle, "forged-identity",
+                    "forged-identity",
                     honest.score + float(rng.uniform(1e-9, 3.0)),
-                    honest.metric, honest.leaf_index,
                 )
                 dissent = collect_consent(tree, [forged], scores)
                 # the chief can gather at most n shards for a faulty document:
@@ -197,7 +195,7 @@ def test_criterion_5_tree_tamper_localization():
     with budget("criterion 5: tree tamper localization", 60):
         config = ExperimentConfig(seed=1005, gallery_size=120, template_dim=16)
         gallery = generate_synthetic_gallery(config)
-        archive = TemplateArchive(gallery)
+        archive = [t.copy() for t in gallery]
         tree = build_tree(gallery, fanout=50, rng=np.random.default_rng(5))
         assert [rows.stop - rows.start for rows in tree.chief_rows] == [50, 50, 20]
 
@@ -243,8 +241,7 @@ def test_criterion_6_oracle_equivalence():
 
                 # one compromised chief rewriting its drafts
                 with compromised_chief(0, lambda doc: DecisionDocument(
-                    doc.chief_id, doc.cycle_id, "forged", doc.score + 0.75,
-                    doc.metric, doc.leaf_index,
+                    "forged", doc.score + 0.75,
                 )):
                     for _ in range(150):
                         probe = rng.normal(size=8) * 3

@@ -1,5 +1,6 @@
 """End-to-end command-line flows against a temporary state directory."""
 
+import fcntl
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from biochain.cli import main
 from biochain.encoding import lp
 from biochain.extractor import StableSnapshot, StageParams
 from biochain.harness import ExperimentConfig, enroll, load_gallery, save_gallery
+from biochain.ledger import Ledger
 from biochain.matcher import Template
 from helpers import chain_keys
 
@@ -140,12 +142,26 @@ class TestGenEnroll:
         (MISSPELLED_STAGE, None, ["gen"], "stage kind 'activation' reads no key 'activaton'"),
         (MISSPELLED_STAGE, None, ["enroll"], "stage kind 'activation' reads no key 'activaton'"),
         ('{"chain_spec": [{"kind": "dense", "out": 1e999}]}', None, ["gen"],
-         "cannot convert float infinity to integer"),
+         "stage key 'out' must be of type int, got inf"),
+        ('{"chain_spec": [{"kind": "dense", "out": 8.9}]}', None, ["gen"],
+         "stage key 'out' must be of type int, got 8.9"),
+        ('{"chain_spec": [{"kind": "dense", "out": "8"}]}', None, ["gen"],
+         "stage key 'out' must be of type int, got '8'"),
+        ('{"chain_spec": [{"kind": "pooling", "pool_size": true}]}', None, ["gen"],
+         "stage key 'pool_size' must be of type int, got True"),
+        ('{"chain_spec": [{"kind": "convolution", "kernel": 2.5, "bias": true}]}', None, ["gen"],
+         "stage key 'kernel' must be of type int, got 2.5"),
+        ('{"chain_spec": [{"kind": "convolution", "bias": true}]}', None, ["gen"],
+         "stage key 'bias' must be of type float, got True"),
+        ('{"chain_spec": [{"kind": "dense", "init": "bogus"}]}', None, ["gen"],
+         "stage key 'init' must be 'identity' or 'random', got 'bogus'"),
     ], ids=["gen-size-0", "unknown-key", "malformed-json", "fanout-0", "unknown-metric",
             "empty-gallery", "fanout-200", "fanout-str-gen", "fanout-str-enroll", "seed-bool",
             "sigma-nan", "stage-not-object", "bogus-activation-gen", "bogus-activation-enroll",
             "stage-without-kind-gen", "stage-without-kind-enroll", "misspelled-stage-key-gen",
-            "misspelled-stage-key-enroll", "infinite-stage-size"])
+            "misspelled-stage-key-enroll", "infinite-stage-size", "fractional-stage-size",
+            "string-stage-size", "bool-stage-size", "fractional-kernel-bool-bias", "bool-stage-bias",
+            "unknown-stage-init"])
     def test_bad_configuration_is_a_one_line_error(
         self, runner, tmp_path, config, gallery, command, message
     ):
@@ -718,3 +734,63 @@ class TestCrashSafeStateFiles:
         monkeypatch.undo()
         write(2)
         assert state_files(tmp_path) != before and len(state_files(tmp_path)) == 1
+
+
+@contextmanager
+def locked_directory(out, mode):
+    """Hold ``flock(mode)`` on the directory ``out``, as another command would."""
+    fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        fcntl.flock(fd, mode)
+        yield
+    finally:
+        os.close(fd)
+
+
+class TestOneWriterPerDirectory:
+    @pytest.mark.parametrize("command", [
+        ("identify", "--identity", "id0005"), ("tamper", "--fraction", "0.2"),
+        ("tamper", "--block", "0"), ("restore",), ("enroll",), ("gen",),
+    ], ids=["identify", "tamper-fraction", "tamper-block", "restore", "enroll", "gen"])
+    def test_a_locked_directory_refuses_every_writer(self, runner, tmp_path, command):
+        bootstrap(runner, tmp_path)
+        invoke(runner, tmp_path, "tamper", "--fraction", "0.1")  # something to restore
+        before = state_files(tmp_path)
+        for mode in (fcntl.LOCK_EX, fcntl.LOCK_SH):
+            with locked_directory(tmp_path, mode):
+                result = runner.invoke(main, ["--out", str(tmp_path), *command])
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+            assert result.output.splitlines() == [
+                f"Error: {tmp_path} is in use by another biochain command; try again later"]
+            assert state_files(tmp_path) == before
+
+    def test_readers_share_the_lock(self, runner, tmp_path):
+        bootstrap(runner, tmp_path)
+        invoke(runner, tmp_path, "experiment")
+        with locked_directory(tmp_path, fcntl.LOCK_SH):
+            assert "tree: intact" in invoke(runner, tmp_path, "audit").output
+            assert "experiment report" in invoke(runner, tmp_path, "report").output
+        with locked_directory(tmp_path, fcntl.LOCK_EX):
+            result = runner.invoke(main, ["--out", str(tmp_path), "audit"])
+        assert result.exit_code == 1 and "is in use" in result.output
+        invoke(runner, tmp_path, "audit")  # each command lets go when it ends
+
+    def test_concurrent_queries_leave_a_ledger_that_parses(self, runner, tmp_path):
+        bootstrap(runner, tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(Path(biochain.__file__).parents[1]))
+        command = [sys.executable, "-m", "biochain.cli", "--out", str(tmp_path),
+                   "identify", "--identity", "id0005"]
+        succeeded = 0
+        for _ in range(3):
+            queries = [subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                                        stderr=subprocess.PIPE, text=True) for _ in range(4)]
+            for query in queries:
+                stdout, stderr = query.communicate(timeout=120)
+                if query.returncode == 0:
+                    assert "identity: id0005" in stdout
+                    succeeded += 1
+                else:
+                    assert query.returncode == 1 and "is in use" in stderr, stderr
+        ledger = Ledger.load(tmp_path / cli.LEDGER_FILE)
+        assert succeeded >= 3  # one query of each round at least gets the lock
+        assert len({entry.cycle_id for entry in ledger.entries()}) == succeeded

@@ -1,6 +1,7 @@
 """Tree construction, shard allocation, consensus, scrutiny, localization."""
 
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -13,12 +14,10 @@ from hypothesis import strategies as st
 from biochain import crypto, matcher, metrics
 from biochain.crypto import InsufficientShards, Shard, SharingConfig
 from biochain.matcher import (
-    ArchiveMissing,
     DecisionDocument,
     EmptyGallery,
     KeysNotSetUp,
     Template,
-    TemplateArchive,
     build_hash_tree,
     build_tree,
     chief_drafts,
@@ -279,22 +278,19 @@ class TestDraftDocument:
 
     def test_argmin(self):
         tree, scores = self._scored_chief([0.9, 0.1, 0.5])
-        [doc] = chief_drafts(tree, scores, "c", "euclidean")
+        [doc] = chief_drafts(tree, scores)
         assert doc.identity == tree.identities[1]
         assert doc.score == 0.1
 
     def test_tie_breaks_to_lowest_leaf_index(self):
         tree, scores = self._scored_chief([0.3, 0.3])
-        [doc] = chief_drafts(tree, scores, "c", "euclidean")
+        [doc] = chief_drafts(tree, scores)
         assert doc.identity == tree.identities[0]
-        assert doc.leaf_index == 0
 
     def test_compromised_chief_can_draft_anything(self):
         tree, scores = self._scored_chief([0.9, 0.1, 0.5])
-        with compromised_chief(0, lambda doc: DecisionDocument(
-            doc.chief_id, doc.cycle_id, "intruder", 0.7, doc.metric, doc.leaf_index
-        )):
-            [doc] = matcher.chief_drafts(tree, scores, "c", "euclidean")
+        with compromised_chief(0, lambda doc: DecisionDocument("intruder", 0.7)):
+            [doc] = matcher.chief_drafts(tree, scores)
         assert (doc.identity, doc.score) == ("intruder", 0.7)
         # constructible, but consensus will fail
         dissent = collect_consent(tree, [doc], scores)
@@ -308,36 +304,32 @@ class TestConsent:
 
     def test_honest_document_collects_all_shards(self):
         tree, scores = self._tree()
-        dissent = collect_consent(tree, chief_drafts(tree, scores, "cycle-1", "euclidean"), scores)
+        dissent = collect_consent(tree, chief_drafts(tree, scores), scores)
         assert dissent.tolist() == [False] * 5  # every leaf's shard, plus the chief's
 
     def test_forged_document_loses_dissenting_shards(self):
         tree, scores = self._tree()
-        [honest] = chief_drafts(tree, scores, "cycle-1", "euclidean")
-        forged = DecisionDocument(
-            honest.chief_id, honest.cycle_id, "intruder",
-            honest.score + 0.5, honest.metric, honest.leaf_index,
-        )
+        [honest] = chief_drafts(tree, scores)
+        forged = DecisionDocument("intruder", honest.score + 0.5)
         dissent = collect_consent(tree, [forged], scores)
         assert dissent.any()  # at least the true best leaf refuses
-        assert dissent[honest.leaf_index]
+        assert dissent[tree.identities.index(honest.identity)]
         assert int((~dissent).sum()) + 1 <= 5  # at most n, chief included
 
     def test_tied_leaves_both_consent(self):
         tree = build_tree(make_gallery(3, d=2, seed=6), fanout=3)
         scores = np.array([0.2, 0.2, 0.9])
-        [doc] = chief_drafts(tree, scores, "c", "euclidean")
+        [doc] = chief_drafts(tree, scores)
         assert doc.score == 0.2
         assert not collect_consent(tree, [doc], scores).any()
 
     def test_each_leaf_answers_its_own_chief(self):
         tree = build_tree(make_gallery(7, d=2, seed=5), fanout=3)  # chiefs of 3, 3 and 1
         scores = np.array([0.5, 0.2, 0.9, 0.4, 0.6, 0.1, 0.3])
-        documents = chief_drafts(tree, scores, "c", "euclidean")
-        assert [(d.chief_id, d.leaf_index, d.score) for d in documents] == [
-            (0, 1, 0.2), (1, 2, 0.1), (2, 0, 0.3)
-        ]
-        forged = DecisionDocument(1, "c", "intruder", 0.45, "euclidean", 0)
+        documents = chief_drafts(tree, scores)
+        assert documents == [DecisionDocument(tree.identities[row], score)
+                             for row, score in ((1, 0.2), (5, 0.1), (6, 0.3))]
+        forged = DecisionDocument("intruder", 0.45)
         dissent = collect_consent(tree, [documents[0], forged, documents[2]], scores)
         assert dissent.tolist() == [False, False, False, True, False, True, False]
 
@@ -347,8 +339,8 @@ class TestFinalize:
         tree = build_tree(make_gallery(n, seed=11), fanout=n)
         return tree, chief_scores(tree, tree.chief_rows[0], tree.vectors[2] + 0.1)
 
-    def _honest_dissent(self, tree, scores, cycle="cycle-1"):
-        return collect_consent(tree, chief_drafts(tree, scores, cycle, "euclidean"), scores)
+    def _honest_dissent(self, tree, scores):
+        return collect_consent(tree, chief_drafts(tree, scores), scores)
 
     def test_honest_pool_accepted(self):
         tree, scores = self._scored()
@@ -356,11 +348,8 @@ class TestFinalize:
 
     def test_forged_pool_triggers_scrutiny(self):
         tree, scores = self._scored()
-        [honest] = chief_drafts(tree, scores, "cycle-1", "euclidean")
-        forged = DecisionDocument(
-            honest.chief_id, honest.cycle_id, "intruder",
-            honest.score + 1.0, honest.metric, honest.leaf_index,
-        )
+        [honest] = chief_drafts(tree, scores)
+        forged = DecisionDocument("intruder", honest.score + 1.0)
         dissent = collect_consent(tree, [forged], scores)
         assert root_finalize(tree, dissent).tolist() == [False]
 
@@ -394,9 +383,9 @@ class TestFinalize:
     def test_shards_are_reusable_across_cycles(self):
         tree, _ = self._scored()
         held = tree.shards.copy()
-        for cycle in ("cycle-1", "cycle-2", "cycle-3"):
+        for _ in range(3):
             scores = chief_scores(tree, tree.chief_rows[0], tree.vectors[1] + 0.05)
-            assert root_finalize(tree, self._honest_dissent(tree, scores, cycle)).tolist() == [True]
+            assert root_finalize(tree, self._honest_dissent(tree, scores)).tolist() == [True]
             assert np.array_equal(tree.shards, held)
 
 
@@ -408,7 +397,7 @@ class TestScrutiny:
     def test_forged_document_corrected_to_flagged_minimum(self):
         tree = build_tree(make_gallery(4, seed=13), fanout=4)
         scores = np.array([0.1, 0.4, 0.6, 0.9])
-        forged = DecisionDocument(0, "c", "intruder", 0.8, "euclidean", 3)
+        forged = DecisionDocument("intruder", 0.8)
         dissent = collect_consent(tree, [forged], scores)
         assert dissent.tolist() == [True, True, True, False]  # every score under 0.8
         corrected = self._scrutinize(tree, forged, scores, dissent)
@@ -418,7 +407,7 @@ class TestScrutiny:
     def test_valid_document_survives_compromised_leaf(self):
         tree = build_tree(make_gallery(4, seed=14), fanout=4)
         scores = chief_scores(tree, tree.chief_rows[0], tree.vectors[1] + 0.01)
-        [doc] = chief_drafts(tree, scores, "cycle-1", "euclidean")
+        [doc] = chief_drafts(tree, scores)
         with dissenting_leaves({(0, 3)}):
             dissent = matcher.collect_consent(tree, [doc], scores)
         assert dissent.tolist() == [False, False, False, True]
@@ -428,16 +417,15 @@ class TestScrutiny:
     def test_multiple_flagged_min_wins_tie_by_index(self):
         tree = build_tree(make_gallery(4, seed=15), fanout=4)
         scores = np.array([0.3, 0.3, 0.5, 0.9])
-        forged = DecisionDocument(0, "c", "intruder", 0.7, "euclidean", 3)
+        forged = DecisionDocument("intruder", 0.7)
         dissent = collect_consent(tree, [forged], scores)
         corrected = self._scrutinize(tree, forged, scores, dissent)
-        assert corrected.identity == tree.identities[0]
-        assert corrected.leaf_index == 0
+        assert corrected == DecisionDocument(tree.identities[0], 0.3)
 
     def test_no_flags_means_document_stands(self):
         tree = build_tree(make_gallery(3, seed=16), fanout=3)
         scores = chief_scores(tree, tree.chief_rows[0], tree.vectors[0])
-        [doc] = chief_drafts(tree, scores, "cycle-1", "euclidean")
+        [doc] = chief_drafts(tree, scores)
         dissent = collect_consent(tree, [doc], scores)
         assert not dissent.any()
         with corrupted_shard(tree, 1):  # a failed consensus without dissent
@@ -493,10 +481,7 @@ class TestIdentify:
         gallery = make_gallery(40, seed=23)
         tree = build_tree(gallery, fanout=15)
         rng = np.random.default_rng(24)
-        with compromised_chief(1, lambda doc: DecisionDocument(
-            doc.chief_id, doc.cycle_id, "intruder", doc.score + 0.9,
-            doc.metric, doc.leaf_index,
-        )):
+        with compromised_chief(1, lambda doc: DecisionDocument("intruder", doc.score + 0.9)):
             for _ in range(40):
                 probe = rng.normal(size=8) * 3
                 via_tree = identify_probe(tree, probe, "euclidean")
@@ -541,7 +526,7 @@ class TestIdentify:
         assert calls == [(pools, configs, (3, 64)), (pools[::2], configs[::2], (2, 64))]
 
 
-def reference_round(tree, probe, metric, cycle_id, rewrite=None, dissenters=()):
+def reference_round(tree, probe, metric, rewrite=None, dissenters=()):
     """The consensus round one chief at a time, as it ran before the round
     was batched: scalar scores, a draft, consent, a one-pool reconstruct
     checked against the commitment, and scrutiny. ``rewrite`` is a
@@ -555,8 +540,7 @@ def reference_round(tree, probe, metric, cycle_id, rewrite=None, dissenters=()):
         scores = np.array([score(row, probe) for row in tree.vectors[rows]])
 
         def document(leaf):
-            return DecisionDocument(chief, cycle_id, tree.identities[rows.start + leaf],
-                                    float(scores[leaf]), metric, leaf)
+            return DecisionDocument(tree.identities[rows.start + leaf], float(scores[leaf]))
 
         draft = document(int(np.argmin(scores)))
         if rewrite is not None and rewrite[0] == chief:
@@ -580,7 +564,7 @@ def reference_round(tree, probe, metric, cycle_id, rewrite=None, dissenters=()):
                 if scores[best] < draft.score:
                     draft = document(best)
         decisions.append(draft)
-    best = min(decisions, key=lambda d: (d.score, d.chief_id))
+    best = min(decisions, key=lambda d: d.score)
     return best.identity, best.score, tuple(scrutinized)
 
 
@@ -608,9 +592,7 @@ class TestBatchedRound:
         shift = data.draw(st.sampled_from([-0.5, 0.0, 1e-9, 0.75]))
         rewrite = None
         if compromised is not None:
-            rewrite = (compromised, lambda doc: DecisionDocument(
-                doc.chief_id, doc.cycle_id, "forged", doc.score + shift, doc.metric, doc.leaf_index,
-            ))
+            rewrite = (compromised, lambda doc: DecisionDocument("forged", doc.score + shift))
         with contextlib.ExitStack() as faults:
             faults.enter_context(dissenting_leaves(dissenters))
             if corrupted is not None:
@@ -619,7 +601,7 @@ class TestBatchedRound:
                 faults.enter_context(compromised_chief(*rewrite))
             for probe in (rng.normal(size=6), gallery[int(rng.integers(n))].vector * 2.0):
                 result = identify_probe(tree, probe, metric)
-                expected = reference_round(tree, probe, metric, "-", rewrite, dissenters)
+                expected = reference_round(tree, probe, metric, rewrite, dissenters)
                 assert (result.identity, result.score, result.scrutinized_chiefs) == expected
                 assert result.candidates == flat_rank(gallery, probe, metric)
 
@@ -673,6 +655,37 @@ class TestCandidateRanking:
         tree.write_template(3, Template("renamed", probe.copy()))
         assert before == snapshot and before[0] == ("id003", 0.0, "euclidean")
         assert identify_probe(tree, probe, "euclidean").candidates[0].identity == "renamed"
+
+
+class TestRoundOutcomes:
+    # Digests of the outcomes identify gave while a decision document still
+    # carried its chief, cycle, metric and leaf position.
+    @pytest.mark.parametrize("metric,expected", [
+        ("euclidean", "fce1d6b70ffabf47cd1305d55e9a59cdb8d8eb47ca75818f1ab02d32d90fa8e2"),
+        ("cosine", "d45da85a2930e10f78875c60a0519c1e5d508def6c91919f6371b79cbc7c54e7"),
+    ], ids=["euclidean", "cosine"])
+    def test_outcomes_keep_their_bits(self, metric, expected):
+        gallery = integer_gallery()
+        tree = build_tree(gallery, fanout=50, rng=np.random.default_rng(0))
+        assert chief_sizes(tree) == [50, 50, 30]
+        vectors = tree.vectors.copy()
+        probes = [vectors[5], vectors[77] * 2.0, vectors[129], np.arange(8.0) - 3.5, np.ones(8)]
+        conditions = [contextlib.nullcontext()]
+        conditions += [
+            compromised_chief(chief, lambda doc: dataclasses.replace(
+                doc, identity="forged", score=doc.score + 0.75))
+            for chief in range(3)
+        ]
+        conditions.append(dissenting_leaves({(chief, 1) for chief in range(3)}))
+        conditions.append(corrupted_shard(tree, tree.chief_rows[-1].start + 1))
+        digest = hashlib.sha256()
+        for condition in conditions:
+            with condition:
+                for probe in probes:
+                    result = identify_probe(tree, probe, metric)
+                    outcome = (result.identity, result.score.hex(), result.scrutinized_chiefs)
+                    digest.update(repr(outcome).encode())
+        assert digest.hexdigest() == expected
 
 
 class TestIdentifyRegressions:
@@ -843,14 +856,9 @@ class TestForgeryNeverReconstructs:
         rng = np.random.default_rng(28)
         for trial in range(200):
             probe = rng.normal(size=8) * 3
-            cycle = f"trial-{trial}"
             scores = chief_scores(tree, tree.chief_rows[0], probe)
-            [honest] = chief_drafts(tree, scores, cycle, "euclidean")
-            forged = DecisionDocument(
-                honest.chief_id, cycle, "intruder",
-                honest.score + float(rng.uniform(1e-9, 2.0)),
-                honest.metric, honest.leaf_index,
-            )
+            [honest] = chief_drafts(tree, scores)
+            forged = DecisionDocument("intruder", honest.score + float(rng.uniform(1e-9, 2.0)))
             dissent = collect_consent(tree, [forged], scores)
             # consenting leaves, the chief and the root: short of threshold
             assert int((~dissent).sum()) + 2 <= SharingConfig.for_group(10).threshold - 1
@@ -887,7 +895,7 @@ class TestVerifyTree:
 
     def test_random_subsets_localized_over_100_trials(self):
         gallery = make_gallery(60, seed=31)
-        archive = TemplateArchive(gallery)
+        archive = [t.copy() for t in gallery]
         tree = build_tree(gallery, fanout=25)
         rng = np.random.default_rng(32)
         for _ in range(100):
@@ -904,7 +912,7 @@ class TestVerifyTree:
 class TestRestoreLeaves:
     def test_tamper_all_then_restore_preserves_rank1(self):
         gallery = make_gallery(40, seed=33)
-        archive = TemplateArchive(gallery)
+        archive = [t.copy() for t in gallery]
         tree = build_tree(gallery, fanout=20)
         rng = np.random.default_rng(34)
         probes = [t.vector + rng.normal(scale=0.01, size=8) for t in gallery]
@@ -920,7 +928,7 @@ class TestRestoreLeaves:
 
     def test_restore_on_intact_tree_is_noop(self):
         gallery = make_gallery(6, seed=35)
-        archive = TemplateArchive(gallery)
+        archive = [t.copy() for t in gallery]
         tree = build_tree(gallery, fanout=6)
         before = chief_hashes(tree)
         restore_leaves(tree, verify_tree(tree), archive)
@@ -928,7 +936,7 @@ class TestRestoreLeaves:
 
     def test_repeated_tamper_restore_is_stable(self):
         gallery = make_gallery(8, seed=36)
-        archive = TemplateArchive(gallery)
+        archive = [t.copy() for t in gallery]
         tree = build_tree(gallery, fanout=8)
         stable = chief_hashes(tree)
         rng = np.random.default_rng(37)
@@ -942,5 +950,5 @@ class TestRestoreLeaves:
         gallery = make_gallery(4, seed=38)
         tree = build_tree(gallery, fanout=4)
         perturb_template(tree, 3, 1.0)
-        with pytest.raises(ArchiveMissing):
-            restore_leaves(tree, verify_tree(tree), TemplateArchive(gallery[:3]))
+        with pytest.raises(IndexError):
+            restore_leaves(tree, verify_tree(tree), gallery[:3])
