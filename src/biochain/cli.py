@@ -89,7 +89,7 @@ from .harness import (
     save_gallery,
     tamper_extractor_block,
 )
-from .metrics import DimensionMismatch, ZeroVector
+from .metrics import DimensionMismatch, NonFiniteFeature, ZeroVector
 from .ledger import Ledger, LedgerError
 from .matcher import (
     MatcherTree,
@@ -354,7 +354,7 @@ def identify_cmd(ctx, identity, probe_file, probe_noise):
     setup_tree_keys(system.tree, keys_rng)
     try:
         result = identify(system.tree, handoff_envelope(entry), config.metric)
-    except (DimensionMismatch, ZeroVector) as exc:
+    except (DimensionMismatch, ZeroVector, NonFiniteFeature) as exc:
         raise click.ClickException(f"feature cannot be scored against the gallery: {exc}")
     click.echo(f"identity: {result.identity}")
     click.echo(f"score: {result.score:.17g} ({config.metric})")

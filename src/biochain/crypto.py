@@ -12,7 +12,15 @@ Concrete choices (the rest of the package depends only on the contracts):
                  and :func:`sym_decrypt` are their one-message form
 * asymmetric     ephemeral X25519 + HKDF-SHA256 + AES-256-GCM, bounded to
                  short payloads (it carries wrapped keys and control
-                 messages, never bulk data)
+                 messages, never bulk data). One ephemeral key may seal
+                 several messages to one recipient under one HKDF key
+                 (:func:`asym_encrypt_each`), each under its own random
+                 96-bit nonce: AES-GCM's requirement that a key never
+                 repeat a nonce then holds with probability 1 - 2^-96 per
+                 pair of messages. The recipient opens them all from one
+                 exchange (:func:`asym_decrypt_each`);
+                 :func:`asym_encrypt` and :func:`asym_decrypt` are the
+                 one-message forms
 * key agreement  static-static X25519 + HKDF-SHA256 (:func:`link_key`)
 * signatures     Ed25519
 * secret sharing byte-wise polynomial sharing over GF(2^8) with
@@ -25,7 +33,7 @@ Concrete choices (the rest of the package depends only on the contracts):
 A :class:`KeyPair` bundles an encryption half and a signing half so a
 single party identity can both receive wrapped keys and sign messages.
 
-Each operation takes one form of its key. :func:`asym_decrypt`,
+Each operation takes one form of its key. The ``asym_decrypt`` calls,
 :func:`open_envelope` and :func:`sign` take a :class:`KeyPair`, which
 parses its private halves on first use and keeps them, because parsing a
 private key computes its public point, a full scalar multiplication;
@@ -44,7 +52,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
@@ -85,6 +93,10 @@ class AuthenticationFailure(CryptoError):
 
 class DecryptionFailure(CryptoError):
     """Asymmetric decryption failed (wrong key or damaged ciphertext)."""
+
+
+class MixedEncapsulation(DecryptionFailure):
+    """Ciphertexts opened as one encapsulation carry different ephemeral keys."""
 
 
 class PayloadTooLarge(CryptoError):
@@ -234,6 +246,11 @@ def generate_sym_key(rng: Optional[np.random.Generator] = None) -> bytes:
 SymCipher = AESGCM
 
 
+def _nonces(count: int) -> tuple[bytes, ...]:
+    """``count`` random ``SYM_NONCE_LEN``-byte nonces cut from one CSPRNG draw."""
+    return struct.unpack(f"{SYM_NONCE_LEN}s" * count, os.urandom(SYM_NONCE_LEN * count))
+
+
 def sym_encrypt_each(
     message: bytes, ciphers: Sequence[SymCipher]
 ) -> list[tuple[bytes, bytes]]:
@@ -241,10 +258,8 @@ def sym_encrypt_each(
     each copy under its own fresh random nonce; one ``(nonce, body)`` pair
     per cipher, in order. The nonces come from one CSPRNG draw, cut into
     ``SYM_NONCE_LEN``-byte pieces."""
-    count = len(ciphers)
-    nonces = struct.unpack(f"{SYM_NONCE_LEN}s" * count, os.urandom(SYM_NONCE_LEN * count))
     return [(nonce, cipher.encrypt(nonce, message, None))
-            for nonce, cipher in zip(nonces, ciphers)]
+            for nonce, cipher in zip(_nonces(len(ciphers)), ciphers)]
 
 
 def sym_decrypt_each(
@@ -287,45 +302,81 @@ def sym_decrypt(ciphertext: bytes, key: bytes) -> bytes:
 # Asymmetric cipher and signatures
 # ---------------------------------------------------------------------------
 
-def asym_encrypt(message: bytes, public: bytes) -> bytes:
-    """Encrypt a short message to the holder of ``public``.
+def asym_encrypt_each(messages: Sequence[bytes], public: bytes) -> list[bytes]:
+    """Encrypt short messages to the holder of ``public`` under one
+    encapsulation.
 
-    An ephemeral X25519 key agrees a shared secret with the recipient's
-    encryption key; HKDF turns it into an AES-GCM key. Output layout:
-    ephemeral public key, nonce, ciphertext.
+    One ephemeral X25519 key agrees one shared secret with the
+    recipient's encryption key, and HKDF turns it into one AES-GCM key
+    that seals every message, each under its own random nonce; the nonces
+    come from one CSPRNG draw, as in :func:`sym_encrypt_each`. Each output
+    is laid out as the ephemeral public key, the nonce and the ciphertext,
+    with the ephemeral public key as associated data, so
+    :func:`asym_decrypt` opens any one of them alone.
 
     Raises:
-        PayloadTooLarge: message longer than ``ASYM_MAX_PAYLOAD``.
+        PayloadTooLarge: a message is longer than ``ASYM_MAX_PAYLOAD``.
     """
-    if len(message) > ASYM_MAX_PAYLOAD:
-        raise PayloadTooLarge(
-            f"{len(message)} bytes exceeds the {ASYM_MAX_PAYLOAD}-byte bound"
-        )
+    for message in messages:
+        if len(message) > ASYM_MAX_PAYLOAD:
+            raise PayloadTooLarge(
+                f"{len(message)} bytes exceeds the {ASYM_MAX_PAYLOAD}-byte bound"
+            )
     eph = X25519PrivateKey.generate()
     eph_pub = eph.public_key().public_bytes_raw()
-    key = _hkdf(eph.exchange(_enc_public(public)), _ECIES_INFO)
-    nonce = os.urandom(SYM_NONCE_LEN)
-    return eph_pub + nonce + AESGCM(key).encrypt(nonce, message, eph_pub)
+    cipher = AESGCM(_hkdf(eph.exchange(_enc_public(public)), _ECIES_INFO))
+    return [eph_pub + nonce + cipher.encrypt(nonce, message, eph_pub)
+            for nonce, message in zip(_nonces(len(messages)), messages)]
+
+
+def asym_decrypt_each(ciphertexts: Sequence[bytes], keys: KeyPair) -> Iterator[bytes]:
+    """Invert :func:`asym_encrypt_each` with the recipient's key pair,
+    one message at a time as the caller draws them, so it can check one
+    before it opens the next. The first draw does the one exchange, with
+    the first ciphertext's ephemeral key; later ones only decrypt.
+
+    Raises:
+        DecryptionFailure: wrong private key or damaged ciphertext.
+        MixedEncapsulation: a ciphertext carries another ephemeral key
+            than the first, so the two were not sealed by one call.
+    """
+    header = KEY_HALF_LEN + SYM_NONCE_LEN
+    first = cipher = None
+    for ciphertext in ciphertexts:
+        if len(ciphertext) < header + 16:
+            raise DecryptionFailure("ciphertext too short")
+        eph_pub = ciphertext[:KEY_HALF_LEN]
+        if cipher is None:
+            first = eph_pub
+            try:
+                shared = keys.decryption_key.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+            except ValueError as exc:
+                raise DecryptionFailure("not the intended recipient") from exc
+            cipher = AESGCM(_hkdf(shared, _ECIES_INFO))
+        elif eph_pub != first:
+            raise MixedEncapsulation("ciphertexts sealed under different ephemeral keys")
+        try:
+            message = cipher.decrypt(ciphertext[KEY_HALF_LEN:header], ciphertext[header:], eph_pub)
+        except InvalidTag as exc:
+            raise DecryptionFailure("not the intended recipient") from exc
+        yield message
+
+
+def asym_encrypt(message: bytes, public: bytes) -> bytes:
+    """Encrypt one short message to the holder of ``public`` with
+    :func:`asym_encrypt_each`."""
+    [ciphertext] = asym_encrypt_each([message], public)
+    return ciphertext
 
 
 def asym_decrypt(ciphertext: bytes, keys: KeyPair) -> bytes:
-    """Invert :func:`asym_encrypt` with the recipient's key pair.
+    """Open one ciphertext of :func:`asym_encrypt` or
+    :func:`asym_encrypt_each` with :func:`asym_decrypt_each`.
 
     Raises:
         DecryptionFailure: wrong private key or damaged ciphertext.
     """
-    header = KEY_HALF_LEN + SYM_NONCE_LEN
-    if len(ciphertext) < header + 16:
-        raise DecryptionFailure("ciphertext too short")
-    eph_pub = ciphertext[:KEY_HALF_LEN]
-    nonce = ciphertext[KEY_HALF_LEN:header]
-    body = ciphertext[header:]
-    try:
-        shared = keys.decryption_key.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-        key = _hkdf(shared, _ECIES_INFO)
-        return AESGCM(key).decrypt(nonce, body, eph_pub)
-    except (InvalidTag, ValueError) as exc:
-        raise DecryptionFailure("not the intended recipient") from exc
+    return next(asym_decrypt_each([ciphertext], keys))
 
 
 def sign(keys: KeyPair, message: bytes) -> bytes:

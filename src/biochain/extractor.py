@@ -13,17 +13,19 @@ A query cycle runs entirely through the ledger:
 
 1. The captured input arrives encrypted to the notary, which opens the
    cycle, re-encrypts the data under its own symmetric key, wraps that
-   key for the first block, attaches an encrypted turn marker for the
-   first block, and signs the update.
+   key and an encrypted turn marker for the first block, and signs the
+   update. Every hop wraps its key and marker under one encapsulation,
+   one ephemeral key, so the recipient opens both from one exchange.
 2. Each block polls the newest entry. It acts only if the turn marker
    decrypts under its private key; it refuses outright if the update was
-   not signed by the notary. It then runs its stage and publishes the
-   result wrapped back to the notary, signed with its own key. The
-   sequential driver, :func:`run_query_cycle`, polls the blocks for hop
-   ``k`` in the order ``k, k+1, ..., 0, ..., k-1``: every block still
-   tries the marker and refuses one it cannot open, and only one key
-   opens it, so the block that acts is the same as in any other order;
-   in an honest cycle it is found on the first trial.
+   not signed by the notary, or if its key and marker carry different
+   ephemeral keys (fields of two hops spliced together). It then runs
+   its stage and publishes the result wrapped back to the notary, signed
+   with its own key. The sequential driver, :func:`run_query_cycle`,
+   polls the blocks for hop ``k`` in the order ``k, k+1, ..., 0, ...,
+   k-1``: every block still tries the marker and refuses one it cannot
+   open, and only one key opens it, so the block that acts is the same as
+   in any other order; in an honest cycle it is found on the first trial.
 3. The notary forwards the output to the next block in the route, and
    after the last stage hands the finished feature vector off encrypted
    to the matching tree's root key, closing the cycle.
@@ -41,7 +43,7 @@ import secrets
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -422,15 +424,31 @@ def _publish(
     signer: KeyPair,
 ) -> LedgerEntry:
     """Append one hop: the payload under the sender's symmetric key, that
-    key and the turn marker wrapped for the recipient, and the sender's
-    signature over the cycle-bound message."""
+    key and the turn marker wrapped for the recipient under one
+    encapsulation, and the sender's signature over the cycle-bound
+    message."""
+    ek, em = crypto.asym_encrypt_each([sym_key, _turn_token(cycle_id)], recipient)
     return ledger.append(
         cycle_id,
         ed=crypto.sym_encrypt(payload, sym_key),
-        ek=crypto.asym_encrypt(sym_key, recipient),
-        em=crypto.asym_encrypt(_turn_token(cycle_id), recipient),
+        ek=ek,
+        em=em,
         sig=crypto.sign(signer, _auth_token(cycle_id)),
     )
+
+
+def _payload_key(opened: Iterator[bytes]) -> bytes:
+    """The payload key of a hop opened as ``asym_decrypt_each([em, ek])``,
+    whose marker ``opened`` gave already: one exchange opens both.
+
+    Raises:
+        SignatureRejected: the key was sealed under another ephemeral key
+            than the marker, so the hop splices fields of two hops.
+    """
+    try:
+        return next(opened)
+    except crypto.MixedEncapsulation as exc:
+        raise SignatureRejected("the hop's key and turn marker were sealed apart") from exc
 
 
 def notary_begin_cycle(
@@ -461,22 +479,25 @@ def block_handle_update(
 
     Returns None when the turn marker does not decrypt for this block
     (the update is someone else's turn). If the marker matches but the
-    update was not signed by the notary, the block refuses to act.
+    update was not signed by the notary, or its key was not sealed with
+    its marker, the block refuses to act.
 
     Raises:
         SignatureRejected: marker matched but the notary signature did not
-            verify; no entry is appended.
+            verify, or the key and the marker carry different ephemeral
+            keys; no entry is appended.
     """
     entry = ledger.latest(cycle_id)
+    opened = crypto.asym_decrypt_each([entry.em, entry.ek], block.keys)
     try:
-        marker = crypto.asym_decrypt(entry.em, block.keys)
+        marker = next(opened)
     except DecryptionFailure:
         return None
     if marker != _turn_token(cycle_id):
         return None
     if not crypto.verify(block.notary_public, entry.sig, _auth_token(cycle_id)):
         raise SignatureRejected(f"block {block.index}: update not signed by the notary")
-    payload_key = crypto.asym_decrypt(entry.ek, block.keys)
+    payload_key = _payload_key(opened)
     x = decode_vector(crypto.sym_decrypt(entry.ed, payload_key))
     out = apply_stage(x, block.params)
     return _publish(
@@ -495,17 +516,19 @@ def notary_handle_update(
     matching tree's root key, which finalizes the cycle.
 
     Raises:
-        SignatureRejected: the update was not signed by the expected block.
+        SignatureRejected: the update was not signed by the expected block,
+            or its key and marker carry different ephemeral keys.
         DecryptionFailure: the update was not addressed to the notary.
     """
     pos = notary.progress[cycle_id]
     entry = ledger.latest(cycle_id)
-    marker = crypto.asym_decrypt(entry.em, notary.keys)
+    opened = crypto.asym_decrypt_each([entry.em, entry.ek], notary.keys)
+    marker = next(opened)
     if marker != _turn_token(cycle_id):
         raise SignatureRejected("stale or foreign turn marker")
     if not crypto.verify(notary.route[pos], entry.sig, _auth_token(cycle_id)):
         raise SignatureRejected(f"update not signed by block {pos}")
-    payload_key = crypto.asym_decrypt(entry.ek, notary.keys)
+    payload_key = _payload_key(opened)
     payload = crypto.sym_decrypt(entry.ed, payload_key)
     pos += 1
     notary.progress[cycle_id] = pos

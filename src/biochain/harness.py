@@ -278,10 +278,13 @@ _STAGE_KEYS = {
 
 
 def _stage_value(desc: dict, key: str, default, kind: type):
-    """``desc[key]``, or ``default``, as ``kind``: an int passes as a float, a bool as neither."""
+    """``desc[key]``, or ``default``, as ``kind``: an int passes as a float, a bool as neither,
+    and a NaN or infinite float not at all."""
     value = desc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind.__name__]):
         raise InvalidConfig(f"stage key {key!r} must be of type {kind.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidConfig(f"stage key {key!r} must be finite, got {value!r}")
     return kind(value)
 
 

@@ -82,7 +82,7 @@ import numpy as np
 from . import crypto
 from .crypto import KeyPair, SharingConfig
 from .encoding import decode_vectors, encode_vector, lp
-from .metrics import DimensionMismatch, Ranking, get_row_metric
+from .metrics import DimensionMismatch, NonFiniteFeature, Ranking, get_row_metric
 
 _LEAF_HASH_TAG = b"biochain/leaf-hash/v1"
 _NODE_HASH_TAG = b"biochain/node-hash/v1"
@@ -443,6 +443,7 @@ def identify(
         ValueError: the probe's length header disagrees with its size.
         DimensionMismatch: probe dimension differs from the gallery's.
         ZeroVector: a zero-norm probe or template under cosine.
+        NonFiniteFeature: the probe, or a score of it, is NaN or infinite.
     """
     if not tree.chief_channels:
         raise KeysNotSetUp("the tree has no node keys; run setup_tree_keys before querying")
@@ -462,7 +463,12 @@ def identify(
     probes = decode_vectors(copies)
     t1 = time.perf_counter()
 
-    all_scores = get_row_metric(metric)(tree.vectors, probes)
+    # A non-finite probe scores non-finite against every template, so one
+    # pass over the scores covers the probe too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        all_scores = get_row_metric(metric)(tree.vectors, probes)
+    if not np.isfinite(all_scores).all():
+        raise NonFiniteFeature("its scores are not finite")
     t2 = time.perf_counter()
 
     documents = chief_drafts(tree, all_scores)

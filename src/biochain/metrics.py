@@ -28,6 +28,11 @@ class ZeroVector(Exception):
     pass
 
 
+class NonFiniteFeature(Exception):
+    """A probe scores NaN or infinity: it holds such a value, or its
+    distance to a template overflows."""
+
+
 class EmptyResults(Exception):
     pass
 

@@ -57,6 +57,7 @@ def spy(monkeypatch, name):
 
 BOGUS_STAGE = '{"chain_spec": [{"kind": "activation", "activation": "bogus"}]}'
 MISSPELLED_STAGE = '{"chain_spec": [{"kind": "activation", "activaton": "relu"}]}'
+NAN_BIAS_STAGE = '{"chain_spec": [{"kind": "convolution", "kernel": 1, "bias": NaN}]}'
 
 
 def state_files(out):
@@ -155,13 +156,18 @@ class TestGenEnroll:
          "stage key 'bias' must be of type float, got True"),
         ('{"chain_spec": [{"kind": "dense", "init": "bogus"}]}', None, ["gen"],
          "stage key 'init' must be 'identity' or 'random', got 'bogus'"),
+        (NAN_BIAS_STAGE, None, ["gen"], "stage key 'bias' must be finite, got nan"),
+        (NAN_BIAS_STAGE, None, ["enroll"], "stage key 'bias' must be finite, got nan"),
+        ('{"chain_spec": [{"kind": "convolution", "bias": -Infinity}]}', None, ["gen"],
+         "stage key 'bias' must be finite, got -inf"),
     ], ids=["gen-size-0", "unknown-key", "malformed-json", "fanout-0", "unknown-metric",
             "empty-gallery", "fanout-200", "fanout-str-gen", "fanout-str-enroll", "seed-bool",
             "sigma-nan", "stage-not-object", "bogus-activation-gen", "bogus-activation-enroll",
             "stage-without-kind-gen", "stage-without-kind-enroll", "misspelled-stage-key-gen",
             "misspelled-stage-key-enroll", "infinite-stage-size", "fractional-stage-size",
             "string-stage-size", "bool-stage-size", "fractional-kernel-bool-bias", "bool-stage-bias",
-            "unknown-stage-init"])
+            "unknown-stage-init", "nan-stage-bias-gen", "nan-stage-bias-enroll",
+            "infinite-stage-bias"])
     def test_bad_configuration_is_a_one_line_error(
         self, runner, tmp_path, config, gallery, command, message
     ):
@@ -245,6 +251,17 @@ class TestIdentify:
         assert result.output.splitlines() == [
             "Error: feature cannot be scored against the gallery: "
             "cosine distance is undefined for zero vectors"]
+
+    def test_overflowing_probe_is_a_one_line_error(self, runner, tmp_path):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        probe_path = tmp_path / "big.txt"
+        probe_path.write_text("biochain-gallery 1 8 1\nbig" + " 1e300" * 8 + "\n")
+        result = runner.invoke(main, ["--out", str(out), "identify",
+                                      "--probe-file", str(probe_path)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            "Error: feature cannot be scored against the gallery: its scores are not finite"]
 
     def test_ledger_grows_across_queries(self, runner, tmp_path):
         out = tmp_path / "run"

@@ -221,6 +221,81 @@ class TestAsymmetricCipher:
         assert k1 != crypto.generate_keypair(np.random.default_rng(10))
 
 
+class TestOneEncapsulation:
+    def test_round_trip_and_each_opens_alone(self):
+        kp = crypto.generate_keypair()
+        sealed = crypto.asym_encrypt_each([b"key", b"marker", b""], kp.public)
+        assert list(crypto.asym_decrypt_each(sealed, kp)) == [b"key", b"marker", b""]
+        assert [crypto.asym_decrypt(ct, kp) for ct in sealed] == [b"key", b"marker", b""]
+
+    def test_one_ephemeral_key_and_one_exchange(self, monkeypatch):
+        kp = crypto.generate_keypair()
+        generated, exchanges = [], []
+        real_generate = crypto.X25519PrivateKey.generate
+        real_hkdf = crypto._hkdf
+
+        def generate():
+            generated.append(1)
+            return real_generate()
+
+        def hkdf(shared, info):
+            exchanges.append(info)
+            return real_hkdf(shared, info)
+
+        monkeypatch.setattr(crypto.X25519PrivateKey, "generate", staticmethod(generate))
+        monkeypatch.setattr(crypto, "_hkdf", hkdf)
+        sealed = crypto.asym_encrypt_each([b"a", b"b", b"c"], kp.public)
+        assert list(crypto.asym_decrypt_each(sealed, kp)) == [b"a", b"b", b"c"]
+        assert len(generated) == 1
+        assert len(exchanges) == 2  # one to seal, one to open
+        eph = crypto.KEY_HALF_LEN
+        assert len({ct[:eph] for ct in sealed}) == 1
+        nonces = [ct[eph:eph + crypto.SYM_NONCE_LEN] for ct in sealed]
+        assert len(set(nonces)) == 3
+
+    def test_nonces_are_drawn_in_one_call(self, monkeypatch):
+        kp = crypto.generate_keypair()
+        draws = []
+        real = crypto.os.urandom
+
+        def counted(n):
+            draws.append(n)
+            return real(n)
+
+        monkeypatch.setattr(crypto.os, "urandom", counted)
+        crypto.asym_encrypt_each([b"a", b"b"], kp.public)
+        assert draws == [2 * crypto.SYM_NONCE_LEN]
+
+    def test_separate_encapsulations_do_not_open_together(self):
+        kp = crypto.generate_keypair()
+        first = crypto.asym_encrypt(b"marker", kp.public)
+        second = crypto.asym_encrypt(b"key", kp.public)
+        opened = crypto.asym_decrypt_each([first, second], kp)
+        assert next(opened) == b"marker"
+        with pytest.raises(crypto.MixedEncapsulation):
+            next(opened)
+
+    def test_wrong_key_fails_at_the_first_draw(self):
+        sealed = crypto.asym_encrypt_each([b"a", b"b"], crypto.generate_keypair().public)
+        opened = crypto.asym_decrypt_each(sealed, crypto.generate_keypair())
+        with pytest.raises(DecryptionFailure):
+            next(opened)
+
+    def test_damaged_later_message_fails_authentication(self):
+        kp = crypto.generate_keypair()
+        first, second = crypto.asym_encrypt_each([b"a", b"b"], kp.public)
+        damaged = second[:-1] + bytes([second[-1] ^ 1])
+        opened = crypto.asym_decrypt_each([first, damaged], kp)
+        assert next(opened) == b"a"
+        with pytest.raises(DecryptionFailure):
+            next(opened)
+
+    def test_any_oversized_message_is_refused(self):
+        kp = crypto.generate_keypair()
+        with pytest.raises(PayloadTooLarge):
+            crypto.asym_encrypt_each([b"k", b"x" * (crypto.ASYM_MAX_PAYLOAD + 1)], kp.public)
+
+
 class TestSignatures:
     def test_valid_signature_verifies(self):
         kp = crypto.generate_keypair()

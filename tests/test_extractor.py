@@ -253,6 +253,57 @@ class TestBlockHandleUpdate:
         assert len(ledger) == before
 
 
+class TestOneEncapsulationPerHop:
+    def test_published_fields_share_one_ephemeral_key(self):
+        chain, _ = build_chain(identity_stages(4))
+        ledger = Ledger()
+        captured = crypto.asym_encrypt(encode_vector(np.ones(4)), chain.notary.keys.public)
+        entry = notary_begin_cycle(chain.notary, ledger, captured)
+        recipient = chain.blocks[0].keys
+        assert crypto.asym_decrypt(entry.em, recipient) == _turn_token(entry.cycle_id)
+        assert crypto.asym_decrypt(entry.ek, recipient) == chain.notary.sym_key
+        eph = crypto.KEY_HALF_LEN
+        nonce = slice(eph, eph + crypto.SYM_NONCE_LEN)
+        assert entry.ek[:eph] == entry.em[:eph]
+        assert entry.ek[nonce] != entry.em[nonce]
+
+    @staticmethod
+    def _splice(ledger, cid, recipient, signer):
+        # key and marker from two separate encapsulations to the right
+        # recipient, under the real signature of the hop's sender
+        sym = crypto.generate_sym_key()
+        ledger.append(
+            cid,
+            ed=crypto.sym_encrypt(encode_vector(np.zeros(4)), sym),
+            ek=crypto.asym_encrypt(sym, recipient),
+            em=crypto.asym_encrypt(_turn_token(cid), recipient),
+            sig=crypto.sign(signer, _auth_token(cid)),
+        )
+
+    def test_block_refuses_spliced_hop_without_append(self):
+        chain, _ = build_chain(identity_stages(4))
+        ledger = Ledger()
+        captured = crypto.asym_encrypt(encode_vector(np.ones(4)), chain.notary.keys.public)
+        cid = notary_begin_cycle(chain.notary, ledger, captured).cycle_id
+        self._splice(ledger, cid, chain.blocks[0].keys.public, chain.notary.keys)
+        before = len(ledger)
+        with pytest.raises(SignatureRejected):
+            block_handle_update(chain.blocks[0], ledger, cid)
+        assert len(ledger) == before
+
+    def test_notary_refuses_spliced_hop_without_append(self):
+        chain, _ = build_chain(identity_stages(4))
+        ledger = Ledger()
+        captured = crypto.asym_encrypt(encode_vector(np.ones(4)), chain.notary.keys.public)
+        cid = notary_begin_cycle(chain.notary, ledger, captured).cycle_id
+        block_handle_update(chain.blocks[0], ledger, cid)
+        self._splice(ledger, cid, chain.notary.keys.public, chain.blocks[0].keys)
+        before = len(ledger)
+        with pytest.raises(SignatureRejected):
+            notary_handle_update(chain.notary, ledger, cid)
+        assert len(ledger) == before
+
+
 class TestRunQueryCycle:
     def test_identity_chain_returns_input(self):
         chain, root = build_chain(identity_stages(6))
@@ -360,20 +411,27 @@ class TestPollOrder:
     def test_honest_cycle_makes_one_marker_trial_per_hop(self, monkeypatch):
         chain, root = build_chain(identity_stages(4, count=5))
         trials = record_trials(monkeypatch)
-        failures = []
-        real_decrypt = crypto.asym_decrypt
+        hop_opens, failures = [], []
+        real_open = crypto.asym_decrypt_each
 
-        def counted(ciphertext, private):
+        def counted(ciphertexts, keys):
+            # The first draw is the marker of a hop, opened as [em, ek].
+            opened = real_open(ciphertexts, keys)
+            if len(ciphertexts) == 2:
+                hop_opens.append(keys)
             try:
-                return real_decrypt(ciphertext, private)
+                yield next(opened)
             except crypto.DecryptionFailure:
-                failures.append(private)
+                failures.append(keys)
                 raise
+            yield from opened
 
-        monkeypatch.setattr(crypto, "asym_decrypt", counted)
+        monkeypatch.setattr(crypto, "asym_decrypt_each", counted)
         x = np.array([0.5, -1.0, 2.0, 0.25])
         final = run_query_cycle(chain, Ledger(), x)
         assert trials == [(i, True) for i in range(5)]
+        # five block hops and five notary hops, no marker tried in vain
+        assert len(hop_opens) == 10
         assert failures == []
         feature = decode_vector(crypto.open_envelope(handoff_envelope(final), root))
         assert np.array_equal(feature, x)

@@ -413,6 +413,12 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig, match=f"kind '{stage['kind']}' reads no key '{key}'"):
             small_config(chain_spec=[stage]).validate()
 
+    @pytest.mark.parametrize("bias", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_stage_bias_rejected(self, bias):
+        stage = {"kind": "convolution", "kernel": 1, "bias": bias}
+        with pytest.raises(InvalidConfig, match=f"stage key 'bias' must be finite, got {bias!r}"):
+            small_config(chain_spec=[stage]).validate()
+
     def test_every_key_a_stage_kind_reads_accepted(self):
         small_config(chain_spec=[
             {"kind": "dense", "out": 8, "init": "identity", "activation": "relu"},

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -754,6 +755,23 @@ class TestIdentifyRegressions:
         with pytest.raises(metrics.ZeroVector):
             identify_probe(tree, np.zeros(8), "cosine")
         assert identify_probe(tree, np.ones(8), "cosine").candidates
+
+    @pytest.mark.parametrize("metric,probe", [
+        ("euclidean", np.full(8, 1e300)),
+        ("euclidean", np.r_[np.ones(7), np.inf]),
+        ("euclidean", np.r_[np.nan, np.ones(7)]),
+        ("cosine", np.r_[np.ones(7), np.inf]),
+        ("cosine", np.r_[np.nan, np.ones(7)]),
+    ], ids=["overflowing", "infinite-euclidean", "nan-euclidean", "infinite-cosine",
+            "nan-cosine"])
+    def test_non_finite_scores_are_refused(self, metric, probe):
+        tree = build_tree(make_gallery(12, seed=73), fanout=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(metrics.NonFiniteFeature):
+                identify_probe(tree, probe, metric)
+        # cosine scales each vector first, so a huge probe still scores
+        assert np.isfinite(identify_probe(tree, np.full(8, 1e300), "cosine").score)
 
 
 class TestDelegation:
