@@ -27,8 +27,10 @@ only the parts it reads:
 * ``experiment`` builds the whole deployment.
 
 Only ``identify`` appends to ``ledger.bin``; ``enroll`` replaces it with
-an empty one, last. A ledger that does not parse is an ``audit`` finding
-and an error for every other command.
+an empty one, last, so every enrolled directory has one. A ledger that is
+missing or does not parse is an ``audit`` finding (``ledger: missing`` or
+``ledger: does not parse``, exit 1) and a one-line error for every other
+command that loads the state; ``identify`` then creates no new ledger.
 
 The chain's keys come from their own seed stream, so every command
 rebuilds the same chain keys. State directories enrolled while the chain
@@ -170,14 +172,18 @@ def _load_system(
     The system's ledger is ``ledger``, or else ``ledger.bin`` replayed,
     reopened to append only if ``resume``.
 
-    An archive that does not parse or holds no record (:class:`_EmptyArchive`)
+    A missing state file (``ledger.bin`` too, unless ``ledger`` is given),
+    an archive that does not parse or holds no record (:class:`_EmptyArchive`)
     and a ledger that does not parse are one-line errors. So is a snapshot
     or a live store that does not parse, or a live store whose
     records do not fit the tree's rows, unless ``strict`` is False (audit
     and restore): the chain then has no snapshot, the system no live
     store, or the tree keeps the archive's templates, and the audit
     reports a finding."""
-    for name in (GALLERY_FILE, ARCHIVE_FILE, CHAIN_FILE, SNAPSHOT_FILE):
+    required = (GALLERY_FILE, ARCHIVE_FILE, CHAIN_FILE, SNAPSHOT_FILE)
+    if ledger is None:
+        required += (LEDGER_FILE,)
+    for name in required:
         if not (out / name).exists():
             raise click.ClickException(f"missing {name} in {out}; run enroll first")
     try:
@@ -209,14 +215,11 @@ def _load_system(
     except DimensionMismatch as exc:
         if strict:
             raise click.ClickException(f"{GALLERY_FILE} does not fit the tree: {exc}; run audit")
-    ledger_path = out / LEDGER_FILE
-    if ledger is None and ledger_path.exists() and ledger_path.stat().st_size:
+    if ledger is None:
         try:
-            ledger = Ledger.load(ledger_path, resume=resume)
+            ledger = Ledger.load(out / LEDGER_FILE, resume=resume)
         except (ValueError, LedgerError) as exc:
             raise click.ClickException(f"{LEDGER_FILE} does not parse: {exc}; run audit")
-    elif ledger is None:
-        ledger = Ledger(ledger_path if resume else None)
     return EnrolledSystem(chain=chain, ledger=ledger, tree=tree,
                           archive=archive_templates, flat_store=live_templates)
 
@@ -308,7 +311,7 @@ def enroll_cmd(ctx):
                f"{len(tree.chief_rows)} chiefs, "
                f"{len(chain.blocks)} chain stages")
     click.echo(f"tree root hash: {tree.hash.hex()}")
-    click.echo(f"chain notary hash: {chain.notary_hash().hex()}")
+    click.echo(f"chain notary hash: {chain.snapshot.notary_hash.hex()}")
 
 
 @main.command("identify")
@@ -400,15 +403,17 @@ def tamper_cmd(ctx, fraction, sigma, block_index, epsilon):
 @main.command("audit")
 @click.pass_context
 def audit_cmd(ctx):
-    """Check both integrity surfaces and that the ledger parses; exit
-    nonzero on any finding."""
+    """Check both integrity surfaces and that the ledger is there and
+    parses; exit nonzero on any finding."""
     out: Path = ctx.obj["out"]
     config = _config(ctx)
-    ledger_path, ledger_error = out / LEDGER_FILE, None
+    ledger_error = None
     try:
-        ledger = Ledger.load(ledger_path) if ledger_path.exists() else Ledger()
+        ledger = Ledger.load(out / LEDGER_FILE)
+    except FileNotFoundError:
+        ledger, ledger_error = Ledger(), "missing"
     except (ValueError, LedgerError) as exc:
-        ledger, ledger_error = Ledger(), exc
+        ledger, ledger_error = Ledger(), f"does not parse: {exc}"
     try:
         system = _load_system(out, config, enrollment_keys_rng(config.seed), strict=False,
                               ledger=ledger)
@@ -419,7 +424,7 @@ def audit_cmd(ctx):
     for line in findings.lines:
         click.echo(line)
     if ledger_error is not None:
-        click.echo(f"ledger: does not parse: {ledger_error}")
+        click.echo(f"ledger: {ledger_error}")
     if not findings.clean or ledger_error is not None:
         sys.exit(1)
 

@@ -16,11 +16,12 @@ A query cycle runs entirely through the ledger:
    key and an encrypted turn marker for the first block, and signs the
    update. Every hop wraps its key and marker under one encapsulation,
    one ephemeral key, so the recipient opens both from one exchange.
-2. Each block polls the newest entry. It acts only if the turn marker
-   decrypts under its private key; it refuses outright if the update was
-   not signed by the notary, or if its key and marker carry different
-   ephemeral keys (fields of two hops spliced together). It then runs
-   its stage and publishes the result wrapped back to the notary, signed
+2. Each block polls the newest entry. One opener, :func:`_open_hop`,
+   authenticates every hop, the notary's too: the block acts only if the
+   turn marker decrypts under its private key, and refuses outright if the
+   update was not signed by the notary, or if its key was not sealed with
+   its marker (fields of two hops spliced together). It then runs its
+   stage and publishes the result wrapped back to the notary, signed
    with its own key. The sequential driver, :func:`run_query_cycle`,
    polls the blocks for hop ``k`` in the order ``k, k+1, ..., 0, ...,
    k-1``: every block still tries the marker and refuses one it cannot
@@ -43,7 +44,7 @@ import secrets
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -223,6 +224,16 @@ def compute_notary_hash(prev_hash: bytes) -> bytes:
     return crypto.digest_parts(_NOTARY_HASH_TAG, prev_hash)
 
 
+def chain_hashes(stages: Iterable[StageParams]) -> Iterator[bytes]:
+    """The chained recurrence: every stage block's hash in order, then the
+    notary's. Hashes are computed as they are drawn."""
+    prev = GENESIS_DIGEST
+    for params in stages:
+        prev = compute_block_hash(prev, params)
+        yield prev
+    yield compute_notary_hash(prev)
+
+
 # ---------------------------------------------------------------------------
 # Blocks, notary, snapshot, chain
 # ---------------------------------------------------------------------------
@@ -256,17 +267,11 @@ class StableSnapshot:
     def self_check(self) -> bool:
         """Recompute every hash from the stored parameters; False when one
         differs or a parameter blob does not parse."""
-        prev = GENESIS_DIGEST
-        for index, stored_hash, params_bytes in self.blocks:
-            try:
-                params = StageParams.from_canonical(params_bytes)
-            except ValueError:
-                return False
-            recomputed = compute_block_hash(prev, params)
-            if recomputed != stored_hash:
-                return False
-            prev = recomputed
-        return compute_notary_hash(prev) == self.notary_hash
+        try:
+            stages = [StageParams.from_canonical(params) for _, _, params in self.blocks]
+        except ValueError:
+            return False
+        return list(chain_hashes(stages)) == [h for _, h, _ in self.blocks] + [self.notary_hash]
 
     def to_bytes(self) -> bytes:
         parts = [encode_u32(len(self.blocks))]
@@ -345,28 +350,12 @@ class ExtractorChain:
         )
         return cls(blocks=blocks, notary=notary)
 
-    def block_hashes(self) -> list[bytes]:
-        """Current hash of every block under the chained recurrence."""
-        hashes = []
-        prev = GENESIS_DIGEST
-        for block in self.blocks:
-            prev = compute_block_hash(prev, block.params)
-            hashes.append(prev)
-        return hashes
-
-    def notary_hash(self) -> bytes:
-        prev = self.block_hashes()[-1] if self.blocks else GENESIS_DIGEST
-        return compute_notary_hash(prev)
-
     def take_snapshot(self) -> StableSnapshot:
         """Record the current state as the stable reference."""
-        hashes = self.block_hashes()
+        *hashes, notary_hash = chain_hashes(b.params for b in self.blocks)
         self.snapshot = StableSnapshot(
-            blocks=[
-                (b.index, hashes[i], b.params.canonical_bytes())
-                for i, b in enumerate(self.blocks)
-            ],
-            notary_hash=self.notary_hash(),
+            blocks=[(b.index, h, b.params.canonical_bytes()) for b, h in zip(self.blocks, hashes)],
+            notary_hash=notary_hash,
             timestamp=time.time(),
         )
         return self.snapshot
@@ -385,13 +374,13 @@ class ExtractorChain:
         """
         if self.snapshot is None:
             raise NoSnapshot("take_snapshot has not been called")
-        current = self.block_hashes()
         stored = [stored_hash for _, stored_hash, _ in self.snapshot.blocks]
-        for i, (now, then) in enumerate(zip(current, stored)):
-            if now != then:
+        current = chain_hashes(block.params for block in self.blocks)
+        for i, then in enumerate(stored[:len(self.blocks)]):
+            if next(current) != then:
                 return i
-        if len(current) != len(stored):
-            return min(len(current), len(stored))
+        if len(self.blocks) != len(stored):
+            return min(len(self.blocks), len(stored))
         return None
 
 
@@ -437,18 +426,28 @@ def _publish(
     )
 
 
-def _payload_key(opened: Iterator[bytes]) -> bytes:
-    """The payload key of a hop opened as ``asym_decrypt_each([em, ek])``,
-    whose marker ``opened`` gave already: one exchange opens both.
+def _open_hop(
+    ledger: Ledger, cycle_id: str, keys: KeyPair, sender: bytes, signer: str
+) -> Optional[bytes]:
+    """Open the newest hop of a cycle with ``keys``: the one path that
+    authenticates a hop. Returns its payload, or None when its marker opens
+    to another token than this cycle's.
 
     Raises:
-        SignatureRejected: the key was sealed under another ephemeral key
-            than the marker, so the hop splices fields of two hops.
+        DecryptionFailure: the marker was not sealed to ``keys``.
+        SignatureRejected: ``sender`` (``signer`` in the message) did not
+            sign the hop, or its key was not sealed with its marker.
     """
+    entry = ledger.latest(cycle_id)
+    opened = crypto.asym_decrypt_each([entry.em, entry.ek], keys)
+    if next(opened) != _turn_token(cycle_id):
+        return None
+    if not crypto.verify(sender, entry.sig, _auth_token(cycle_id)):
+        raise SignatureRejected(f"update not signed by {signer}")
     try:
-        return next(opened)
-    except crypto.MixedEncapsulation as exc:
-        raise SignatureRejected("the hop's key and turn marker were sealed apart") from exc
+        return crypto.sym_decrypt(entry.ed, next(opened))
+    except DecryptionFailure as exc:
+        raise SignatureRejected("the hop's key was not sealed with its turn marker") from exc
 
 
 def notary_begin_cycle(
@@ -477,29 +476,23 @@ def block_handle_update(
 ) -> Optional[LedgerEntry]:
     """Let one block examine the newest update of a cycle.
 
-    Returns None when the turn marker does not decrypt for this block
-    (the update is someone else's turn). If the marker matches but the
-    update was not signed by the notary, or its key was not sealed with
-    its marker, the block refuses to act.
+    Returns None when the turn marker does not open to this cycle's token
+    for this block (the update is someone else's turn). If the marker
+    matches but :func:`_open_hop` finds the update was not signed by the
+    notary, or its key was not sealed with its marker, the block refuses.
 
     Raises:
         SignatureRejected: marker matched but the notary signature did not
-            verify, or the key and the marker carry different ephemeral
-            keys; no entry is appended.
+            verify, or the key was not sealed with the marker; no entry is
+            appended.
     """
-    entry = ledger.latest(cycle_id)
-    opened = crypto.asym_decrypt_each([entry.em, entry.ek], block.keys)
     try:
-        marker = next(opened)
+        payload = _open_hop(ledger, cycle_id, block.keys, block.notary_public, "the notary")
     except DecryptionFailure:
         return None
-    if marker != _turn_token(cycle_id):
+    if payload is None:
         return None
-    if not crypto.verify(block.notary_public, entry.sig, _auth_token(cycle_id)):
-        raise SignatureRejected(f"block {block.index}: update not signed by the notary")
-    payload_key = _payload_key(opened)
-    x = decode_vector(crypto.sym_decrypt(entry.ed, payload_key))
-    out = apply_stage(x, block.params)
+    out = apply_stage(decode_vector(payload), block.params)
     return _publish(
         ledger, cycle_id, encode_vector(out), block.sym_key, block.notary_public, block.keys
     )
@@ -516,20 +509,15 @@ def notary_handle_update(
     matching tree's root key, which finalizes the cycle.
 
     Raises:
-        SignatureRejected: the update was not signed by the expected block,
-            or its key and marker carry different ephemeral keys.
+        SignatureRejected: the marker is stale or foreign, the update was
+            not signed by the expected block, or its key was not sealed with
+            its marker.
         DecryptionFailure: the update was not addressed to the notary.
     """
     pos = notary.progress[cycle_id]
-    entry = ledger.latest(cycle_id)
-    opened = crypto.asym_decrypt_each([entry.em, entry.ek], notary.keys)
-    marker = next(opened)
-    if marker != _turn_token(cycle_id):
+    payload = _open_hop(ledger, cycle_id, notary.keys, notary.route[pos], f"block {pos}")
+    if payload is None:
         raise SignatureRejected("stale or foreign turn marker")
-    if not crypto.verify(notary.route[pos], entry.sig, _auth_token(cycle_id)):
-        raise SignatureRejected(f"update not signed by block {pos}")
-    payload_key = _payload_key(opened)
-    payload = crypto.sym_decrypt(entry.ed, payload_key)
     pos += 1
     notary.progress[cycle_id] = pos
     last_hop = pos == len(notary.route)

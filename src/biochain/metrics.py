@@ -2,9 +2,8 @@
 
 Scores follow a single convention everywhere: lower is better. Cosine
 similarity is therefore reported as cosine distance (one minus the
-similarity). The flat linear-scan identifier here is the reference the
-matching tree is checked against, so it deliberately stays a plain loop
-over the scalar metrics. The matching tree scores through the row
+similarity). :func:`flat_rank` scores the gallery one template at a time
+through the scalar metrics; the matching tree scores through the row
 kernels, which give the scalar metrics' bits for every row. Both rank
 their scores through one :class:`Ranking`: :func:`flat_rank` shares only
 that final sort with the tree, and computes its scores independently.
@@ -173,25 +172,6 @@ class Ranking(Sequence):
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and self[:] == list(other)
-
-
-def flat_oracle_identify(gallery, probe: np.ndarray, metric: str) -> MatchScore:
-    """Linear-scan nearest template over the whole gallery.
-
-    Ties break to the lowest gallery index. This is the ground-truth path
-    used to validate the matching tree, so it stays a simple scan.
-    """
-    fn = get_metric(metric)
-    best_score = None
-    best_identity = None
-    for entry in gallery:
-        s = fn(entry.vector, probe)
-        if best_score is None or s < best_score:
-            best_score = s
-            best_identity = entry.identity
-    if best_score is None:
-        raise EmptyResults("empty gallery")
-    return MatchScore(identity=best_identity, score=best_score, metric=metric)
 
 
 def flat_rank(gallery, probe: np.ndarray, metric: str) -> Ranking:

@@ -1,6 +1,7 @@
-"""Test-side helpers: plaintext probes for ``identify``, template and
-chain-stage edits, a chain's key bytes, and faults injected into the
-matcher's consensus round, a corrupted decision shard among them.
+"""Test-side helpers: the flat linear-scan oracle, plaintext probes for
+``identify``, template and chain-stage edits, a chain's key bytes, and
+faults injected into the matcher's consensus round, a corrupted decision
+shard among them.
 
 ``matcher.identify`` calls the round functions through the module's
 globals, so replacing ``matcher.chief_drafts`` or
@@ -16,6 +17,26 @@ from biochain import crypto, matcher
 from biochain.encoding import encode_vector
 from biochain.extractor import StageParams
 from biochain.matcher import Template
+from biochain.metrics import EmptyResults, MatchScore, get_metric
+
+
+def flat_oracle_identify(gallery, probe, metric):
+    """Linear-scan nearest template over the whole gallery.
+
+    Ties break to the lowest gallery index. This is the ground-truth path
+    used to validate the matching tree, so it stays a simple scan.
+    """
+    fn = get_metric(metric)
+    best_score = None
+    best_identity = None
+    for entry in gallery:
+        s = fn(entry.vector, probe)
+        if best_score is None or s < best_score:
+            best_score = s
+            best_identity = entry.identity
+    if best_score is None:
+        raise EmptyResults("empty gallery")
+    return MatchScore(identity=best_identity, score=best_score, metric=metric)
 
 
 def identify_probe(tree, probe, metric, timings=None):

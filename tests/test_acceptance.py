@@ -43,11 +43,12 @@ from biochain.matcher import (
     root_finalize,
     verify_tree,
 )
-from biochain.metrics import euclidean, flat_oracle_identify, flat_rank, rank_k_accuracy
+from biochain.metrics import euclidean, flat_rank, rank_k_accuracy
 from helpers import (
     compromised_chief,
     corrupted_shard,
     dissenting_leaves,
+    flat_oracle_identify,
     identify_probe,
     perturb_template,
     restore_stage,

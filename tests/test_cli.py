@@ -506,6 +506,30 @@ class TestUnreadableState:
             ]
         assert state_files(out) == state
 
+    def test_missing_ledger_is_a_finding_or_an_error(self, runner, tmp_path):
+        # enroll always writes ledger.bin, so a directory without one lost
+        # its transcript: audit says so, and identify starts no new one.
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        invoke(runner, out, "identify", "--identity", "id0001")
+        (out / "ledger.bin").unlink()
+        state = state_files(out)
+        audit_result = runner.invoke(main, ["--out", str(out), "audit"])
+        assert audit_result.exit_code == 1 and isinstance(audit_result.exception, SystemExit)
+        assert audit_result.output.splitlines() == [
+            "chain: intact",
+            "tree: intact",
+            "ledger: missing",
+        ]
+        for command in (["identify", "--identity", "id0001"], ["tamper", "--fraction", "0.1"],
+                        ["restore"]):
+            result = runner.invoke(main, ["--out", str(out), *command])
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+            assert result.output.splitlines() == [
+                f"Error: missing ledger.bin in {out}; run enroll first"
+            ]
+        assert state_files(out) == state
+
     def test_unreadable_archive_is_a_one_line_error(self, runner, tmp_path):
         out = tmp_path / "run"
         bootstrap(runner, out)

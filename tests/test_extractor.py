@@ -1,5 +1,6 @@
 """Chain hashing, stage math, the query-cycle protocol, and recovery."""
 
+import dataclasses
 import threading
 import time
 
@@ -16,6 +17,7 @@ from biochain.extractor import (
     StageParams,
     apply_stage,
     block_handle_update,
+    chain_hashes,
     compose_stages,
     compute_block_hash,
     compute_notary_hash,
@@ -116,9 +118,9 @@ class TestNotaryHash:
 
     def test_upstream_change_propagates_to_notary(self):
         chain, _ = build_chain(identity_stages(4))
-        before = chain.notary_hash()
+        before = list(chain_hashes(b.params for b in chain.blocks))[-1]
         chain.blocks[0].params.weights[0, 0] += 1e-9
-        assert chain.notary_hash() != before
+        assert list(chain_hashes(b.params for b in chain.blocks))[-1] != before
 
 
 class TestApplyStage:
@@ -302,6 +304,106 @@ class TestOneEncapsulationPerHop:
         with pytest.raises(SignatureRejected):
             notary_handle_update(chain.notary, ledger, cid)
         assert len(ledger) == before
+
+
+class TestOneHopOpener:
+    """Each handler's contract around the one opener, ``_open_hop``."""
+
+    @staticmethod
+    def _begin(chain):
+        ledger = Ledger()
+        captured = crypto.asym_encrypt(encode_vector(np.ones(4)), chain.notary.keys.public)
+        return ledger, notary_begin_cycle(chain.notary, ledger, captured).cycle_id
+
+    @staticmethod
+    def _stale_hop(ledger, cid, recipient, signer):
+        # a hop sealed to the right party under the sender's signature, but
+        # carrying another cycle's turn token
+        sym = crypto.generate_sym_key()
+        ek, em = crypto.asym_encrypt_each([sym, _turn_token("another-cycle")], recipient)
+        ledger.append(cid, ed=crypto.sym_encrypt(encode_vector(np.ones(4)), sym), ek=ek, em=em,
+                      sig=crypto.sign(signer, _auth_token(cid)))
+
+    @staticmethod
+    def _damage_key(ledger, cid):
+        # the newest hop again, with one bit of its wrapped key flipped
+        entry = ledger.latest(cid)
+        ek = entry.ek[:-1] + bytes([entry.ek[-1] ^ 1])
+        ledger.append(cid, ed=entry.ed, ek=ek, em=entry.em, sig=entry.sig)
+
+    def test_block_ignores_a_stale_marker(self):
+        chain, _ = build_chain(identity_stages(4))
+        ledger, cid = self._begin(chain)
+        self._stale_hop(ledger, cid, chain.blocks[0].keys.public, chain.notary.keys)
+        before = len(ledger)
+        assert block_handle_update(chain.blocks[0], ledger, cid) is None
+        assert len(ledger) == before
+
+    def test_notary_refuses_a_stale_marker(self):
+        chain, _ = build_chain(identity_stages(4))
+        ledger, cid = self._begin(chain)
+        block_handle_update(chain.blocks[0], ledger, cid)
+        self._stale_hop(ledger, cid, chain.notary.keys.public, chain.blocks[0].keys)
+        with pytest.raises(SignatureRejected, match="stale or foreign turn marker"):
+            notary_handle_update(chain.notary, ledger, cid)
+
+    def test_notary_cannot_open_a_hop_addressed_to_a_block(self):
+        chain, _ = build_chain(identity_stages(4))
+        ledger, cid = self._begin(chain)
+        with pytest.raises(crypto.DecryptionFailure):
+            notary_handle_update(chain.notary, ledger, cid)
+        assert chain.notary.progress[cid] == 0
+
+    def test_each_refusal_names_the_expected_signer(self):
+        chain, _ = build_chain(identity_stages(4))
+        ledger, cid = self._begin(chain)
+        forger = crypto.generate_keypair()
+        extractor._publish(ledger, cid, encode_vector(np.ones(4)), crypto.generate_sym_key(),
+                           chain.blocks[0].keys.public, forger)
+        with pytest.raises(SignatureRejected, match="update not signed by the notary"):
+            block_handle_update(chain.blocks[0], ledger, cid)
+        extractor._publish(ledger, cid, encode_vector(np.ones(4)), crypto.generate_sym_key(),
+                           chain.notary.keys.public, forger)
+        with pytest.raises(SignatureRejected, match="update not signed by block 0"):
+            notary_handle_update(chain.notary, ledger, cid)
+
+    def test_a_damaged_key_is_refused_without_append(self):
+        # The marker opens and the signature verifies, but the key does not
+        # open under the marker's encapsulation: refused as a splice is.
+        chain, _ = build_chain(identity_stages(4))
+        ledger, cid = self._begin(chain)
+        self._damage_key(ledger, cid)
+        before = len(ledger)
+        with pytest.raises(SignatureRejected, match="not sealed with its turn marker"):
+            block_handle_update(chain.blocks[0], ledger, cid)
+        assert len(ledger) == before
+        ledger, cid = self._begin(chain)
+        block_handle_update(chain.blocks[0], ledger, cid)
+        self._damage_key(ledger, cid)
+        before = len(ledger)
+        with pytest.raises(SignatureRejected, match="not sealed with its turn marker"):
+            notary_handle_update(chain.notary, ledger, cid)
+        assert len(ledger) == before
+
+    def test_padded_cycle_still_expects_the_block_whose_turn_it_is(self):
+        # After hop 0 the notary waits for block 1. Block 2 pads the cycle
+        # with two junk entries, then appends its own signed reply to the
+        # notary: seven entries, so a position read from the entry count
+        # would skip block 1. The notary's own record of the hop refuses it.
+        chain, _ = build_chain(identity_stages(4, count=4))
+        ledger, cid = self._begin(chain)
+        block_handle_update(chain.blocks[0], ledger, cid)
+        notary_handle_update(chain.notary, ledger, cid)
+        ledger.append(cid, ed=b"junk")
+        ledger.append(cid, ed=b"junk")
+        intruder = chain.blocks[2]
+        extractor._publish(ledger, cid, encode_vector(np.ones(4)), intruder.sym_key,
+                           chain.notary.keys.public, intruder.keys)
+        assert len(ledger.entries(cid)) == 7
+        assert chain.notary.progress[cid] == 1
+        with pytest.raises(SignatureRejected, match="update not signed by block 1"):
+            notary_handle_update(chain.notary, ledger, cid)
+        assert len(ledger.entries(cid)) == 7
 
 
 class TestRunQueryCycle:
@@ -489,12 +591,12 @@ class TestVerifyAndRestore:
         snapshot_hashes = [h for _, h, _ in chain.snapshot.blocks]
         chain.blocks[2].params.weights[0, 0] += 1e-6
         assert chain.verify() == 2
-        current = chain.block_hashes()
+        *current, notary_hash = chain_hashes(b.params for b in chain.blocks)
         # blocks before the tamper keep their hashes, everything from the
         # tampered block onward changes, including the notary
         assert current[:2] == snapshot_hashes[:2]
         assert all(current[i] != snapshot_hashes[i] for i in range(2, 5))
-        assert chain.notary_hash() != chain.snapshot.notary_hash
+        assert notary_hash != chain.snapshot.notary_hash
 
     def test_two_tampers_found_iteratively(self):
         chain, _ = build_chain(identity_stages(4, count=5))
@@ -564,7 +666,7 @@ class TestVerifyAndRestore:
             snapshot_hashes = [h for _, h, _ in chain.snapshot.blocks]
             k = int(rng.integers(0, 6))
             chain.blocks[k].params.bias[0] += 1e-9
-            current = chain.block_hashes()
+            *current, _ = chain_hashes(b.params for b in chain.blocks)
             changed = [i for i in range(6) if current[i] != snapshot_hashes[i]]
             assert changed == list(range(k, 6))
             assert chain.verify() == k
@@ -591,6 +693,62 @@ class TestVerifyAndRestore:
         for damaged in (data[:20], data + b"\x00", without_timestamp + encode_f64_array(np.array([]))):
             with pytest.raises(ValueError):
                 StableSnapshot.from_bytes(damaged)
+
+
+class TestOneHashRecurrence:
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        real = getattr(extractor, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(extractor, name, counted)
+        return calls
+
+    def test_block_hashes_then_the_notary_hash(self):
+        stages = identity_stages(4, count=3)
+        hashes = list(chain_hashes(stages))
+        assert len(hashes) == 4
+        prev = GENESIS_DIGEST
+        for params, h in zip(stages, hashes):
+            assert h == compute_block_hash(prev, params)
+            prev = h
+        assert hashes[-1] == compute_notary_hash(prev)
+        assert list(chain_hashes([])) == [compute_notary_hash(GENESIS_DIGEST)]
+
+    def test_snapshot_hashes_the_chain_once(self, monkeypatch):
+        chain = ExtractorChain.build(identity_stages(4, count=5), crypto.generate_keypair().public)
+        blocks = self._count(monkeypatch, "compute_block_hash")
+        notary = self._count(monkeypatch, "compute_notary_hash")
+        chain.take_snapshot()
+        assert (len(blocks), len(notary)) == (5, 1)
+
+    def test_verify_hashes_blocks_only(self, monkeypatch):
+        chain, _ = build_chain(identity_stages(4, count=5))
+        blocks = self._count(monkeypatch, "compute_block_hash")
+        notary = self._count(monkeypatch, "compute_notary_hash")
+        assert chain.verify() is None
+        assert (len(blocks), len(notary)) == (5, 0)
+
+    def test_self_check_refuses_each_kind_of_damage(self):
+        chain, _ = build_chain(identity_stages(4, count=3))
+        snapshot = chain.snapshot
+        index, h, params = snapshot.blocks[1]
+        other = StageParams(kind="activation", activation="relu").canonical_bytes()
+        damaged = [
+            dataclasses.replace(snapshot, notary_hash=bytes(32)),
+            dataclasses.replace(snapshot, blocks=[*snapshot.blocks[:1], (index, bytes(32), params),
+                                                  *snapshot.blocks[2:]]),
+            dataclasses.replace(snapshot, blocks=[*snapshot.blocks[:1], (index, h, other),
+                                                  *snapshot.blocks[2:]]),
+            dataclasses.replace(snapshot, blocks=[*snapshot.blocks[:1], (index, h, params[:5]),
+                                                  *snapshot.blocks[2:]]),
+        ]
+        assert snapshot.self_check()
+        assert [d.self_check() for d in damaged] == [False] * 4
 
 
 class TestThreadedPolling:
@@ -621,15 +779,19 @@ class TestThreadedPolling:
             t.start()
         final = None
         deadline = time.time() + 20
-        for _ in range(len(chain.blocks)):
-            while time.time() < deadline:
-                try:
-                    final = notary_handle_update(chain.notary, ledger, cid)
-                    break
-                except crypto.CryptoError:
-                    time.sleep(0.0005)
-        stop.set()
-        for t in threads:
-            t.join()
+        try:
+            for _ in range(len(chain.blocks)):
+                while time.time() < deadline:
+                    try:
+                        final = notary_handle_update(chain.notary, ledger, cid)
+                        break
+                    except crypto.CryptoError:
+                        time.sleep(0.0005)
+        finally:
+            # Stop the pollers however the notary's loop ends, so a failure
+            # here ends the test instead of leaving four threads running.
+            stop.set()
+            for t in threads:
+                t.join()
         assert final is not None
         assert crypto.open_envelope(handoff_envelope(final), root) == expected

@@ -26,10 +26,9 @@ from biochain.harness import (
     tamper_extractor_block,
 )
 from biochain.matcher import Template, verify_tree
-from biochain.metrics import flat_oracle_identify
 from biochain import crypto
 from biochain.encoding import decode_vector
-from helpers import chain_keys, perturb_template, restore_stage
+from helpers import chain_keys, flat_oracle_identify, perturb_template, restore_stage
 
 
 # Reference to_text() and to_json() of run_experiment(small_config()): the
@@ -163,7 +162,7 @@ class TestEnroll:
         s1 = enroll(gallery, seed=9)
         s2 = enroll(gallery, seed=9)
         assert s1.tree.hash == s2.tree.hash
-        assert s1.chain.notary_hash() == s2.chain.notary_hash()
+        assert s1.chain.snapshot.notary_hash == s2.chain.snapshot.notary_hash
         assert s1.tree.keys == s2.tree.keys
 
     def test_identity_chain_preserves_probes(self):

@@ -32,11 +32,12 @@ from biochain.matcher import (
     setup_tree_keys,
     verify_tree,
 )
-from biochain.metrics import DimensionMismatch, Ranking, flat_oracle_identify, flat_rank
+from biochain.metrics import DimensionMismatch, Ranking, flat_rank
 from helpers import (
     compromised_chief,
     corrupted_shard,
     dissenting_leaves,
+    flat_oracle_identify,
     identify_probe,
     perturb_template,
 )

@@ -20,10 +20,10 @@ from biochain.metrics import (
     cosine_rows,
     euclidean,
     euclidean_rows,
-    flat_oracle_identify,
     flat_rank,
     rank_k_accuracy,
 )
+from helpers import flat_oracle_identify
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 vectors = st.lists(finite_floats, min_size=1, max_size=12).map(np.array)
