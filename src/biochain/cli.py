@@ -165,12 +165,12 @@ class _EmptyArchive(click.ClickException):
 
 def _load_system(
     out: Path, config: ExperimentConfig, keys_rng: np.random.Generator,
-    strict: bool = True, ledger: Optional[Ledger] = None, resume: bool = False,
+    strict: bool = True, ledger: Optional[Ledger] = None,
 ) -> EnrolledSystem:
     """Rebuild the enrolled deployment's checkable state from the state
     directory, the archive and the stored stages, with :func:`_build_system`.
-    The system's ledger is ``ledger``, or else ``ledger.bin`` replayed,
-    reopened to append only if ``resume``.
+    The system's ledger is ``ledger``, or else ``ledger.bin`` replayed; it
+    opens the file only if the command appends.
 
     A missing state file (``ledger.bin`` too, unless ``ledger`` is given),
     an archive that does not parse or holds no record (:class:`_EmptyArchive`)
@@ -217,7 +217,7 @@ def _load_system(
             raise click.ClickException(f"{GALLERY_FILE} does not fit the tree: {exc}; run audit")
     if ledger is None:
         try:
-            ledger = Ledger.load(out / LEDGER_FILE, resume=resume)
+            ledger = Ledger.load(out / LEDGER_FILE)
         except (ValueError, LedgerError) as exc:
             raise click.ClickException(f"{LEDGER_FILE} does not parse: {exc}; run audit")
     return EnrolledSystem(chain=chain, ledger=ledger, tree=tree,
@@ -328,7 +328,7 @@ def identify_cmd(ctx, identity, probe_file, probe_noise):
     if not probe_noise >= 0:
         raise click.ClickException("--probe-noise must be >= 0")
     keys_rng = enrollment_keys_rng(config.seed)
-    system = _load_system(out, config, keys_rng, resume=True)
+    system = _load_system(out, config, keys_rng)
     if probe_file is not None:
         try:
             records = load_gallery(probe_file)

@@ -169,6 +169,8 @@ class StageParams:
         arrays: list[Optional[np.ndarray]] = []
         for _ in range(2):
             arrays.append(reader.read_f64_array() if reader.read_u32() else None)
+        if not reader.exhausted:
+            raise ValueError("trailing bytes after the stage parameters")
         return cls(
             kind=kind,
             weights=arrays[0],
@@ -288,17 +290,17 @@ class StableSnapshot:
         """Invert :meth:`to_bytes`.
 
         Raises:
-            ValueError: the record is truncated, holds trailing bytes, or
-                its timestamp is not a single value.
+            ValueError: the record is truncated, holds trailing bytes, stores
+                a block under an index other than its position, or its
+                timestamp is not a single value.
         """
         reader = ByteReader(data)
         count = reader.read_u32()
         blocks = []
-        for _ in range(count):
-            index = reader.read_u32()
-            h = reader.read_lp()
-            pb = reader.read_lp()
-            blocks.append((index, h, pb))
+        for position in range(count):
+            if reader.read_u32() != position:
+                raise ValueError(f"snapshot block {position} is stored under another index")
+            blocks.append((position, reader.read_lp(), reader.read_lp()))
         notary_hash = reader.read_lp()
         timestamp = reader.read_f64_array()
         if timestamp.shape != (1,) or not reader.exhausted:

@@ -9,8 +9,11 @@ The opening entry of a cycle carries only the encrypted capture in
 ``ed``; every later entry fills all four fields.
 
 Entries are immutable once appended and sequence numbers grow strictly.
-Only one cycle may be open at a time, which keeps the sequence numbers
-of a cycle contiguous.
+Only one cycle may be open at a time, which keeps a cycle's records
+contiguous. One rule admits every entry, appended or replayed from a
+file: :meth:`Ledger.load` refuses a file whose sequence numbers skip or
+whose cycles' records are not contiguous, and the ledger it returns
+appends to the file it read.
 
 File format (one record per entry, append-only):
 
@@ -67,19 +70,19 @@ class LedgerEntry:
 
     @classmethod
     def from_body(cls, body: bytes) -> "LedgerEntry":
+        """Parse one record body; a byte :meth:`to_bytes` would not write is refused."""
         reader = ByteReader(body)
-        seq_field = ByteReader(reader.read_lp())
-        seq = seq_field.read_u64()
-        cycle_id = reader.read_lp().decode("utf-8")
-        ed = reader.read_lp()
-        ek = reader.read_lp()
-        em = reader.read_lp()
-        sig = reader.read_lp()
-        return cls(seq=seq, cycle_id=cycle_id, ed=ed, ek=ek, em=em, sig=sig)
+        read = reader.read_lp
+        seq, cycle_id, ed, ek, em, sig = read(), read(), read(), read(), read(), read()
+        if len(seq) != 8 or not reader.exhausted:
+            raise ValueError("malformed ledger record")
+        return cls(seq=int.from_bytes(seq, "big"), cycle_id=cycle_id.decode("utf-8"),
+                   ed=ed, ek=ek, em=em, sig=sig)
 
 
 class Ledger:
-    """In-memory ledger, optionally mirrored to an append-only file.
+    """In-memory ledger, optionally mirrored to an append-only file opened
+    at the first append.
 
     Appends are serialized through a single writer lock; reads of already
     appended entries need no coordination because entries never change.
@@ -87,14 +90,27 @@ class Ledger:
 
     def __init__(self, path: Optional[Path] = None):
         self._entries: list[LedgerEntry] = []
-        self._cycles: dict[str, list[int]] = {}
-        self._closed: set[str] = set()
+        # Every cycle seen -> the seq of its newest entry; all but the open
+        # one are finalized.
+        self._newest: dict[str, int] = {}
         self._open_cycle: Optional[str] = None
         self._lock = threading.Lock()
         self._path = Path(path) if path is not None else None
         self._file = None
-        if self._path is not None:
-            self._file = open(self._path, "ab")
+
+    def _admit(self, entry: LedgerEntry) -> None:
+        """The one rule for every entry, appended or replayed: it takes the
+        next seq, and its cycle is the open one or opens while none is."""
+        if entry.seq != len(self._entries):
+            raise LedgerError(f"sequence gap at {entry.seq}, expected {len(self._entries)}")
+        if entry.cycle_id != self._open_cycle:
+            if entry.cycle_id in self._newest:
+                raise ClosedCycle(f"cycle {entry.cycle_id} is finalized")
+            if self._open_cycle is not None:
+                raise CycleConflict(f"cycle {self._open_cycle} is still open")
+            self._open_cycle = entry.cycle_id
+        self._entries.append(entry)
+        self._newest[entry.cycle_id] = entry.seq
 
     def append(
         self,
@@ -111,30 +127,21 @@ class Ledger:
             CycleConflict: a different cycle is still open.
         """
         with self._lock:
-            if cycle_id in self._closed:
-                raise ClosedCycle(f"cycle {cycle_id} is finalized")
-            if cycle_id not in self._cycles:
-                if self._open_cycle is not None:
-                    raise CycleConflict(
-                        f"cycle {self._open_cycle} is still open"
-                    )
-                self._cycles[cycle_id] = []
-                self._open_cycle = cycle_id
             entry = LedgerEntry(
                 seq=len(self._entries), cycle_id=cycle_id, ed=ed, ek=ek, em=em, sig=sig
             )
-            self._entries.append(entry)
-            self._cycles[cycle_id].append(entry.seq)
-            if self._file is not None:
+            self._admit(entry)
+            if self._path is not None:
+                if self._file is None:
+                    self._file = open(self._path, "ab")
                 self._file.write(entry.to_bytes())
                 self._file.flush()
             return entry
 
     def close_cycle(self, cycle_id: str) -> None:
         with self._lock:
-            if cycle_id not in self._cycles:
+            if cycle_id not in self._newest:
                 raise UnknownCycle(cycle_id)
-            self._closed.add(cycle_id)
             if self._open_cycle == cycle_id:
                 self._open_cycle = None
 
@@ -144,17 +151,16 @@ class Ledger:
         Raises:
             UnknownCycle: no entry has been appended under this id.
         """
-        seqs = self._cycles.get(cycle_id)
-        if not seqs:
+        if cycle_id not in self._newest:
             raise UnknownCycle(cycle_id)
-        return self._entries[seqs[-1]]
+        return self._entries[self._newest[cycle_id]]
 
     def entries(self, cycle_id: Optional[str] = None) -> list[LedgerEntry]:
         if cycle_id is None:
             return list(self._entries)
-        if cycle_id not in self._cycles:
+        if cycle_id not in self._newest:
             raise UnknownCycle(cycle_id)
-        return [self._entries[s] for s in self._cycles[cycle_id]]
+        return [entry for entry in self._entries if entry.cycle_id == cycle_id]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -165,27 +171,17 @@ class Ledger:
             self._file = None
 
     @classmethod
-    def load(cls, path: Path, resume: bool = False) -> "Ledger":
-        """Replay a ledger file into memory.
-
-        Every cycle found on disk is treated as finalized; a loaded ledger
-        only accepts appends for new cycles. With ``resume`` the file is
-        reopened for appending and sequence numbers continue where the
-        recorded transcript ends.
-        """
-        ledger = cls()
-        data = Path(path).read_bytes()
-        reader = ByteReader(data)
+    def load(cls, path: Path) -> "Ledger":
+        """Replay a ledger file into a ledger that appends to it. Each record
+        passes the rule :meth:`append` applies, a recorded cycle ending where
+        the next begins; every recorded cycle is finalized, so only new cycles
+        accept appends, and sequence numbers continue where the file ends."""
+        ledger = cls(path)
+        reader = ByteReader(Path(path).read_bytes())
         while not reader.exhausted:
             entry = LedgerEntry.from_body(reader.read_lp())
-            if entry.seq != len(ledger._entries):
-                raise LedgerError(
-                    f"sequence gap at {entry.seq}, expected {len(ledger._entries)}"
-                )
-            ledger._entries.append(entry)
-            ledger._cycles.setdefault(entry.cycle_id, []).append(entry.seq)
-        ledger._closed = set(ledger._cycles)
-        if resume:
-            ledger._path = Path(path)
-            ledger._file = open(ledger._path, "ab")
+            if entry.cycle_id != ledger._open_cycle:
+                ledger._open_cycle = None
+            ledger._admit(entry)
+        ledger._open_cycle = None
         return ledger

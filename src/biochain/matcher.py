@@ -305,8 +305,8 @@ def setup_tree_keys(tree: MatcherTree, rng: Optional[np.random.Generator] = None
     to the root, ``b"c/i"`` for its link to the leaf in row i. No node key
     outlives the set-up; only a query reads any of it."""
     root = tree.keys.decryption_key
-    # The first chief is the largest: its 2n + 1 shards set the width.
-    width = 2 * tree.chief_rows[0].stop + 1
+    # The first chief is the largest: its shards set the width.
+    width = _sharing(tree.chief_rows[0]).total
     tree.shards = np.zeros((len(tree.chief_rows), width, _DECISION_SECRET_LEN), dtype=np.uint8)
     tree.chief_channels, tree.leaf_channels, tree.decision_commitments = [], [], []
     for c, (rows, held) in enumerate(zip(tree.chief_rows, tree.shards)):
@@ -387,7 +387,7 @@ def root_finalize(tree: MatcherTree, dissent: np.ndarray) -> np.ndarray:
     full = np.flatnonzero(~dissenting).tolist()
     configs = [_sharing(tree.chief_rows[chief]) for chief in full]
     # A short last chief's extra rows get zero weight in the reconstruction.
-    pools = tree.shards[full, :tree.chief_rows[0].stop + 2]
+    pools = tree.shards[full, :_sharing(tree.chief_rows[0]).threshold]
     points = [tuple(range(1, config.threshold + 1)) for config in configs]
     secrets = crypto.shamir_reconstruct_each(pools, points, configs)
     accepted = np.zeros(len(tree.chief_rows), dtype=bool)

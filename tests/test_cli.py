@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from click.testing import CliRunner
 import biochain
 from biochain import cli, crypto
 from biochain.cli import main
-from biochain.encoding import lp
+from biochain.encoding import ByteReader, lp
 from biochain.extractor import StableSnapshot, StageParams
 from biochain.harness import ExperimentConfig, enroll, load_gallery, save_gallery
 from biochain.ledger import Ledger
@@ -559,6 +560,103 @@ class TestUnreadableState:
             assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
             assert result.output.splitlines() == [f"Error: {message}"]
         assert state_files(out) == state
+
+
+def edit_blobs(path, edit):
+    """Rewrite a file of length-prefixed blobs (``chain_params.bin``, or
+    ``ledger.bin`` whose blobs are record bodies) with ``edit`` applied to
+    the list of blobs, each length prefix following its blob."""
+    reader = ByteReader(path.read_bytes())
+    blobs = []
+    while not reader.exhausted:
+        blobs.append(reader.read_lp())
+    edit(blobs)
+    path.write_bytes(b"".join(lp(blob) for blob in blobs))
+
+
+def edit_snapshot_block(out, position, edit):
+    snapshot = StableSnapshot.load(out / "snapshot.bin")
+    snapshot.blocks[position] = edit(*snapshot.blocks[position])
+    snapshot.save(out / "snapshot.bin")
+
+
+def interleave_cycles(path):
+    """Move the first cycle's last record behind the later records, then
+    renumber the seqs so that they still run 0, 1, 2, ...; return the
+    moved record's cycle id."""
+    entries = Ledger.load(path).entries()
+    last = max(i for i, entry in enumerate(entries) if entry.cycle_id == entries[0].cycle_id)
+    moved = entries[:last] + entries[last + 1:] + [entries[last]]
+    path.write_bytes(b"".join(replace(e, seq=i).to_bytes() for i, e in enumerate(moved)))
+    return entries[0].cycle_id
+
+
+class TestOnlyWrittenBytes:
+    """A state file holding bytes that no biochain command writes is a
+    finding or a one-line error, never a clean audit."""
+
+    def test_interleaved_cycles_are_a_finding_or_an_error(self, runner, tmp_path):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        invoke(runner, out, "identify", "--identity", "id0001")
+        invoke(runner, out, "identify", "--identity", "id0002")
+        cycle_id = interleave_cycles(out / "ledger.bin")
+        state = state_files(out)
+        reason = f"does not parse: cycle {cycle_id} is finalized"
+        audit_result = runner.invoke(main, ["--out", str(out), "audit"])
+        assert audit_result.exit_code == 1 and isinstance(audit_result.exception, SystemExit)
+        assert audit_result.output.splitlines() == [
+            "chain: intact", "tree: intact", f"ledger: {reason}"]
+        for command in (["identify", "--identity", "id0001"], ["tamper", "--fraction", "0.1"],
+                        ["restore"]):
+            result = runner.invoke(main, ["--out", str(out), *command])
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+            assert result.output.splitlines() == [f"Error: ledger.bin {reason}; run audit"]
+        assert state_files(out) == state
+
+    @pytest.mark.parametrize("case", [
+        "stage-trailing-bytes", "snapshot-blob-trailing-bytes", "snapshot-block-index",
+        "record-trailing-bytes", "record-seq-padded",
+    ])
+    def test_unwritten_bytes_are_a_finding_or_an_error(self, runner, tmp_path, case):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        invoke(runner, out, "identify", "--identity", "id0001")
+        if case == "stage-trailing-bytes":
+            def pad(blobs):
+                blobs[0] += bytes(8)
+            edit_blobs(out / "chain_params.bin", pad)
+            error = ("chain_params.bin holds no usable stage list: "
+                     "trailing bytes after the stage parameters")
+            audit_line, query_error = f"Error: {error}", error
+        elif case == "snapshot-blob-trailing-bytes":
+            edit_snapshot_block(out, 0, lambda index, h, params: (index, h, params + bytes(2)))
+            audit_line = ("snapshot: stored parameters do not reproduce the stored hashes; "
+                          "the chain cannot be restored from it")
+            query_error = None  # the stored hashes still match the chain
+        elif case == "snapshot-block-index":
+            edit_snapshot_block(out, 1, lambda index, h, params: (7, h, params))
+            audit_line = "snapshot: does not parse; the chain cannot be verified or restored from it"
+            query_error = ("snapshot.bin does not parse: snapshot block 1 is stored under "
+                           "another index; run audit")
+        else:
+            def pad(bodies):
+                if case == "record-trailing-bytes":
+                    bodies[-1] += bytes(4)
+                else:  # the seq field is the body's first blob, 8 bytes long
+                    bodies[0] = lp(bodies[0][4:12] + bytes(1)) + bodies[0][12:]
+            edit_blobs(out / "ledger.bin", pad)
+            audit_line = "ledger: does not parse: malformed ledger record"
+            query_error = "ledger.bin does not parse: malformed ledger record; run audit"
+        state = state_files(out)
+        audit_result = runner.invoke(main, ["--out", str(out), "audit"])
+        assert audit_result.exit_code == 1 and isinstance(audit_result.exception, SystemExit)
+        assert audit_line in audit_result.output.splitlines(), audit_result.output
+        if query_error is not None:
+            result = runner.invoke(main, ["--out", str(out), "identify", "--identity", "id0001"])
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+            assert result.output.splitlines() == [f"Error: {query_error}"]
+            assert state_files(out) == state
 
 
 class TestRebuiltKeys:

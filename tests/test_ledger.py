@@ -1,7 +1,12 @@
 """Ledger contracts: append-only behavior, cycle bookkeeping, wire format."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biochain import crypto
 from biochain.extractor import ExtractorChain, StageParams, run_query_cycle
@@ -10,6 +15,7 @@ from biochain.ledger import (
     CycleConflict,
     Ledger,
     LedgerEntry,
+    LedgerError,
     UnknownCycle,
 )
 
@@ -124,7 +130,7 @@ class TestWireFormat:
         ledger = Ledger(path)
         ledger.append("c1", ed=b"data")
         ledger.close()
-        replayed = Ledger.load(path, resume=True)
+        replayed = Ledger.load(path)
         with pytest.raises(ClosedCycle):
             replayed.append("c1", ed=b"more")
         # new cycles continue the sequence numbering
@@ -153,3 +159,93 @@ class TestConfidentiality:
                     continue
         # exactly one key opens each of the 2*3+1 enveloped entries
         assert opened == 7
+
+
+class ReferenceLedger:
+    """The cycle bookkeeping the ledger kept before it read cycle state off
+    its entries: a seq list per cycle, a set of closed cycles and the open
+    cycle, with the one-open-cycle rule checked on append."""
+
+    def __init__(self):
+        self.entries = []
+        self.cycles = {}
+        self.closed = set()
+        self.open_cycle = None
+
+    def append(self, cycle_id, ed):
+        if cycle_id in self.closed:
+            raise ClosedCycle(cycle_id)
+        if cycle_id not in self.cycles:
+            if self.open_cycle is not None:
+                raise CycleConflict(self.open_cycle)
+            self.cycles[cycle_id] = []
+            self.open_cycle = cycle_id
+        entry = LedgerEntry(len(self.entries), cycle_id, ed, b"", b"", b"")
+        self.entries.append(entry)
+        self.cycles[cycle_id].append(entry.seq)
+        return entry
+
+    def close_cycle(self, cycle_id):
+        if cycle_id not in self.cycles:
+            raise UnknownCycle(cycle_id)
+        self.closed.add(cycle_id)
+        if self.open_cycle == cycle_id:
+            self.open_cycle = None
+
+    def latest(self, cycle_id):
+        if not self.cycles.get(cycle_id):
+            raise UnknownCycle(cycle_id)
+        return self.entries[self.cycles[cycle_id][-1]]
+
+    def loaded(self):
+        """The reference state of this transcript replayed from a file:
+        every recorded cycle closed, none open."""
+        model = ReferenceLedger()
+        model.entries = list(self.entries)
+        model.cycles = {c: list(seqs) for c, seqs in self.cycles.items()}
+        model.closed = set(self.cycles)
+        return model
+
+
+def outcome(call, *args):
+    """What a call returns, or the type of the ledger error it raises."""
+    try:
+        return "ok", call(*args)
+    except LedgerError as exc:
+        return "raised", type(exc)
+
+
+CYCLES = ["c0", "c1", "c2", "c3"]
+OPERATIONS = st.lists(st.tuples(
+    st.sampled_from(["append", "close_cycle", "latest"]),
+    st.sampled_from(CYCLES),
+    st.binary(max_size=3),
+), max_size=30)
+
+
+class TestAgainstReferenceBookkeeping:
+    @settings(max_examples=200, deadline=None)
+    @given(OPERATIONS)
+    def test_operations_and_replay_match_the_reference(self, operations):
+        # Small ids make appends to the open cycle, to a new one while a
+        # cycle is open or not, and to a closed one all likely.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ledger.bin"
+            path.write_bytes(b"")  # as enroll leaves it
+            ledger, model = Ledger(path), ReferenceLedger()
+            for name, cycle_id, ed in operations:
+                args = (cycle_id, ed) if name == "append" else (cycle_id,)
+                assert outcome(getattr(ledger, name), *args) == outcome(getattr(model, name), *args)
+                assert ledger.entries() == model.entries
+            for cycle_id in CYCLES:
+                if cycle_id in model.cycles:
+                    want = [model.entries[seq] for seq in model.cycles[cycle_id]]
+                    assert ledger.entries(cycle_id) == want
+            ledger.close()
+            replayed, model = Ledger.load(path), model.loaded()
+            assert replayed.entries() == model.entries
+            for cycle_id in CYCLES + ["fresh"]:
+                args = (cycle_id, b"x")
+                assert outcome(replayed.append, *args) == outcome(model.append, *args)
+            replayed.close()
+            assert Ledger.load(path).entries() == model.entries
