@@ -6,10 +6,10 @@ Concrete choices (the rest of the package depends only on the contracts):
 * hashing        SHA-256 (32-byte digests)
 * symmetric      AES-256-GCM; decrypting with the wrong key or a modified
                  ciphertext fails the authentication tag.
-                 :func:`sym_encrypt_each` and :func:`sym_decrypt_each`
-                 cross a set of links in one call, one prepared cipher
-                 and one fresh random nonce per link; :func:`sym_encrypt`
-                 and :func:`sym_decrypt` are their one-message form
+                 :func:`sym_cross_each` crosses a set of links in one
+                 call, one prepared cipher and fresh random nonce per
+                 link, each copy opened as soon as it is sealed; the
+                 one-message forms are :func:`sym_encrypt`/:func:`sym_decrypt`
 * asymmetric     ephemeral X25519 + HKDF-SHA256 + AES-256-GCM, bounded to
                  short payloads (it carries wrapped keys and control
                  messages, never bulk data). One ephemeral key may seal
@@ -51,8 +51,9 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterator, Optional, Sequence
+from functools import cached_property
+from itertools import repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
@@ -251,51 +252,60 @@ def _nonces(count: int) -> tuple[bytes, ...]:
     return struct.unpack(f"{SYM_NONCE_LEN}s" * count, os.urandom(SYM_NONCE_LEN * count))
 
 
-def sym_encrypt_each(
-    message: bytes, ciphers: Sequence[SymCipher]
-) -> list[tuple[bytes, bytes]]:
-    """Encrypt one message under each prepared cipher with AES-256-GCM,
-    each copy under its own fresh random nonce; one ``(nonce, body)`` pair
-    per cipher, in order. The nonces come from one CSPRNG draw, cut into
-    ``SYM_NONCE_LEN``-byte pieces."""
-    return [(nonce, cipher.encrypt(nonce, message, None))
-            for nonce, cipher in zip(_nonces(len(ciphers)), ciphers)]
+def sym_seal_each(messages: Iterable[bytes], ciphers: Sequence[SymCipher],
+                  nonces: Sequence[bytes]) -> Iterator[bytes]:
+    """Seal message i under cipher i and nonce i as each is drawn."""
+    return map(SymCipher.encrypt, ciphers, nonces, messages, repeat(None))
 
 
-def sym_decrypt_each(
-    sealed: Sequence[tuple[bytes, bytes]], ciphers: Sequence[SymCipher]
-) -> list[bytes]:
-    """Invert :func:`sym_encrypt_each`: open copy i under cipher i.
+def sym_open_each(bodies: Iterable[bytes], ciphers: Sequence[SymCipher],
+                  nonces: Sequence[bytes]) -> list[bytes]:
+    """Open body i under cipher i and nonce i, drawing each body only once
+    the one before is open.
 
     Raises:
-        AuthenticationFailure: a copy fails its cipher's authentication
-            tag (wrong key, or the copy was modified).
-        ValueError: ``sealed`` and ``ciphers`` differ in length.
+        AuthenticationFailure: a body fails its cipher's tag.
     """
     try:
-        return [cipher.decrypt(nonce, body, None)
-                for (nonce, body), cipher in zip(sealed, ciphers, strict=True)]
+        return list(map(SymCipher.decrypt, ciphers, nonces, bodies, repeat(None)))
     except InvalidTag as exc:
         raise AuthenticationFailure("authentication tag mismatch") from exc
 
 
+def sym_cross_each(messages: Iterable[bytes], ciphers: Sequence[SymCipher]) -> list[bytes]:
+    """Carry message i over cipher i's link and open it at the far end,
+    under nonces cut from one CSPRNG draw; each link is sealed and opened
+    back to back, while its cipher is in cache. Returns the opened copies.
+
+    Raises:
+        AuthenticationFailure: a copy fails its link's tag.
+        ValueError: ``messages`` and ``ciphers`` differ in length.
+    """
+    messages = iter(messages)
+    nonces = _nonces(len(ciphers))
+    opened = sym_open_each(sym_seal_each(messages, ciphers, nonces), ciphers, nonces)
+    if len(opened) != len(ciphers) or next(messages, None) is not None:
+        raise ValueError("messages and ciphers differ in length")
+    return opened
+
+
 def sym_encrypt(message: bytes, key: bytes) -> bytes:
-    """Encrypt one message under raw key bytes with :func:`sym_encrypt_each`;
+    """Encrypt one message under raw key bytes with :func:`sym_seal_each`;
     output is the nonce followed by the ciphertext."""
-    [(nonce, body)] = sym_encrypt_each(message, [SymCipher(key)])
-    return nonce + body
+    nonces = _nonces(1)
+    return nonces[0] + next(sym_seal_each([message], [SymCipher(key)], nonces))
 
 
 def sym_decrypt(ciphertext: bytes, key: bytes) -> bytes:
-    """Invert :func:`sym_encrypt`.
+    """Invert :func:`sym_encrypt` with :func:`sym_open_each`.
 
     Raises:
         AuthenticationFailure: wrong key, or the ciphertext was modified.
     """
     if len(ciphertext) < SYM_NONCE_LEN + 16:
         raise AuthenticationFailure("ciphertext too short")
-    sealed = (ciphertext[:SYM_NONCE_LEN], ciphertext[SYM_NONCE_LEN:])
-    return sym_decrypt_each([sealed], [SymCipher(key)])[0]
+    nonce, body = ciphertext[:SYM_NONCE_LEN], ciphertext[SYM_NONCE_LEN:]
+    return sym_open_each([body], [SymCipher(key)], [nonce])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +319,7 @@ def asym_encrypt_each(messages: Sequence[bytes], public: bytes) -> list[bytes]:
     One ephemeral X25519 key agrees one shared secret with the
     recipient's encryption key, and HKDF turns it into one AES-GCM key
     that seals every message, each under its own random nonce; the nonces
-    come from one CSPRNG draw, as in :func:`sym_encrypt_each`. Each output
+    come from one CSPRNG draw, as in :func:`sym_cross_each`. Each output
     is laid out as the ephemeral public key, the nonce and the ciphertext,
     with the ephemeral public key as associated data, so
     :func:`asym_decrypt` opens any one of them alone.
@@ -524,10 +534,11 @@ def shamir_split(
 _POOLS_PER_GATHER = 8
 
 
-@lru_cache(maxsize=4096)
-def _lagrange_weights(points: tuple[int, ...], config: SharingConfig, width: int) -> np.ndarray:
+def lagrange_weights(points: tuple[int, ...], config: SharingConfig, width: int) -> np.ndarray:
     """Lagrange basis values at zero for one pool's field points, a zero
-    padded, read-only (width, 1) column, once the pool passes every check.
+    padded (width, 1) column, once the pool passes every check: by count
+    first (:class:`InsufficientShards`), so an under-sized pool never
+    "accidentally" reconstructs, then distinct indices and index range.
     Weight i is the product over j != i of x_j / (x_i ^ x_j), taken as a
     sum of logarithms."""
     if len(points) < config.threshold:
@@ -543,34 +554,22 @@ def _lagrange_weights(points: tuple[int, ...], config: SharingConfig, width: int
     diffs = x[:, None] ^ x[None, :]
     np.fill_diagonal(diffs, 1)  # log 1 = 0 drops the j == i factor
     logs = _GF_LOG[x].sum() - _GF_LOG[x] - _GF_LOG[diffs].sum(axis=1)
-    weights = np.pad(_GF_EXP[logs % 255], (0, width - len(points)))[:, None]
-    weights.flags.writeable = False
-    return weights
+    return np.pad(_GF_EXP[logs % 255], (0, width - len(points)))[:, None]
 
 
-def shamir_reconstruct_each(
-    payloads: np.ndarray, points: Sequence[tuple[int, ...]], configs: Sequence[SharingConfig]
-) -> np.ndarray:
+def shamir_reconstruct_each(payloads: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Recombine a (pools, k, len) uint8 stack of shard pools into their
-    (pools, len) secrets. Pool i holds the shards at field points
-    ``points[i]``, whose payloads are the first ``len(points[i])`` rows of
-    ``payloads[i]``; later rows are ignored, so pools of any size share a
+    (pools, len) secrets under their (pools, k, 1) :func:`lagrange_weights`
+    columns, zero past a pool's own rows, so pools of any size share a
     stack. One table gather per :data:`_POOLS_PER_GATHER` pools (it builds
     an 8-byte index per payload byte) multiplies every payload by its
-    Lagrange weight at zero, and an XOR over each pool's rows follows.
-    Every pool is checked against ``configs[i]`` before any interpolation,
-    below threshold by count, so an under-sized pool never "accidentally"
-    reconstructs.
+    weight, and an XOR over each pool's rows follows.
 
     Raises:
-        InsufficientShards, DuplicateIndex, InvalidConfig: a pool fails a
-            check (count, distinct indices, index range).
-        ValueError: the stack, ``points`` and ``configs`` disagree on the
-            number of pools, or a pool has more shards than the stack rows.
+        ValueError: ``weights`` is not one column per pool of the stack.
     """
-    width = payloads.shape[1]
-    weights = np.array([_lagrange_weights(pool, config, width)
-                        for _, pool, config in zip(payloads, points, configs, strict=True)])
+    if weights.shape != (*payloads.shape[:2], 1):
+        raise ValueError(f"weights of shape {weights.shape} for a stack of {payloads.shape}")
     secrets = np.empty((len(payloads), payloads.shape[2]), dtype=np.uint8)
     for start in range(0, len(payloads), _POOLS_PER_GATHER):
         part = slice(start, start + _POOLS_PER_GATHER)
@@ -580,12 +579,13 @@ def shamir_reconstruct_each(
 
 def shamir_reconstruct(shards: Sequence[Shard], config: SharingConfig) -> bytes:
     """Recombine shards into the original secret: the one-pool call of
-    :func:`shamir_reconstruct_each`, with its checks and one more, that
-    the payloads have equal lengths (:class:`InvalidConfig`)."""
+    :func:`shamir_reconstruct_each`, with one more check before those of
+    :func:`lagrange_weights`, that the payloads have equal lengths."""
     lengths = {len(s.payload) for s in shards}
     if len(lengths) > 1:
         raise InvalidConfig("shard payloads must have equal length")
+    weights = lagrange_weights(tuple(s.index for s in shards), config, len(shards))
     payloads = np.frombuffer(b"".join(s.payload for s in shards), dtype=np.uint8)
     stack = payloads.reshape(1, len(shards), max(lengths, default=0))
-    [secret] = shamir_reconstruct_each(stack, [tuple(s.index for s in shards)], [config])
+    [secret] = shamir_reconstruct_each(stack, weights[None])
     return secret.tobytes()

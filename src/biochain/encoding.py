@@ -120,9 +120,6 @@ class ByteReader:
     def read_u32(self) -> int:
         return struct.unpack(">I", self.read(4))[0]
 
-    def read_u64(self) -> int:
-        return struct.unpack(">Q", self.read(8))[0]
-
     def read_lp(self) -> bytes:
         return self.read(self.read_u32())
 

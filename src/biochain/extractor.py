@@ -545,6 +545,8 @@ def run_query_cycle(
     Raises:
         IntegrityFailure: the chain failed its pre-check.
         SignatureRejected: a protocol step saw an illegitimate update.
+        crypto.AuthenticationFailure: a hop's ``ed`` fails its tag under
+            the key sealed with its marker.
         ShapeMismatch: the input does not fit a stage.
     """
     if chain.verify() is not None:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -117,18 +118,34 @@ def link_ciphers(n):
     return [crypto.SymCipher(crypto.generate_sym_key()) for _ in range(n)]
 
 
+def seal_links(messages, ciphers):
+    """Each link's nonce and sealed body, through the seal step alone."""
+    nonces = [os.urandom(crypto.SYM_NONCE_LEN) for _ in ciphers]
+    return nonces, list(crypto.sym_seal_each(messages, ciphers, nonces))
+
+
 class TestLinkSetCrossing:
     def test_round_trip_per_link(self):
         ciphers = link_ciphers(7)
-        sealed = crypto.sym_encrypt_each(b"probe", ciphers)
-        assert len(sealed) == 7
-        assert crypto.sym_decrypt_each(sealed, ciphers) == [b"probe"] * 7
+        assert crypto.sym_cross_each([b"probe"] * 7, ciphers) == [b"probe"] * 7
+        sent = [b"m%d" % i for i in range(7)]  # message i crosses link i
+        assert crypto.sym_cross_each(iter(sent), ciphers) == sent
+        nonces, bodies = seal_links([b"probe"] * 7, ciphers)
+        assert len(bodies) == 7
+        assert crypto.sym_open_each(bodies, ciphers, nonces) == [b"probe"] * 7
 
-    def test_nonces_of_one_call_are_pairwise_distinct(self):
-        sealed = crypto.sym_encrypt_each(b"same", link_ciphers(200))
-        nonces = [nonce for nonce, _ in sealed]
-        assert all(len(nonce) == crypto.SYM_NONCE_LEN for nonce in nonces)
-        assert len(set(nonces)) == len(nonces)
+    def test_nonces_of_one_call_are_pairwise_distinct(self, monkeypatch):
+        seen = []
+        real = crypto.sym_open_each
+
+        def recording(bodies, ciphers, nonces):
+            seen.extend(nonces)
+            return real(bodies, ciphers, nonces)
+
+        monkeypatch.setattr(crypto, "sym_open_each", recording)
+        crypto.sym_cross_each([b"same"] * 200, link_ciphers(200))
+        assert all(len(nonce) == crypto.SYM_NONCE_LEN for nonce in seen)
+        assert len(set(seen)) == len(seen) == 200
 
     def test_nonces_are_drawn_in_one_call(self, monkeypatch):
         ciphers = link_ciphers(5)
@@ -140,54 +157,79 @@ class TestLinkSetCrossing:
             return real(n)
 
         monkeypatch.setattr(crypto.os, "urandom", counted)
-        crypto.sym_encrypt_each(b"m", ciphers)
+        crypto.sym_cross_each([b"m"] * 5, ciphers)
         assert draws == [5 * crypto.SYM_NONCE_LEN]
 
     def test_each_copy_opens_only_under_its_own_cipher(self):
         ciphers = link_ciphers(4)
-        sealed = crypto.sym_encrypt_each(b"probe", ciphers)
-        for i, copy in enumerate(sealed):
+        nonces, bodies = seal_links([b"probe"] * 4, ciphers)
+        for i, (nonce, body) in enumerate(zip(nonces, bodies)):
             for j, cipher in enumerate(ciphers):
                 if i == j:
-                    assert crypto.sym_decrypt_each([copy], [cipher]) == [b"probe"]
+                    assert crypto.sym_open_each([body], [cipher], [nonce]) == [b"probe"]
                 else:
                     with pytest.raises(AuthenticationFailure):
-                        crypto.sym_decrypt_each([copy], [cipher])
+                        crypto.sym_open_each([body], [cipher], [nonce])
 
     def test_copies_interoperate_with_the_one_message_form(self):
         keys = [crypto.generate_sym_key() for _ in range(3)]
         ciphers = [crypto.SymCipher(key) for key in keys]
-        for (nonce, body), key in zip(crypto.sym_encrypt_each(b"m", ciphers), keys):
+        nonces, bodies = seal_links([b"m"] * 3, ciphers)
+        for nonce, body, key in zip(nonces, bodies, keys):
             assert crypto.sym_decrypt(nonce + body, key) == b"m"
         ct = crypto.sym_encrypt(b"m", keys[0])
-        sealed = [(ct[:crypto.SYM_NONCE_LEN], ct[crypto.SYM_NONCE_LEN:])]
-        assert crypto.sym_decrypt_each(sealed, ciphers[:1]) == [b"m"]
+        nonce, body = ct[:crypto.SYM_NONCE_LEN], ct[crypto.SYM_NONCE_LEN:]
+        assert crypto.sym_open_each([body], ciphers[:1], [nonce]) == [b"m"]
 
     def test_one_flipped_body_byte_fails_authentication(self):
         ciphers = link_ciphers(5)
-        sealed = crypto.sym_encrypt_each(b"probe", ciphers)
-        nonce, body = sealed[3]
-        sealed[3] = (nonce, body[:2] + bytes([body[2] ^ 1]) + body[3:])
+        nonces, bodies = seal_links([b"probe"] * 5, ciphers)
+        body = bodies[3]
+        bodies[3] = body[:2] + bytes([body[2] ^ 1]) + body[3:]
         with pytest.raises(AuthenticationFailure):
-            crypto.sym_decrypt_each(sealed, ciphers)
+            crypto.sym_open_each(bodies, ciphers, nonces)
 
     def test_mismatched_lengths_raise(self):
         ciphers = link_ciphers(3)
-        sealed = crypto.sym_encrypt_each(b"probe", ciphers)
         with pytest.raises(ValueError):
-            crypto.sym_decrypt_each(sealed, ciphers[:2])
+            crypto.sym_cross_each([b"probe"] * 3, ciphers[:2])
         with pytest.raises(ValueError):
-            crypto.sym_decrypt_each(sealed[:2], ciphers)
+            crypto.sym_cross_each([b"probe"] * 2, ciphers)
+        # messages drawn one at a time, as a query's leaf links draw them,
+        # have no length to read up front
+        for count in (0, 2, 4):
+            with pytest.raises(ValueError):
+                crypto.sym_cross_each(itertools.repeat(b"probe", count), ciphers)
+
+    def test_each_link_is_sealed_as_the_open_step_reaches_it(self, monkeypatch):
+        # The open step draws link i's cipher once link i - 1 is open, and
+        # only then is link i's body sealed: no link is sealed ahead.
+        order = []
+        real_seal, real_open = crypto.sym_seal_each, crypto.sym_open_each
+
+        def logged(kind, items):
+            for i, item in enumerate(items):
+                order.append((kind, i))
+                yield item
+
+        monkeypatch.setattr(crypto, "sym_seal_each",
+                            lambda m, c, n: logged("seal", real_seal(m, c, n)))
+        monkeypatch.setattr(crypto, "sym_open_each",
+                            lambda b, c, n: real_open(b, logged("open", c), n))
+        crypto.sym_cross_each([b"m"] * 3, link_ciphers(3))
+        assert order == [("open", 0), ("seal", 0), ("open", 1), ("seal", 1),
+                         ("open", 2), ("seal", 2)]
 
     def test_empty_link_set(self):
-        assert crypto.sym_encrypt_each(b"probe", []) == []
-        assert crypto.sym_decrypt_each([], []) == []
+        assert crypto.sym_cross_each([], []) == []
+        assert list(crypto.sym_seal_each([], [], ())) == []
+        assert crypto.sym_open_each([], [], ()) == []
 
     @given(message=messages, n=st.integers(min_value=1, max_value=8))
     @settings(max_examples=30)
     def test_round_trip_property(self, message, n):
         ciphers = link_ciphers(n)
-        assert crypto.sym_decrypt_each(crypto.sym_encrypt_each(message, ciphers), ciphers) == [message] * n
+        assert crypto.sym_cross_each([message] * n, ciphers) == [message] * n
 
 
 class TestAsymmetricCipher:
@@ -646,21 +688,30 @@ class TestShamirStack:
         stack = stack.reshape(len(pools), width, length).copy()
         for rows, pool in zip(stack, pools):
             rows[:len(pool)] = [np.frombuffer(s.payload, dtype=np.uint8) for s in pool]
-        points = [tuple(s.index for s in pool) for pool in pools]
-        secrets = crypto.shamir_reconstruct_each(stack, points, configs)
+        weights = np.array([crypto.lagrange_weights(tuple(s.index for s in pool), cfg, width)
+                            for pool, cfg in zip(pools, configs)])
+        secrets = crypto.shamir_reconstruct_each(stack, weights)
         assert secrets.shape == (len(pools), length) and secrets.dtype == np.uint8
         assert [row.tobytes() for row in secrets] == [
             crypto.shamir_reconstruct(pool, cfg) for pool, cfg in zip(pools, configs)
         ]
 
     def test_a_short_pool_fails_the_whole_stack_before_interpolation(self):
+        # A pool's checks run when its weights are built, so a stack with
+        # one failing pool never reaches the kernel.
         cfg = SharingConfig.for_group(2)
         stack = np.zeros((2, 4, 6), dtype=np.uint8)
         with pytest.raises(InsufficientShards):
-            crypto.shamir_reconstruct_each(stack, [(1, 2, 3, 4), (1, 2, 3)], [cfg, cfg])
+            crypto.lagrange_weights((1, 2, 3), cfg, 4)
         with pytest.raises(DuplicateIndex):
-            crypto.shamir_reconstruct_each(stack, [(1, 2, 3, 4), (1, 1, 2, 3)], [cfg, cfg])
+            crypto.lagrange_weights((1, 1, 2, 3), cfg, 4)
+        with pytest.raises(InvalidConfig):
+            crypto.lagrange_weights((1, 2, 3, 6), cfg, 4)
         with pytest.raises(ValueError):  # a pool wider than the stack
-            crypto.shamir_reconstruct_each(stack, [(1, 2, 3, 4), (1, 2, 3, 4, 5)], [cfg, cfg])
-        with pytest.raises(ValueError):  # one config short
-            crypto.shamir_reconstruct_each(stack, [(1, 2, 3, 4), (1, 2, 3, 4)], [cfg])
+            crypto.lagrange_weights((1, 2, 3, 4, 5), cfg, 4)
+        column = crypto.lagrange_weights((1, 2, 3, 4), cfg, 4)
+        assert column.shape == (4, 1)
+        with pytest.raises(ValueError):  # one pool's weights short
+            crypto.shamir_reconstruct_each(stack, np.array([column]))
+        with pytest.raises(ValueError):  # weights for a wider stack
+            crypto.shamir_reconstruct_each(stack[:, :3], np.array([column, column]))

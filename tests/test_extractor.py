@@ -463,6 +463,27 @@ class TestRunQueryCycle:
             with pytest.raises(ClosedCycle):
                 ledger.append(cycle_id, ed=b"late")
 
+    def test_hop_payload_that_fails_its_tag_stops_the_cycle(self, monkeypatch):
+        chain, root = build_chain(identity_stages(4))
+        ledger = Ledger()
+        real_encrypt = crypto.sym_encrypt
+        sealed = []
+
+        def flip_second(message, key):
+            # the second hop's ed: its last tag byte flipped
+            ciphertext = real_encrypt(message, key)
+            sealed.append(ciphertext)
+            return ciphertext[:-1] + bytes([ciphertext[-1] ^ 1]) if len(sealed) == 2 else ciphertext
+
+        monkeypatch.setattr(crypto, "sym_encrypt", flip_second)
+        with pytest.raises(crypto.AuthenticationFailure):
+            run_query_cycle(chain, ledger, np.ones(4))
+        assert chain.notary.progress == {}
+        monkeypatch.undo()
+        final = run_query_cycle(chain, ledger, np.ones(4))
+        assert np.array_equal(decode_vector(crypto.open_envelope(handoff_envelope(final), root)),
+                              np.ones(4))
+
     def test_tampered_chain_refuses_to_run(self):
         chain, _ = build_chain(identity_stages(4))
         chain.blocks[1].params.weights[0, 0] += 1.0

@@ -508,24 +508,27 @@ class TestIdentify:
         tree = build_tree(make_gallery(12, seed=78), fanout=5)
         assert chief_sizes(tree) == [5, 5, 2]
         calls = []
-        real_reconstruct = crypto.shamir_reconstruct_each
+        real_reconstruct, real_weights = crypto.shamir_reconstruct_each, crypto.lagrange_weights
 
-        def counting(payloads, points, configs):
-            secrets = real_reconstruct(payloads, points, configs)
-            calls.append((list(points), list(configs), secrets.shape))
+        def counting(payloads, weights):
+            secrets = real_reconstruct(payloads, weights)
+            calls.append((weights.tolist(), secrets.shape))
             return secrets
 
         monkeypatch.setattr(crypto, "shamir_reconstruct_each", counting)
         monkeypatch.setattr(crypto, "shamir_reconstruct", None)  # never the one-pool form
+        # the sharing arithmetic is the tree's: no query builds weights
+        monkeypatch.setattr(crypto, "lagrange_weights", None)
         # one batched call per query, over every chief's full pool (the
         # last chief's smaller), and over none of a dissenting chief's
         pools = [tuple(range(1, 8)), tuple(range(1, 8)), (1, 2, 3, 4)]
         configs = [SharingConfig.for_group(n) for n in (5, 5, 2)]
+        weights = [real_weights(pool, config, 7).tolist() for pool, config in zip(pools, configs)]
         identify_probe(tree, np.ones(8), "euclidean")
         with dissenting_leaves({(1, 0)}):
             result = identify_probe(tree, np.ones(8), "euclidean")
         assert result.scrutinized_chiefs == (1,)
-        assert calls == [(pools, configs, (3, 64)), (pools[::2], configs[::2], (2, 64))]
+        assert calls == [(weights, (3, 64)), (weights[::2], (2, 64))]
 
 
 def reference_round(tree, probe, metric, rewrite=None, dissenters=()):
@@ -790,46 +793,78 @@ class TestDelegation:
         # the failed query leaves nothing behind
         assert identify_probe(tree, gallery[3].vector, "euclidean").identity == "id003"
 
+    @staticmethod
+    def _recording_seam(monkeypatch):
+        """Record every cipher the seal step and the open step draw, in
+        the order drawn."""
+        used = {"seal": [], "open": []}
+        real = {"seal": crypto.sym_seal_each, "open": crypto.sym_open_each}
+
+        def drawn(kind, ciphers):
+            for cipher in ciphers:
+                used[kind].append(id(cipher))
+                yield cipher
+
+        def recording(kind):
+            return lambda data, ciphers, nonces: real[kind](data, drawn(kind, ciphers), nonces)
+
+        monkeypatch.setattr(crypto, "sym_seal_each", recording("seal"))
+        monkeypatch.setattr(crypto, "sym_open_each", recording("open"))
+        return used
+
     def test_one_authenticated_hop_per_link(self, monkeypatch):
-        tree = build_tree(make_gallery(12, seed=75), fanout=5)
+        # chiefs of 50, 50 and 30: each query seals and opens every chief
+        # link once and then every leaf link once, in enrollment order
+        tree = build_tree(make_gallery(130, seed=75), fanout=50)
         channels = tree.chief_channels + tree.leaf_channels
-        assert len(channels) == 3 + 12
+        assert len(channels) == 3 + 130
         assert all(isinstance(c, crypto.SymCipher) for c in channels)
         assert len({id(c) for c in channels}) == len(channels)
-        used = {"encrypt": [], "decrypt": []}
+        used = self._recording_seam(monkeypatch)
+        links = [id(c) for c in channels]
+        for query in range(2):
+            identify_probe(tree, np.full(8, float(query)), "euclidean")
+            # first the probe envelope's own raw key, at either end
+            assert used["seal"][1:] == links
+            assert used["open"][1:] == links
+            used["seal"].clear()
+            used["open"].clear()
 
-        def recording(kind, fn):
-            def call(data, ciphers):
-                used[kind].extend(id(c) for c in ciphers)
-                return fn(data, ciphers)
-            return call
+    @staticmethod
+    def _flipping_seam(monkeypatch, target):
+        """The seal step flips the last byte of the body sealed under
+        ``target``, between the two ends of its link."""
+        real_seal = crypto.sym_seal_each
 
-        monkeypatch.setattr(crypto, "sym_encrypt_each", recording("encrypt", crypto.sym_encrypt_each))
-        monkeypatch.setattr(crypto, "sym_decrypt_each", recording("decrypt", crypto.sym_decrypt_each))
-        identify_probe(tree, np.ones(8), "euclidean")
-        # the probe's own envelope is opened with a raw key, not a channel
-        channel_ids = sorted(id(c) for c in channels)
-        assert sorted(k for k in used["encrypt"] if k in channel_ids) == channel_ids
-        assert sorted(k for k in used["decrypt"] if k in channel_ids) == channel_ids
-        assert len(used["encrypt"]) == len(channels) + 1
-        assert len(used["decrypt"]) == len(channels) + 1
+        def flip(body, cipher):
+            return body[:-1] + bytes([body[-1] ^ 1]) if cipher is target else body
+
+        def flip_one(messages, ciphers, nonces):
+            return map(flip, real_seal(messages, ciphers, nonces), ciphers)
+
+        monkeypatch.setattr(crypto, "sym_seal_each", flip_one)
 
     def test_leaf_copy_that_fails_authentication_stops_the_query(self, monkeypatch):
         tree = build_tree(make_gallery(12, seed=76), fanout=5)
-        target = tree.leaf_channels[tree.chief_rows[1].start + 2]
-        real_encrypt = crypto.sym_encrypt_each
-
-        def flip_one(message, ciphers):
-            return [
-                (nonce, body[:-1] + bytes([body[-1] ^ 1]) if cipher is target else body)
-                for (nonce, body), cipher in zip(real_encrypt(message, ciphers), ciphers)
-            ]
-
-        monkeypatch.setattr(crypto, "sym_encrypt_each", flip_one)
+        self._flipping_seam(monkeypatch, tree.leaf_channels[tree.chief_rows[1].start + 2])
         with pytest.raises(crypto.AuthenticationFailure):
             identify_probe(tree, np.ones(8), "euclidean")
-        monkeypatch.setattr(crypto, "sym_encrypt_each", real_encrypt)
+        monkeypatch.undo()
         assert identify_probe(tree, np.ones(8), "euclidean").candidates
+
+    @pytest.mark.parametrize("link", ["last leaf", "last chief"])
+    def test_corrupted_copy_at_the_end_of_a_short_last_chief_stops_the_query(
+            self, monkeypatch, link):
+        # 130 templates at fanout 50: the last chief holds 30 leaves, and
+        # its last leaf's link is the last one a query crosses
+        tree = build_tree(make_gallery(130, seed=80), fanout=50)
+        assert chief_sizes(tree) == [50, 50, 30]
+        target = tree.leaf_channels[-1] if link == "last leaf" else tree.chief_channels[-1]
+        self._flipping_seam(monkeypatch, target)
+        with pytest.raises(crypto.AuthenticationFailure):
+            identify_probe(tree, np.ones(8), "euclidean")
+        monkeypatch.undo()
+        assert identify_probe(tree, tree.vectors[129], "euclidean").identity == "id129"
 
     @given(
         shape=st.integers(2, 7).flatmap(
