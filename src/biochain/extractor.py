@@ -19,10 +19,10 @@ A query cycle runs entirely through the ledger:
 2. Each block polls the newest entry. One opener, :func:`_open_hop`,
    authenticates every hop, the notary's too: the block acts only if the
    turn marker decrypts under its private key, and refuses outright if the
-   update was not signed by the notary, or if its key was not sealed with
-   its marker (fields of two hops spliced together). It then runs its
-   stage and publishes the result wrapped back to the notary, signed
-   with its own key. The sequential driver, :func:`run_query_cycle`,
+   notary did not sign this update's own fields, or if its key was not
+   sealed with its marker (fields of two hops spliced together). It then
+   runs its stage and publishes the result wrapped back to the notary,
+   signed with its own key. The sequential driver, :func:`run_query_cycle`,
    polls the blocks for hop ``k`` in the order ``k, k+1, ..., 0, ...,
    k-1``: every block still tries the marker and refuses one it cannot
    open, and only one key opens it, so the block that acts is the same as
@@ -406,6 +406,16 @@ def _auth_token(cycle_id: str) -> bytes:
     return AUTH_MESSAGE + cycle_id.encode("utf-8")
 
 
+def _hop_message(cycle_id: str, ed: bytes, ek: bytes, em: bytes) -> bytes:
+    """What a hop's writer signs: the cycle-bound token and a digest of the
+    hop's three fields, so a signature vouches for one hop's content only.
+    The hop's position is not bound: each hop names one recipient and the
+    notary expects one signer per position, so an honest hop appended
+    again either re-delivers its own payload to its own recipient or is
+    refused, as any junk entry is."""
+    return _auth_token(cycle_id) + crypto.digest_parts(ed, ek, em)
+
+
 def _publish(
     ledger: Ledger,
     cycle_id: str,
@@ -417,14 +427,11 @@ def _publish(
     """Append one hop: the payload under the sender's symmetric key, that
     key and the turn marker wrapped for the recipient under one
     encapsulation, and the sender's signature over the cycle-bound
-    message."""
+    message and those three fields (:func:`_hop_message`)."""
     ek, em = crypto.asym_encrypt_each([sym_key, _turn_token(cycle_id)], recipient)
+    ed = crypto.sym_encrypt(payload, sym_key)
     return ledger.append(
-        cycle_id,
-        ed=crypto.sym_encrypt(payload, sym_key),
-        ek=ek,
-        em=em,
-        sig=crypto.sign(signer, _auth_token(cycle_id)),
+        cycle_id, ed=ed, ek=ek, em=em, sig=crypto.sign(signer, _hop_message(cycle_id, ed, ek, em)),
     )
 
 
@@ -438,13 +445,15 @@ def _open_hop(
     Raises:
         DecryptionFailure: the marker was not sealed to ``keys``.
         SignatureRejected: ``sender`` (``signer`` in the message) did not
-            sign the hop, or its key was not sealed with its marker.
+            sign this hop's fields in this cycle, or its key was not sealed
+            with its marker.
     """
     entry = ledger.latest(cycle_id)
     opened = crypto.asym_decrypt_each([entry.em, entry.ek], keys)
     if next(opened) != _turn_token(cycle_id):
         return None
-    if not crypto.verify(sender, entry.sig, _auth_token(cycle_id)):
+    signed = _hop_message(cycle_id, entry.ed, entry.ek, entry.em)
+    if not crypto.verify(sender, entry.sig, signed):
         raise SignatureRejected(f"update not signed by {signer}")
     try:
         return crypto.sym_decrypt(entry.ed, next(opened))
@@ -460,7 +469,8 @@ def notary_begin_cycle(
     Appends the initiation entry (the capture as received) and the first
     full update: payload re-encrypted under the notary's symmetric key,
     that key wrapped for the first block, a turn marker for the first
-    block, and the notary's signature over the cycle-bound message.
+    block, and the notary's signature over the cycle-bound message and
+    the hop's fields.
 
     Raises:
         DecryptionFailure: the capture was not encrypted to the notary.

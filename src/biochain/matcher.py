@@ -63,7 +63,19 @@ Probe fan-out is encrypted. Each root-chief and chief-leaf link gets its
 channel key at build time, in the paper's key-establishment step: both
 ends derive it by static-static X25519 agreement bound to the link's
 position, and its AES-GCM cipher is prepared once the two keys are found
-equal. A query crosses every link as one ciphertext under a fresh nonce,
+equal. The set-up draws every key, secret and split in this process, in
+draw order, then agrees the links chief by chief. A tree of at least
+:data:`PARALLEL_MIN_LINKS` links (over 2,450 templates under fanout 50)
+agrees them in ``fork`` worker processes, one share per usable CPU, this
+process taking one; the keys are the same bytes either way. Threads would
+not help: ``cryptography`` holds the GIL during an X25519 exchange, so
+2,000 exchanges took 109 ms split over two threads and 115 ms on one. The
+workers need ``os.fork`` and CPU affinity, so the path is POSIX-only
+(Linux in practice); elsewhere, and with one usable CPU, every tree
+agrees its keys in this process. Python 3.12 and later warn that a fork
+while other threads run, such as OpenBLAS's, may deadlock the child; a
+worker calls nothing but X25519 and HKDF, and ends with ``os._exit``. A
+query crosses every link as one ciphertext under a fresh nonce,
 and every leaf authenticates its own copy. Each link set, the root's C
 chief links and then all N leaf links, is crossed in one call that draws
 all its nonces at once and opens each copy as soon as it is sealed,
@@ -76,6 +88,7 @@ slice.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -283,17 +296,103 @@ def build_hash_tree(
     return tree
 
 
-def _link_cipher(
-    sender: crypto.AgreementKey, receiver: crypto.AgreementKey, position: bytes
-) -> crypto.SymCipher:
+# Trees with at least this many links (chiefs plus leaves) agree their
+# link keys in forked worker processes, each share at least half this
+# size. On a 2-core Xeon host, two shares broke even between 1,000 and
+# 2,000 links, varying from run to run: in a warm process, medians of 15
+# alternating set-ups in-process against two shares were 281 against
+# 301 ms at 1,530 links and 420 against 298 ms at 2,040. 2,500 leaves
+# margin, so the 510 links of a 500-template tree stay in-process.
+PARALLEL_MIN_LINKS = 2500
+
+
+def _agreed_key(sender: crypto.AgreementKey, receiver: crypto.AgreementKey,
+                position: bytes) -> bytes:
     """Key establishment for one delegation link, the paper's set-up step:
     each end derives the link key from its own private key and the other
-    end's public key, so the key never travels. The cipher is prepared
-    once, here, and only after the two ends' keys are found equal."""
+    end's public key, so the key never travels. The key is returned only
+    once the two ends' keys are found equal."""
     key = crypto.link_key(sender, receiver.public_key(), position)
     if key != crypto.link_key(receiver, sender.public_key(), position):
         raise crypto.CryptoError(f"the ends of link {position!r} derived different keys")
-    return crypto.SymCipher(key)
+    return key
+
+
+def _chief_link_keys(root: crypto.AgreementKey, c: int, rows: slice,
+                     agreement: bytes) -> list[bytes]:
+    """Chief c's link keys: its link to the root, then its link to each
+    leaf in ``rows``. ``agreement`` is the chief's draw, its leaves'
+    X25519-only private keys and then its own; the keys die with it."""
+    *leaves, chief = crypto.agreement_keys(agreement)
+    return [_agreed_key(root, chief, b"%d" % c)] + [
+        _agreed_key(chief, leaf, b"%d/%d" % (c, row))
+        for row, leaf in zip(range(rows.start, rows.stop), leaves)]
+
+
+def _agreement_shares(links: int) -> int:
+    """How many processes agree a tree's ``links`` link keys: one per
+    usable CPU, no share below half of :data:`PARALLEL_MIN_LINKS` links;
+    1 below that size, or where ``os.fork`` or CPU affinity is missing."""
+    if links < PARALLEL_MIN_LINKS or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), 2 * links // max(PARALLEL_MIN_LINKS, 1))
+
+
+def _agree_in_worker(conn, root: crypto.AgreementKey, tasks: list) -> None:
+    """A forked worker's share: its chiefs' link keys, or the
+    :class:`crypto.CryptoError` that stopped them, sent to the parent."""
+    try:
+        result = [_chief_link_keys(root, *task) for task in tasks]
+    except crypto.CryptoError as exc:
+        result = exc
+    conn.send(result)
+
+
+def _link_keys(root: crypto.AgreementKey, tasks: list) -> list[list[bytes]]:
+    """Every chief's link keys, one :func:`_chief_link_keys` call per task
+    ``(c, rows, agreement)``, in task order.
+
+    A large tree's tasks are cut into contiguous shares
+    (:func:`_agreement_shares`): ``fork`` workers take all but the last,
+    which this process runs meanwhile. A forked worker reads the root's
+    key and the draws in the memory it was forked with, sends back only
+    its keys, and ends with ``os._exit``, so it never flushes a writer it
+    inherited, such as the ledger file. A worker's :class:`crypto.CryptoError`
+    is raised here once this process's share is done; a worker that ends
+    without sending, its traceback on standard error, is a
+    :class:`crypto.CryptoError` too."""
+    shares = _agreement_shares(sum(rows.stop - rows.start + 1 for _, rows, _ in tasks))
+    if shares == 1:
+        return [_chief_link_keys(root, *task) for task in tasks]
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    bounds = [len(tasks) * k // shares for k in range(shares + 1)]
+    workers = []
+    try:
+        for start, stop in zip(bounds[:-2], bounds[1:-1]):
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_agree_in_worker, daemon=True,
+                                     args=(sender, root, tasks[start:stop]))
+            worker.start()
+            sender.close()
+            workers.append((worker, receiver))
+        own = [_chief_link_keys(root, *task) for task in tasks[bounds[-2]:]]
+        keys = []
+        for _, receiver in workers:
+            try:
+                got = receiver.recv()
+            except EOFError:
+                raise crypto.CryptoError("a key-agreement worker ended without a result") from None
+            if isinstance(got, crypto.CryptoError):
+                raise got
+            keys += got
+        return keys + own
+    finally:
+        for worker, receiver in workers:
+            receiver.close()
+            worker.terminate()  # harmless once the worker has sent its keys
+            worker.join()
 
 
 def setup_tree_keys(tree: MatcherTree, rng: Optional[np.random.Generator] = None) -> None:
@@ -304,24 +403,32 @@ def setup_tree_keys(tree: MatcherTree, rng: Optional[np.random.Generator] = None
     between its ends, bound to its position: ``b"c"`` for chief c's link
     to the root, ``b"c/i"`` for its link to the leaf in row i. Each chief's
     full pool, at points ``1..n+2``, gets its Lagrange weights here. No
-    node key outlives the set-up; only a query reads any of it."""
-    root = tree.keys.decryption_key
+    node key outlives the set-up; only a query reads any of it.
+
+    The draws, the splits and the commitments run first, in draw order;
+    then every chief's links are agreed (:func:`_link_keys`), in forked
+    workers for a tree of at least :data:`PARALLEL_MIN_LINKS` links, to
+    the same keys either way; then the ciphers are prepared.
+
+    Raises:
+        crypto.CryptoError: the two ends of a link derived different keys.
+    """
     configs = [SharingConfig.for_group(rows.stop - rows.start) for rows in tree.chief_rows]
     # The first chief is the largest: its shards and its pool set the widths.
-    tree.shards = np.zeros((len(configs), configs[0].total, _DECISION_SECRET_LEN), dtype=np.uint8)
+    shards = np.zeros((len(configs), configs[0].total, _DECISION_SECRET_LEN), dtype=np.uint8)
+    commitments, tasks = [], []
+    for c, (rows, config, held) in enumerate(zip(tree.chief_rows, configs, shards)):
+        tasks.append((c, rows, crypto.random_bytes(rng, crypto.KEY_HALF_LEN * (config.n + 1))))
+        secret = crypto.random_bytes(rng, _DECISION_SECRET_LEN)
+        dealt = crypto.shamir_split(secret, config, rng)
+        held[:len(dealt)] = [np.frombuffer(shard.payload, dtype=np.uint8) for shard in dealt]
+        commitments.append(decision_key_commitment(secret))
+    keys = _link_keys(tree.keys.decryption_key, tasks)
+    tree.shards, tree.decision_commitments = shards, commitments
     tree.weights = np.array([crypto.lagrange_weights(tuple(range(1, config.threshold + 1)), config,
                                                      configs[0].threshold) for config in configs])
-    tree.chief_channels, tree.leaf_channels, tree.decision_commitments = [], [], []
-    for c, (rows, config, held) in enumerate(zip(tree.chief_rows, configs, tree.shards)):
-        *leaves, chief = crypto.agreement_keys(
-            crypto.random_bytes(rng, crypto.KEY_HALF_LEN * (config.n + 1)))
-        tree.chief_channels.append(_link_cipher(root, chief, b"%d" % c))
-        tree.leaf_channels += [_link_cipher(chief, leaf, b"%d/%d" % (c, row))
-                               for row, leaf in zip(range(rows.start, rows.stop), leaves)]
-        secret = crypto.random_bytes(rng, _DECISION_SECRET_LEN)
-        shards = crypto.shamir_split(secret, config, rng)
-        held[:len(shards)] = [np.frombuffer(shard.payload, dtype=np.uint8) for shard in shards]
-        tree.decision_commitments.append(decision_key_commitment(secret))
+    tree.chief_channels = [crypto.SymCipher(chief[0]) for chief in keys]
+    tree.leaf_channels = [crypto.SymCipher(key) for chief in keys for key in chief[1:]]
 
 
 def build_tree(

@@ -272,6 +272,23 @@ class TestIdentify:
         invoke(runner, out, "identify", "--identity", "id0002")
         assert (out / "ledger.bin").stat().st_size > size_one
 
+    def test_a_small_tree_never_imports_multiprocessing(self, runner, tmp_path):
+        # 40 templates make 41 links, far below matcher.PARALLEL_MIN_LINKS:
+        # the command agrees them in its own process and pays nothing for
+        # the worker machinery.
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        env = dict(os.environ, PYTHONPATH=str(Path(biochain.__file__).parents[1]))
+        query = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "biochain.cli", "--out", str(out),
+             "identify", "--identity", "id0005"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert query.returncode == 0 and "identity: id0005" in query.stdout
+        imported = {line.rsplit("|", 1)[-1].strip() for line in query.stderr.splitlines()}
+        assert "biochain.matcher" in imported
+        assert not {name for name in imported if name.split(".")[0] == "multiprocessing"}
+
 
 class TestTamperAuditRestore:
     def test_clean_audit_exits_zero(self, runner, tmp_path):

@@ -225,7 +225,8 @@ class TestBlockHandleUpdate:
         sym = crypto.asym_decrypt(entry.ek, chain.notary.keys)
         payload = decode_vector(crypto.sym_decrypt(entry.ed, sym))
         assert np.array_equal(payload, np.ones(4))
-        assert crypto.verify(chain.blocks[0].keys.public, entry.sig, _auth_token(cid))
+        signed = extractor._hop_message(cid, entry.ed, entry.ek, entry.em)
+        assert crypto.verify(chain.blocks[0].keys.public, entry.sig, signed)
 
     def test_forged_signature_rejected_without_append(self):
         chain, _ = build_chain(identity_stages(4))
@@ -325,11 +326,13 @@ class TestOneHopOpener:
                       sig=crypto.sign(signer, _auth_token(cid)))
 
     @staticmethod
-    def _damage_key(ledger, cid):
-        # the newest hop again, with one bit of its wrapped key flipped
+    def _damage_key(ledger, cid, signer):
+        # the newest hop again, with one bit of its wrapped key flipped,
+        # signed anew by its sender so that only the key is at fault
         entry = ledger.latest(cid)
         ek = entry.ek[:-1] + bytes([entry.ek[-1] ^ 1])
-        ledger.append(cid, ed=entry.ed, ek=ek, em=entry.em, sig=entry.sig)
+        ledger.append(cid, ed=entry.ed, ek=ek, em=entry.em,
+                      sig=crypto.sign(signer, extractor._hop_message(cid, entry.ed, ek, entry.em)))
 
     def test_block_ignores_a_stale_marker(self):
         chain, _ = build_chain(identity_stages(4))
@@ -372,18 +375,48 @@ class TestOneHopOpener:
         # open under the marker's encapsulation: refused as a splice is.
         chain, _ = build_chain(identity_stages(4))
         ledger, cid = self._begin(chain)
-        self._damage_key(ledger, cid)
+        self._damage_key(ledger, cid, chain.notary.keys)
         before = len(ledger)
         with pytest.raises(SignatureRejected, match="not sealed with its turn marker"):
             block_handle_update(chain.blocks[0], ledger, cid)
         assert len(ledger) == before
         ledger, cid = self._begin(chain)
         block_handle_update(chain.blocks[0], ledger, cid)
-        self._damage_key(ledger, cid)
+        self._damage_key(ledger, cid, chain.blocks[0].keys)
         before = len(ledger)
         with pytest.raises(SignatureRejected, match="not sealed with its turn marker"):
             notary_handle_update(chain.notary, ledger, cid)
         assert len(ledger) == before
+
+    @staticmethod
+    def _replay_signature(ledger, cid, recipient):
+        # A party with no private key appends its own payload, sealed to
+        # the recipient, under the signature of the newest hop, which the
+        # expected sender made in this very cycle.
+        sym = crypto.generate_sym_key()
+        ek, em = crypto.asym_encrypt_each([sym, _turn_token(cid)], recipient)
+        ledger.append(cid, ed=crypto.sym_encrypt(encode_vector(np.full(4, 9.0)), sym),
+                      ek=ek, em=em, sig=ledger.latest(cid).sig)
+
+    def test_a_copied_signature_does_not_carry_a_block_another_payload(self):
+        chain, _ = build_chain(identity_stages(4))
+        ledger, cid = self._begin(chain)
+        self._replay_signature(ledger, cid, chain.blocks[0].keys.public)
+        before = len(ledger)
+        with pytest.raises(SignatureRejected, match="update not signed by the notary"):
+            block_handle_update(chain.blocks[0], ledger, cid)
+        assert len(ledger) == before
+
+    def test_a_copied_signature_does_not_carry_the_notary_another_payload(self):
+        chain, _ = build_chain(identity_stages(4))
+        ledger, cid = self._begin(chain)
+        block_handle_update(chain.blocks[0], ledger, cid)
+        self._replay_signature(ledger, cid, chain.notary.keys.public)
+        before = len(ledger)
+        with pytest.raises(SignatureRejected, match="update not signed by block 0"):
+            notary_handle_update(chain.notary, ledger, cid)
+        assert len(ledger) == before
+        assert chain.notary.progress[cid] == 0
 
     def test_padded_cycle_still_expects_the_block_whose_turn_it_is(self):
         # After hop 0 the notary waits for block 1. Block 2 pads the cycle

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import hashlib
 import itertools
+import os
 import warnings
 
 import numpy as np
@@ -216,6 +217,75 @@ class TestShardAllocation:
         monkeypatch.setattr(crypto, "link_key", one_end_off)
         with pytest.raises(crypto.CryptoError, match="derived different keys"):
             setup_tree_keys(tree)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+class TestParallelAgreement:
+    """Above :data:`matcher.PARALLEL_MIN_LINKS` links, forked workers agree
+    the link keys; the tree they build is the in-process one, byte for byte."""
+
+    @staticmethod
+    def _counting_forks(monkeypatch, cpus):
+        monkeypatch.setattr(matcher, "PARALLEL_MIN_LINKS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    def test_workers_deal_the_pinned_keys(self, monkeypatch):
+        # Chiefs of 50, 50 and 30 leaves in two shares: a worker agrees
+        # chief 0's links, this process chiefs 1 and 2.
+        forks = self._counting_forks(monkeypatch, cpus=2)
+        TestShardAllocation().test_key_stream_is_pinned()
+        assert len(forks) == 1
+
+    def test_one_usable_cpu_agrees_in_process(self, monkeypatch):
+        forks = self._counting_forks(monkeypatch, cpus=1)
+        TestShardAllocation().test_key_stream_is_pinned()
+        assert forks == []
+
+    def test_an_end_that_disagrees_in_a_worker_fails_the_set_up(self, monkeypatch):
+        self._counting_forks(monkeypatch, cpus=2)
+        tree = build_hash_tree(make_gallery(12), crypto.generate_keypair(), fanout=5)
+        parent = os.getpid()
+        real_link_key = crypto.link_key
+        ends = itertools.count()
+
+        def one_end_off_in_a_worker(own, peer, position):
+            # The leaf's end of chief 0's link to its third leaf, which the
+            # worker's share (chief 0 of 3 chiefs) agrees.
+            key = real_link_key(own, peer, position)
+            if os.getpid() != parent and position == b"0/2" and next(ends) == 1:
+                return bytes([key[0] ^ 1]) + key[1:]
+            return key
+
+        monkeypatch.setattr(crypto, "link_key", one_end_off_in_a_worker)
+        with pytest.raises(crypto.CryptoError, match=r"link b'0/2' derived different keys"):
+            setup_tree_keys(tree)
+        assert not tree.chief_channels
+
+    def test_a_worker_that_ends_without_keys_fails_the_set_up(self, monkeypatch):
+        self._counting_forks(monkeypatch, cpus=2)
+        tree = build_hash_tree(make_gallery(12), crypto.generate_keypair(), fanout=5)
+        parent = os.getpid()
+        real_link_key = crypto.link_key
+
+        def killed_in_a_worker(own, peer, position):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real_link_key(own, peer, position)
+
+        monkeypatch.setattr(crypto, "link_key", killed_in_a_worker)
+        with pytest.raises(crypto.CryptoError, match="ended without a result"):
+            setup_tree_keys(tree)
+        assert not tree.chief_channels
 
 
 class TestNodeHash:
