@@ -24,11 +24,13 @@ only the parts it reads:
   agree its key, the channels, and each link's decision secret, dealt as
   rows of the (chiefs, 2n + 1, 64) shard tensor (row k is field point
   k + 1: rows 0..n-1 the leaves', row n the chief's, the rest the root's).
-  A tree of at least ``matcher.PARALLEL_MIN_LINKS`` links agrees them in
-  forked worker processes, to the same keys; the path is POSIX-only, and
-  threads would not help, since X25519 holds the GIL. A forked worker
-  ends with ``os._exit``, so it never flushes the open ledger file it
-  inherits. A smaller tree never imports ``multiprocessing``;
+  A tree of at least ``matcher.PARALLEL_MIN_LINKS`` links is dealt in
+  forked worker processes, each agreeing the links and splitting the
+  decision secrets of its own share of chiefs, to the same bytes; the path
+  is POSIX-only, and threads would not help, since X25519 holds the GIL.
+  A forked worker runs no BLAS routine, and ends with ``os._exit``, so it
+  never flushes the open ledger file it inherits. A smaller tree never
+  imports ``multiprocessing``;
 * ``experiment`` builds the whole deployment.
 
 Only ``identify`` appends to ``ledger.bin``; ``enroll`` replaces it with

@@ -24,8 +24,11 @@ Concrete choices (the rest of the package depends only on the contracts):
 * key agreement  static-static X25519 + HKDF-SHA256 (:func:`link_key`)
 * signatures     Ed25519
 * secret sharing byte-wise polynomial sharing over GF(2^8) with
-                 index-tagged shards, recombined a stack of pools at a
-                 time (:func:`shamir_reconstruct` is the one-pool form);
+                 index-tagged shards, dealt several secrets at a time
+                 from pre-drawn randomness (:func:`shamir_split_each`;
+                 :func:`shamir_split` is the one-secret form, drawing its
+                 own) and recombined a stack of pools at a time
+                 (:func:`shamir_reconstruct` is the one-pool form);
                  a caller checks a reconstruction against a SHA-256
                  commitment to the secret (:func:`digest_parts` under its
                  own tag), one hash that catches any differing byte
@@ -506,29 +509,57 @@ def shamir_split(
     config: SharingConfig,
     rng: Optional[np.random.Generator] = None,
 ) -> list[Shard]:
-    """Split ``secret`` into ``config.total`` shards at ``config.threshold``.
-
-    Each byte of the secret becomes the constant term of a random
-    polynomial of degree ``threshold - 1``; shard ``i`` holds the
-    polynomial values at field point ``i``. Horner's rule runs once over a
-    (total, len) accumulator with the points ``1..total`` as a column, so
-    the split takes ``threshold`` table gathers, not ``total * threshold``.
-    """
+    """Split ``secret`` into ``config.total`` shards at ``config.threshold``:
+    the one-secret call of :func:`shamir_split_each`, its coefficients drawn
+    from ``rng`` in one :func:`random_bytes` call of
+    ``(threshold - 1) * len(secret)`` bytes."""
     if not secret:
         raise ValueError("cannot split an empty secret")
-    length = len(secret)
-    coeffs = np.empty((config.threshold, length), dtype=np.uint8)
-    coeffs[0] = np.frombuffer(secret, dtype=np.uint8)
-    rand = random_bytes(rng, (config.threshold - 1) * length)
-    coeffs[1:] = np.frombuffer(rand, dtype=np.uint8).reshape(
-        config.threshold - 1, length
-    )
-    points = np.arange(1, config.total + 1, dtype=np.uint8)[:, None]
-    acc = np.zeros((config.total, length), dtype=np.uint8)
+    rand = random_bytes(rng, (config.threshold - 1) * len(secret))
+    [dealt] = shamir_split_each([secret], [rand], [config])
+    return [Shard(index=x, payload=values.tobytes()) for x, values in enumerate(dealt, 1)]
+
+
+def shamir_split_each(secrets: Sequence[bytes], randomness: Sequence[bytes],
+                      configs: Sequence[SharingConfig]) -> np.ndarray:
+    """Split secret i into ``configs[i].total`` shards at
+    ``configs[i].threshold``, its polynomial's coefficients of degree 1 up
+    to ``threshold - 1`` read in that order from ``randomness[i]``, one
+    ``len(secret)``-byte row each. Returns a (secrets, max total, len)
+    uint8 array whose row k of secret i is its shard at field point k + 1;
+    a secret's rows past its own ``2n + 1`` are zero.
+
+    Each byte of a secret is the constant term of a random polynomial.
+    Horner's rule runs once over all the secrets, a (secrets, max total,
+    len) accumulator with the points ``1..max total`` as a column, a
+    polynomial of lower degree zero-padded at the top; so the split takes
+    one table gather per degree, not one per secret and degree.
+
+    Raises:
+        ValueError: no secrets, an empty secret, secrets of different
+            lengths, or a randomness row count that does not match its
+            config; or the three sequences differ in length.
+    """
+    lengths = {len(secret) for secret in secrets}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ValueError(f"cannot split secrets of lengths {sorted(lengths)}: one nonzero length")
+    length = lengths.pop()
+    coeffs = np.zeros((max(config.threshold for config in configs), len(secrets), length),
+                      dtype=np.uint8)
+    for i, (secret, rand, config) in enumerate(zip(secrets, randomness, configs, strict=True)):
+        if len(rand) != (config.threshold - 1) * length:
+            raise ValueError(f"secret {i} needs {(config.threshold - 1) * length} random bytes, "
+                             f"got {len(rand)}")
+        coeffs[0, i] = np.frombuffer(secret, dtype=np.uint8)
+        coeffs[1:config.threshold, i] = np.frombuffer(rand, dtype=np.uint8).reshape(-1, length)
+    totals = np.array([config.total for config in configs])
+    points = np.arange(1, totals.max() + 1, dtype=np.uint8)[:, None]
+    acc = np.zeros((len(secrets), len(points), length), dtype=np.uint8)
     for row in coeffs[::-1]:
         acc = _gf_mul(acc, points)
-        acc ^= row
-    return [Shard(index=x, payload=values.tobytes()) for x, values in enumerate(acc, 1)]
+        acc ^= row[:, None]
+    acc[np.arange(len(points)) >= totals[:, None]] = 0
+    return acc
 
 
 _POOLS_PER_GATHER = 8

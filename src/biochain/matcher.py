@@ -43,13 +43,17 @@ on the largest link) is that link's shard at field point k + 1:
 An honest document collects all ``n`` leaf shards; with the chief's and
 the root's that meets the threshold exactly, so the pool is the chief's
 first ``n + 2`` rows, whose Lagrange weights depend only on ``n``: the
-key set-up builds them once, as row c of ``MatcherTree.weights``. When
+key set-up builds them once per distinct ``n`` and keeps chief c's as
+row c of ``MatcherTree.weights``. When
 it deals the secret, the root keeps only a commitment to it, a
 domain-separated SHA-256 digest, and a reconstruction counts only if its
-digest equals the commitment. A chief that drafts a document worse than
-some leaf's own score loses that leaf's shard, fails by count without
-interpolation, and triggers scrutiny: the root reads the dissenting
-leaves' scores directly and repairs the decision for that path.
+digest equals the commitment. A leaf endorses only a document that one
+of its chief's leaves attests, holding the named identity at exactly the
+claimed score, so a chief cannot claim a score none of its leaves holds.
+A chief that drafts a document worse than some leaf's own score, or one
+no leaf attests, loses shards, fails by count without interpolation, and
+triggers scrutiny: the root re-derives that path's decision from all of
+its leaves' scores.
 
 A decision document is the identity and score a chief claims; its
 position in the round's list of documents is the chief. A round keeps no
@@ -63,18 +67,22 @@ Probe fan-out is encrypted. Each root-chief and chief-leaf link gets its
 channel key at build time, in the paper's key-establishment step: both
 ends derive it by static-static X25519 agreement bound to the link's
 position, and its AES-GCM cipher is prepared once the two keys are found
-equal. The set-up draws every key, secret and split in this process, in
-draw order, then agrees the links chief by chief. A tree of at least
-:data:`PARALLEL_MIN_LINKS` links (over 2,450 templates under fanout 50)
-agrees them in ``fork`` worker processes, one share per usable CPU, this
-process taking one; the keys are the same bytes either way. Threads would
-not help: ``cryptography`` holds the GIL during an X25519 exchange, so
-2,000 exchanges took 109 ms split over two threads and 115 ms on one. The
+equal. The set-up makes every draw in this process, in draw order: per
+chief its node keys, its decision secret and the randomness that splits
+it. Each share of contiguous chiefs then deals its own chiefs: it agrees
+their links, splits their secrets in one pass and commits to them. A
+tree of at least :data:`PARALLEL_MIN_LINKS` links (over 2,450 templates
+under fanout 50) deals its shares in ``fork`` worker processes, one share
+per usable CPU, this process taking one; the keys, shards and
+commitments are the same bytes either way. Threads would not help:
+``cryptography`` holds the GIL during an X25519 exchange, so 2,000
+exchanges took 109 ms split over two threads and 115 ms on one. The
 workers need ``os.fork`` and CPU affinity, so the path is POSIX-only
-(Linux in practice); elsewhere, and with one usable CPU, every tree
-agrees its keys in this process. Python 3.12 and later warn that a fork
-while other threads run, such as OpenBLAS's, may deadlock the child; a
-worker calls nothing but X25519 and HKDF, and ends with ``os._exit``. A
+(Linux in practice); elsewhere, and with one usable CPU, every tree is
+dealt in this process. Python 3.12 and later warn that a fork while
+other threads run, such as OpenBLAS's, may deadlock the child; a worker
+runs X25519, HKDF, SHA-256 and numpy element-wise gathers, no BLAS
+routine, and ends with ``os._exit``. A
 query crosses every link as one ciphertext under a fresh nonce,
 and every leaf authenticates its own copy. Each link set, the root's C
 chief links and then all N leaf links, is crossed in one call that draws
@@ -92,13 +100,13 @@ import os
 import time
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import crypto
 from .crypto import KeyPair, SharingConfig
-from .encoding import decode_vectors, encode_vector, lp
+from .encoding import decode_vectors, encode_u32, encode_vector, lp
 from .metrics import DimensionMismatch, NonFiniteFeature, Ranking, get_row_metric
 
 _LEAF_HASH_TAG = b"biochain/leaf-hash/v1"
@@ -131,7 +139,7 @@ class Template:
         self.vector = np.asarray(self.vector, dtype=np.float64)
         if self.vector.ndim != 1:
             raise ValueError("templates are 1-D vectors")
-        if not np.all(np.isfinite(self.vector)):
+        if not np.isfinite(self.vector).all():
             raise ValueError("template entries must be finite")
 
     def copy(self) -> "Template":
@@ -139,9 +147,13 @@ class Template:
 
 
 def leaf_hash(identity: str, vector: np.ndarray) -> bytes:
-    return crypto.digest_parts(
-        _LEAF_HASH_TAG, lp(identity.encode("utf-8")) + encode_vector(vector)
-    )
+    return _leaf_digest(identity, encode_vector(vector))
+
+
+def _leaf_digest(identity: str, encoded: bytes) -> bytes:
+    """A leaf's hash from its identity and its template's
+    :func:`encode_vector` bytes."""
+    return crypto.digest_parts(_LEAF_HASH_TAG, lp(identity.encode("utf-8")) + encoded)
 
 
 def node_hash(children_hashes: Sequence[bytes]) -> bytes:
@@ -247,10 +259,12 @@ class MatcherTree:
 
     def current_leaf_hashes(self, rows: slice) -> list[bytes]:
         """Hashes of one chief's leaves, its ``rows``, recomputed from the
-        stored templates."""
+        stored templates, every row encoded in one conversion: the bytes
+        :func:`leaf_hash` hashes."""
+        header = encode_u32(self.vectors.shape[1])
         return [
-            leaf_hash(identity, row)
-            for identity, row in zip(self.identities[rows], self.vectors[rows])
+            _leaf_digest(identity, header + row.tobytes())
+            for identity, row in zip(self.identities[rows], self.vectors[rows].astype(">f8"))
         ]
 
 
@@ -296,137 +310,182 @@ def build_hash_tree(
     return tree
 
 
-# Trees with at least this many links (chiefs plus leaves) agree their
-# link keys in forked worker processes, each share at least half this
-# size. On a 2-core Xeon host, two shares broke even between 1,000 and
-# 2,000 links, varying from run to run: in a warm process, medians of 15
+# Trees with at least this many links (chiefs plus leaves) deal their
+# chiefs in forked worker processes, each share at least half this size.
+# On a 2-core Xeon host, two shares broke even between 1,000 and 2,000
+# links, varying from run to run: in a warm process, medians of 15
 # alternating set-ups in-process against two shares were 281 against
 # 301 ms at 1,530 links and 420 against 298 ms at 2,040. 2,500 leaves
-# margin, so the 510 links of a 500-template tree stay in-process.
+# margin, so the 510 links of a 500-template tree stay in-process. Those
+# set-ups split every decision secret in the calling process; now that
+# each share splits its own, two shares save about 1 ms more per 50-leaf
+# chief, which can only lower the break-even and is well inside its
+# run-to-run spread, so the constant was not re-tuned.
 PARALLEL_MIN_LINKS = 2500
 
 
-def _agreed_key(sender: crypto.AgreementKey, receiver: crypto.AgreementKey,
+class _ChiefDraws(NamedTuple):
+    """What the set-up draws for chief ``c``, whose leaves are ``rows``
+    under sharing ``config``: its leaves' and then its own X25519-only
+    private keys, its decision secret, and the randomness that splits the
+    secret."""
+
+    c: int
+    rows: slice
+    config: SharingConfig
+    agreement: bytes
+    secret: bytes
+    randomness: bytes
+
+
+def _agreed_key(sender: crypto.AgreementKey, sender_public: crypto.X25519PublicKey,
+                receiver: crypto.AgreementKey, receiver_public: crypto.X25519PublicKey,
                 position: bytes) -> bytes:
     """Key establishment for one delegation link, the paper's set-up step:
     each end derives the link key from its own private key and the other
     end's public key, so the key never travels. The key is returned only
     once the two ends' keys are found equal."""
-    key = crypto.link_key(sender, receiver.public_key(), position)
-    if key != crypto.link_key(receiver, sender.public_key(), position):
+    key = crypto.link_key(sender, receiver_public, position)
+    if key != crypto.link_key(receiver, sender_public, position):
         raise crypto.CryptoError(f"the ends of link {position!r} derived different keys")
     return key
 
 
-def _chief_link_keys(root: crypto.AgreementKey, c: int, rows: slice,
-                     agreement: bytes) -> list[bytes]:
+def _chief_link_keys(root: crypto.AgreementKey, root_public: crypto.X25519PublicKey,
+                     draws: _ChiefDraws) -> list[bytes]:
     """Chief c's link keys: its link to the root, then its link to each
-    leaf in ``rows``. ``agreement`` is the chief's draw, its leaves'
-    X25519-only private keys and then its own; the keys die with it."""
-    *leaves, chief = crypto.agreement_keys(agreement)
-    return [_agreed_key(root, chief, b"%d" % c)] + [
-        _agreed_key(chief, leaf, b"%d/%d" % (c, row))
+    leaf in its rows. The node keys are parsed from the chief's draw and
+    die with it."""
+    c, rows = draws.c, draws.rows
+    *leaves, chief = crypto.agreement_keys(draws.agreement)
+    chief_public = chief.public_key()
+    return [_agreed_key(root, root_public, chief, chief_public, b"%d" % c)] + [
+        _agreed_key(chief, chief_public, leaf, leaf.public_key(), b"%d/%d" % (c, row))
         for row, leaf in zip(range(rows.start, rows.stop), leaves)]
 
 
-def _agreement_shares(links: int) -> int:
-    """How many processes agree a tree's ``links`` link keys: one per
-    usable CPU, no share below half of :data:`PARALLEL_MIN_LINKS` links;
-    1 below that size, or where ``os.fork`` or CPU affinity is missing."""
+def _deal(root: crypto.AgreementKey,
+          share: Sequence[_ChiefDraws]) -> tuple[list[list[bytes]], np.ndarray, list[bytes]]:
+    """One share's contiguous chiefs, dealt from their draws: every chief's
+    link keys, its rows of the shard tensor (one
+    :func:`crypto.shamir_split_each` over the share, as wide as its largest
+    chief's ``2n + 1``), and the commitments to its secrets."""
+    root_public = root.public_key()
+    keys = [_chief_link_keys(root, root_public, draws) for draws in share]
+    shards = crypto.shamir_split_each(
+        [draws.secret for draws in share], [draws.randomness for draws in share],
+        [draws.config for draws in share])
+    return keys, shards, [decision_key_commitment(draws.secret) for draws in share]
+
+
+def _deal_shares(links: int) -> int:
+    """How many processes deal a tree of ``links`` links: one per usable
+    CPU, no share below half of :data:`PARALLEL_MIN_LINKS` links; 1 below
+    that size, or where ``os.fork`` or CPU affinity is missing."""
     if links < PARALLEL_MIN_LINKS or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return min(len(os.sched_getaffinity(0)), 2 * links // max(PARALLEL_MIN_LINKS, 1))
 
 
-def _agree_in_worker(conn, root: crypto.AgreementKey, tasks: list) -> None:
-    """A forked worker's share: its chiefs' link keys, or the
-    :class:`crypto.CryptoError` that stopped them, sent to the parent."""
+def _deal_in_worker(conn, root: crypto.AgreementKey, share: Sequence[_ChiefDraws]) -> None:
+    """A forked worker's share: what :func:`_deal` returns, or the
+    :class:`crypto.CryptoError` that stopped it, sent to the parent."""
     try:
-        result = [_chief_link_keys(root, *task) for task in tasks]
+        result = _deal(root, share)
     except crypto.CryptoError as exc:
         result = exc
     conn.send(result)
 
 
-def _link_keys(root: crypto.AgreementKey, tasks: list) -> list[list[bytes]]:
-    """Every chief's link keys, one :func:`_chief_link_keys` call per task
-    ``(c, rows, agreement)``, in task order.
+def _deal_all(root: crypto.AgreementKey, draws: list[_ChiefDraws]) -> list:
+    """Every chief dealt by :func:`_deal`, one result per share, in chief
+    order.
 
-    A large tree's tasks are cut into contiguous shares
-    (:func:`_agreement_shares`): ``fork`` workers take all but the last,
-    which this process runs meanwhile. A forked worker reads the root's
-    key and the draws in the memory it was forked with, sends back only
-    its keys, and ends with ``os._exit``, so it never flushes a writer it
-    inherited, such as the ledger file. A worker's :class:`crypto.CryptoError`
-    is raised here once this process's share is done; a worker that ends
-    without sending, its traceback on standard error, is a
-    :class:`crypto.CryptoError` too."""
-    shares = _agreement_shares(sum(rows.stop - rows.start + 1 for _, rows, _ in tasks))
+    A large tree's chiefs are cut into contiguous shares
+    (:func:`_deal_shares`): ``fork`` workers take all but the last, which
+    this process deals meanwhile. A forked worker reads the root's key and
+    the draws in the memory it was forked with, sends back only what it
+    dealt, and ends with ``os._exit``, so it never flushes a writer it
+    inherited, such as the ledger file. It runs X25519, HKDF, SHA-256 and
+    numpy element-wise gathers, and no BLAS routine. A worker's
+    :class:`crypto.CryptoError` is raised here once this process's share
+    is done; a worker that ends without sending, its traceback on standard
+    error, is a :class:`crypto.CryptoError` too."""
+    shares = _deal_shares(sum(d.config.n + 1 for d in draws))
     if shares == 1:
-        return [_chief_link_keys(root, *task) for task in tasks]
+        return [_deal(root, draws)]
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
-    bounds = [len(tasks) * k // shares for k in range(shares + 1)]
+    bounds = [len(draws) * k // shares for k in range(shares + 1)]
     workers = []
     try:
         for start, stop in zip(bounds[:-2], bounds[1:-1]):
             receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=_agree_in_worker, daemon=True,
-                                     args=(sender, root, tasks[start:stop]))
+            worker = context.Process(target=_deal_in_worker, daemon=True,
+                                     args=(sender, root, draws[start:stop]))
             worker.start()
             sender.close()
             workers.append((worker, receiver))
-        own = [_chief_link_keys(root, *task) for task in tasks[bounds[-2]:]]
-        keys = []
+        own = _deal(root, draws[bounds[-2]:])
+        dealt = []
         for _, receiver in workers:
             try:
                 got = receiver.recv()
             except EOFError:
-                raise crypto.CryptoError("a key-agreement worker ended without a result") from None
+                raise crypto.CryptoError("a key-set-up worker ended without a result") from None
             if isinstance(got, crypto.CryptoError):
                 raise got
-            keys += got
-        return keys + own
+            dealt.append(got)
+        return dealt + [own]
     finally:
         for worker, receiver in workers:
             receiver.close()
-            worker.terminate()  # harmless once the worker has sent its keys
+            worker.terminate()  # harmless once the worker has sent its share
             worker.join()
 
 
 def setup_tree_keys(tree: MatcherTree, rng: Optional[np.random.Generator] = None) -> None:
     """The tree's key set-up, drawn from ``rng`` chief by chief: in one
     draw, X25519-only private keys for its leaves and then itself; then its
-    decision secret, split into its rows of ``tree.shards`` and kept as a
-    commitment. Each link's cipher is keyed by static-static agreement
-    between its ends, bound to its position: ``b"c"`` for chief c's link
-    to the root, ``b"c/i"`` for its link to the leaf in row i. Each chief's
-    full pool, at points ``1..n+2``, gets its Lagrange weights here. No
-    node key outlives the set-up; only a query reads any of it.
+    decision secret; then the randomness that splits the secret into its
+    rows of ``tree.shards``, the secret kept only as a commitment. Each
+    link's cipher is keyed by static-static agreement between its ends,
+    bound to its position: ``b"c"`` for chief c's link to the root,
+    ``b"c/i"`` for its link to the leaf in row i. Each chief's full pool,
+    at points ``1..n+2``, gets its Lagrange weights here, built once per
+    distinct group size. No node key outlives the set-up; only a query
+    reads any of it.
 
-    The draws, the splits and the commitments run first, in draw order;
-    then every chief's links are agreed (:func:`_link_keys`), in forked
-    workers for a tree of at least :data:`PARALLEL_MIN_LINKS` links, to
-    the same keys either way; then the ciphers are prepared.
+    Every draw is made first, in draw order; then each share of contiguous
+    chiefs agrees its links, deals its secrets and commits to them
+    (:func:`_deal_all`), in forked workers for a tree of at least
+    :data:`PARALLEL_MIN_LINKS` links, to the same bytes either way; then
+    the ciphers are prepared. The tree is changed only once every share
+    has been dealt.
 
     Raises:
-        crypto.CryptoError: the two ends of a link derived different keys.
+        crypto.CryptoError: the two ends of a link derived different keys,
+            or a forked worker failed.
     """
     configs = [SharingConfig.for_group(rows.stop - rows.start) for rows in tree.chief_rows]
+    draws = [_ChiefDraws(
+        c, rows, config,
+        crypto.random_bytes(rng, crypto.KEY_HALF_LEN * (config.n + 1)),
+        crypto.random_bytes(rng, _DECISION_SECRET_LEN),
+        crypto.random_bytes(rng, (config.threshold - 1) * _DECISION_SECRET_LEN),
+    ) for c, (rows, config) in enumerate(zip(tree.chief_rows, configs))]
+    keys, shards, commitments = zip(*_deal_all(tree.keys.decryption_key, draws))
     # The first chief is the largest: its shards and its pool set the widths.
-    shards = np.zeros((len(configs), configs[0].total, _DECISION_SECRET_LEN), dtype=np.uint8)
-    commitments, tasks = [], []
-    for c, (rows, config, held) in enumerate(zip(tree.chief_rows, configs, shards)):
-        tasks.append((c, rows, crypto.random_bytes(rng, crypto.KEY_HALF_LEN * (config.n + 1))))
-        secret = crypto.random_bytes(rng, _DECISION_SECRET_LEN)
-        dealt = crypto.shamir_split(secret, config, rng)
-        held[:len(dealt)] = [np.frombuffer(shard.payload, dtype=np.uint8) for shard in dealt]
-        commitments.append(decision_key_commitment(secret))
-    keys = _link_keys(tree.keys.decryption_key, tasks)
-    tree.shards, tree.decision_commitments = shards, commitments
-    tree.weights = np.array([crypto.lagrange_weights(tuple(range(1, config.threshold + 1)), config,
-                                                     configs[0].threshold) for config in configs])
+    width = configs[0].total
+    tree.shards = np.concatenate([np.pad(held, ((0, 0), (0, width - held.shape[1]), (0, 0)))
+                                  for held in shards])
+    tree.decision_commitments = list(chain.from_iterable(commitments))
+    columns = {config: crypto.lagrange_weights(tuple(range(1, config.threshold + 1)), config,
+                                               configs[0].threshold)
+               for config in dict.fromkeys(configs)}
+    tree.weights = np.array([columns[config] for config in configs])
+    keys = list(chain.from_iterable(keys))
     tree.chief_channels = [crypto.SymCipher(chief[0]) for chief in keys]
     tree.leaf_channels = [crypto.SymCipher(key) for chief in keys for key in chief[1:]]
 
@@ -456,18 +515,21 @@ def _leaf_document(tree: MatcherTree, scores: np.ndarray, row: int) -> DecisionD
     return DecisionDocument(tree.identities[row], float(scores[row]))
 
 
+def _best_rows(tree: MatcherTree, scores: np.ndarray) -> np.ndarray:
+    """Each chief's row with the best (lowest) of the tree's (N,) leaf
+    scores, ties to the lowest row."""
+    # +inf pads a short last chief; argmin takes the first of equal minima.
+    padded = np.full(len(tree.chief_rows) * tree.fanout, np.inf)
+    padded[:len(scores)] = scores
+    starts = np.arange(0, len(scores), tree.fanout)
+    return starts + np.argmin(padded.reshape(-1, tree.fanout), axis=1)
+
+
 def chief_drafts(tree: MatcherTree, scores: np.ndarray) -> list[DecisionDocument]:
     """Every chief's draft path decision, read from the tree's (N,) leaf
     scores: the identity among its leaves with the best (lowest) score,
     ties broken by lowest leaf index. Entry c is chief c's."""
-    # +inf pads a short last chief; argmin takes the first of equal minima.
-    padded = np.full(len(tree.chief_rows) * tree.fanout, np.inf)
-    padded[:len(scores)] = scores
-    leaf_indices = np.argmin(padded.reshape(-1, tree.fanout), axis=1).tolist()
-    return [
-        _leaf_document(tree, scores, rows.start + leaf_index)
-        for rows, leaf_index in zip(tree.chief_rows, leaf_indices)
-    ]
+    return [_leaf_document(tree, scores, row) for row in _best_rows(tree, scores).tolist()]
 
 
 def collect_consent(
@@ -475,10 +537,22 @@ def collect_consent(
 ) -> np.ndarray:
     """Ask every leaf to endorse its chief's document; returns the dissent
     mask over the tree's N rows. A leaf consents, adding its shard to the
-    pool, when the document's score is at least as good as its own."""
+    pool, when the document's score is at least as good as its own and the
+    document is attested: a leaf among the chief's rows holds the named
+    identity with exactly the claimed score. Every leaf of a chief whose
+    document is not attested dissents, so a chief cannot win with a score
+    that none of its leaves holds."""
     drafted = np.repeat([document.score for document in documents], tree.fanout)[:len(scores)]
+    # Only a row holding its chief's claimed score can attest; its identity
+    # is compared there alone.
+    claimed = np.flatnonzero(drafted == scores)
+    chiefs = claimed // tree.fanout
+    named = np.array([document.identity for document in documents], dtype=object)[chiefs]
+    held = np.array(list(map(tree.identities.__getitem__, claimed.tolist())), dtype=object)
+    attested = np.zeros(len(documents), dtype=bool)
+    attested[chiefs[named == held]] = True
     # Negated rather than ">" so an incomparable (NaN) score also dissents.
-    return ~(drafted <= scores)
+    return ~(drafted <= scores) | ~np.repeat(attested, tree.fanout)[:len(scores)]
 
 
 def root_finalize(tree: MatcherTree, dissent: np.ndarray) -> np.ndarray:
@@ -507,22 +581,16 @@ def root_finalize(tree: MatcherTree, dissent: np.ndarray) -> np.ndarray:
 
 def root_scrutinize(
     tree: MatcherTree, documents: Sequence[DecisionDocument], scores: np.ndarray,
-    dissent: np.ndarray, accepted: np.ndarray,
+    accepted: np.ndarray,
 ) -> list[DecisionDocument]:
-    """The path decisions: every accepted document, and every other one
-    resolved by reading its dissenting leaves' scores. The best dissenting
-    score (ties to the lowest leaf index) beats the document only if
-    strictly better; otherwise the document stands (a dissent against a
-    genuinely best document, or a corrupted shard with no dissent at all).
-    """
+    """The path decisions: every accepted document, and for every other
+    chief the decision re-derived from all of its leaves' scores, the
+    best one, ties to the lowest leaf index. No document of a scrutinized
+    chief stands on its own word."""
     decisions = list(documents)
+    best = _best_rows(tree, scores)
     for chief_index in np.flatnonzero(~accepted).tolist():
-        rows, document = tree.chief_rows[chief_index], documents[chief_index]
-        dissenters = rows.start + np.flatnonzero(dissent[rows])
-        if dissenters.size:
-            best = int(dissenters[np.argmin(scores[dissenters])])
-            if scores[best] < document.score:
-                decisions[chief_index] = _leaf_document(tree, scores, best)
+        decisions[chief_index] = _leaf_document(tree, scores, int(best[chief_index]))
     return decisions
 
 
@@ -584,7 +652,7 @@ def identify(
     t3 = time.perf_counter()
     accepted = root_finalize(tree, dissent)
     t4 = time.perf_counter()
-    decisions = root_scrutinize(tree, documents, all_scores, dissent, accepted)
+    decisions = root_scrutinize(tree, documents, all_scores, accepted)
     t5 = time.perf_counter()
 
     # min keeps the first of equal scores: ties go to the lowest chief.

@@ -724,7 +724,7 @@ class TestRebuiltKeys:
         out = tmp_path / "run"
         bootstrap(runner, out)
         calls = Counter()
-        for name in ("link_key", "shamir_split", "generate_keypair"):
+        for name in ("link_key", "shamir_split_each", "generate_keypair"):
             def counted(*args, _name=name, _original=getattr(crypto, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -738,12 +738,12 @@ class TestRebuiltKeys:
             calls.clear()
             result = runner.invoke(main, ["--out", str(out), *command])
             assert result.exit_code == expect, result.output
-            assert calls["link_key"] == calls["shamir_split"] == 0, command
+            assert calls["link_key"] == calls["shamir_split_each"] == 0, command
             assert 0 < calls["generate_keypair"] <= rebuilds * per_rebuild, command
         calls.clear()
         invoke(runner, out, "restore")
         invoke(runner, out, "identify", "--identity", "id0001")
-        assert calls["link_key"] > 0 and calls["shamir_split"] > 0
+        assert calls["link_key"] > 0 and calls["shamir_split_each"] > 0
 
 
 class TestExperimentCommand:

@@ -696,6 +696,31 @@ class TestShamirStack:
             crypto.shamir_reconstruct(pool, cfg) for pool, cfg in zip(pools, configs)
         ]
 
+    def test_one_split_pass_deals_each_secret_as_its_own_split(self):
+        # Groups of 50, 50, 30 and 1: the last two polynomials are zero-padded
+        # at the top, and their rows past 2n + 1 are zero.
+        configs = [SharingConfig.for_group(n) for n in (50, 50, 30, 1)]
+        secrets = [bytes(np.random.default_rng(100 + k).bytes(64)) for k in range(4)]
+        randomness = [np.random.default_rng(k).bytes((cfg.threshold - 1) * 64)
+                      for k, cfg in enumerate(configs)]
+        dealt = crypto.shamir_split_each(secrets, randomness, configs)
+        assert dealt.shape == (4, 101, 64) and dealt.dtype == np.uint8
+        for k, (rows, secret, cfg) in enumerate(zip(dealt, secrets, configs)):
+            one = crypto.shamir_split(secret, cfg, np.random.default_rng(k))
+            assert [row.tobytes() for row in rows[:cfg.total]] == [s.payload for s in one]
+            assert not rows[cfg.total:].any()
+
+    def test_a_split_refuses_what_it_cannot_deal(self):
+        cfg = SharingConfig.for_group(1)
+        with pytest.raises(ValueError):  # secrets of two lengths
+            crypto.shamir_split_each([b"ab", b"abc"], [bytes(4), bytes(6)], [cfg, cfg])
+        with pytest.raises(ValueError):  # randomness one byte short
+            crypto.shamir_split_each([b"ab"], [bytes(3)], [cfg])
+        with pytest.raises(ValueError):  # no secret
+            crypto.shamir_split_each([], [], [])
+        with pytest.raises(ValueError):  # a config missing
+            crypto.shamir_split_each([b"ab", b"cd"], [bytes(4), bytes(4)], [cfg])
+
     def test_a_short_pool_fails_the_whole_stack_before_interpolation(self):
         # A pool's checks run when its weights are built, so a stack with
         # one failing pool never reaches the kernel.

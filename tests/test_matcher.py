@@ -271,6 +271,26 @@ class TestParallelAgreement:
             setup_tree_keys(tree)
         assert not tree.chief_channels
 
+    @pytest.mark.parametrize("error,message", [
+        (crypto.InvalidConfig("no split here"), "no split here"),
+        (ValueError("no split here"), "ended without a result"),
+    ])
+    def test_a_split_that_fails_in_a_worker_fails_the_set_up(self, monkeypatch, error, message):
+        self._counting_forks(monkeypatch, cpus=2)
+        tree = build_hash_tree(make_gallery(12), crypto.generate_keypair(), fanout=5)
+        parent = os.getpid()
+        real_split = crypto.shamir_split_each
+
+        def failing_in_a_worker(*args):
+            if os.getpid() != parent:
+                raise error
+            return real_split(*args)
+
+        monkeypatch.setattr(crypto, "shamir_split_each", failing_in_a_worker)
+        with pytest.raises(crypto.CryptoError, match=message):
+            setup_tree_keys(tree)
+        assert not tree.chief_channels and not tree.decision_commitments and not tree.shards.size
+
     def test_a_worker_that_ends_without_keys_fails_the_set_up(self, monkeypatch):
         self._counting_forks(monkeypatch, cpus=2)
         tree = build_hash_tree(make_gallery(12), crypto.generate_keypair(), fanout=5)
@@ -403,7 +423,8 @@ class TestConsent:
                              for row, score in ((1, 0.2), (5, 0.1), (6, 0.3))]
         forged = DecisionDocument("intruder", 0.45)
         dissent = collect_consent(tree, [documents[0], forged, documents[2]], scores)
-        assert dissent.tolist() == [False, False, False, True, False, True, False]
+        # No leaf of chief 1 holds "intruder" at 0.45, so all three dissent.
+        assert dissent.tolist() == [False, False, False, True, True, True, False]
 
 
 class TestFinalize:
@@ -464,14 +485,14 @@ class TestFinalize:
 class TestScrutiny:
     @staticmethod
     def _scrutinize(tree, document, scores, dissent):
-        return root_scrutinize(tree, [document], scores, dissent, root_finalize(tree, dissent))[0]
+        return root_scrutinize(tree, [document], scores, root_finalize(tree, dissent))[0]
 
     def test_forged_document_corrected_to_flagged_minimum(self):
         tree = build_tree(make_gallery(4, seed=13), fanout=4)
         scores = np.array([0.1, 0.4, 0.6, 0.9])
         forged = DecisionDocument("intruder", 0.8)
         dissent = collect_consent(tree, [forged], scores)
-        assert dissent.tolist() == [True, True, True, False]  # every score under 0.8
+        assert dissent.tolist() == [True, True, True, True]  # no leaf attests the document
         corrected = self._scrutinize(tree, forged, scores, dissent)
         assert corrected.identity == tree.identities[0]
         assert corrected.score == 0.1
@@ -602,9 +623,11 @@ class TestIdentify:
 
 
 def reference_round(tree, probe, metric, rewrite=None, dissenters=()):
-    """The consensus round one chief at a time, as it ran before the round
-    was batched: scalar scores, a draft, consent, a one-pool reconstruct
-    checked against the commitment, and scrutiny. ``rewrite`` is a
+    """The consensus round one chief at a time, with scalar scores: a
+    draft; consent, given only to a document that one of the chief's
+    leaves attests (its identity, at exactly the claimed score); a one-pool
+    reconstruct checked against the commitment; and scrutiny, which takes
+    the path's best leaf, ties to the lowest. ``rewrite`` is a
     compromised chief's (index, draft rewrite); ``dissenters`` are (chief,
     leaf) pairs that dissent whatever the document says. Returns the
     root's identity and score and the scrutinized chiefs."""
@@ -620,7 +643,9 @@ def reference_round(tree, probe, metric, rewrite=None, dissenters=()):
         draft = document(int(np.argmin(scores)))
         if rewrite is not None and rewrite[0] == chief:
             draft = rewrite[1](draft)
-        dissent = ~(draft.score <= scores)
+        attested = any(tree.identities[rows.start + leaf] == draft.identity
+                       and scores[leaf] == draft.score for leaf in range(n))
+        dissent = ~(draft.score <= scores) | (not attested)
         for chief_index, leaf in dissenters:
             if chief_index == chief:
                 dissent[leaf] = True
@@ -633,11 +658,7 @@ def reference_round(tree, probe, metric, rewrite=None, dissenters=()):
             accepted = False
         if not accepted:
             scrutinized.append(chief)
-            flagged = np.flatnonzero(dissent)
-            if flagged.size:
-                best = int(flagged[np.argmin(scores[flagged])])
-                if scores[best] < draft.score:
-                    draft = document(best)
+            draft = document(int(np.argmin(scores)))
         decisions.append(draft)
     best = min(decisions, key=lambda d: d.score)
     return best.identity, best.score, tuple(scrutinized)
@@ -987,6 +1008,30 @@ class TestForgeryNeverReconstructs:
             # consenting leaves, the chief and the root: short of threshold
             assert int((~dissent).sum()) + 2 <= SharingConfig.for_group(10).threshold - 1
             assert root_finalize(tree, dissent).tolist() == [False]
+
+
+class TestOverGoodForgery:
+    """A compromised chief cannot win with a score that none of its leaves
+    holds: the leaves refuse a document they cannot attest, and scrutiny
+    takes the path's best leaf from all of its scores."""
+
+    @pytest.mark.parametrize("forge", [
+        lambda tree, doc: DecisionDocument("forged", doc.score - 1.0),
+        lambda tree, doc: DecisionDocument(doc.identity, doc.score - 1.0),
+        lambda tree, doc: DecisionDocument(tree.identities[0], doc.score),
+    ], ids=["unknown identity", "own leaf, better score", "another chief's leaf"])
+    def test_an_over_good_forgery_never_wins(self, forge):
+        # Chiefs of 50, 50 and 20 leaves; chief 1 is compromised.
+        gallery = make_gallery(120, seed=12)
+        tree = build_tree(gallery, rng=np.random.default_rng(12))
+        rng = np.random.default_rng(13)
+        with compromised_chief(1, lambda doc: forge(tree, doc)):
+            for target in rng.choice(120, size=40, replace=False).tolist():
+                probe = gallery[target].vector + rng.normal(size=8) * 0.5
+                result = identify_probe(tree, probe, "euclidean")
+                truth = flat_oracle_identify(gallery, probe, "euclidean")
+                assert (result.identity, result.score) == (truth.identity, truth.score)
+                assert 1 in result.scrutinized_chiefs
 
 
 class TestAdminRecovery:
