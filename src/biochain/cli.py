@@ -12,24 +12,31 @@ State lives in the output directory (default ``./runs``):
     summary.json      machine-readable results
     timings.txt       measured wall-clock costs (not deterministic)
 
-A deployment is rebuilt deterministically from (archive, fanout, seed),
-so no key material is stored between commands. Each command rebuilds
+A deployment is rebuilt deterministically from (archive, fanout, seed)
+by ``harness.build_system``, the one builder, which ``enroll`` uses too,
+so no key material is stored between commands; the key streams, and the
+order of their draws, live in ``harness`` alone. Each command rebuilds
 only the parts it reads:
 
 * ``enroll``, ``tamper``, ``audit`` and ``restore`` build the tree's hash
   structure (template matrix and enrollment hashes) under the root's key
   pair, and the chain with its keys;
-* ``identify`` rebuilds the same, then runs the tree's key set-up before
-  it queries: X25519-only node keys, kept only until the ends of each link
-  agree its key, the channels, and each link's decision secret, dealt as
-  rows of the (chiefs, 2n + 1, 64) shard tensor (row k is field point
-  k + 1: rows 0..n-1 the leaves', row n the chief's, the rest the root's).
-  A tree of at least ``matcher.PARALLEL_MIN_LINKS`` links is dealt in
-  forked worker processes, each agreeing the links and splitting the
-  decision secrets of its own share of chiefs, to the same bytes; the path
-  is POSIX-only, and threads would not help, since X25519 holds the GIL.
-  A forked worker runs no BLAS routine, and ends with ``os._exit``, so it
-  never flushes the open ledger file it inherits. A smaller tree never
+* ``identify`` rebuilds the same and loads the live templates. Before the
+  chain cycle opens, so that a refused query appends nothing, it refuses
+  a tree whose live templates differ from their enrollment hashes
+  (``Error: tree integrity check failed: <k> tampered leaves; run
+  audit``), then runs the tree's key set-up (``harness.setup_keys``),
+  whose failure is ``Error: tree key set-up failed: <reason>``. The
+  set-up makes X25519-only node keys, kept only until the ends of each
+  link agree its key, the channels, and each link's decision secret,
+  dealt as rows of the (chiefs, 2n + 1, 64) shard tensor (row k is field
+  point k + 1: rows 0..n-1 the leaves', row n the chief's, the rest the
+  root's). A tree of at least ``matcher.PARALLEL_MIN_LINKS`` links is
+  dealt in forked worker processes, each agreeing the links and splitting
+  the decision secrets of its own share of chiefs, to the same bytes; the
+  path is POSIX-only, and threads would not help, since X25519 holds the
+  GIL. A forked worker runs no BLAS routine, and ends with ``os._exit``,
+  so it never flushes a file writer it inherits. A smaller tree never
   imports ``multiprocessing``;
 * ``experiment`` builds the whole deployment.
 
@@ -88,26 +95,19 @@ from .harness import (
     EnrolledSystem,
     ExperimentConfig,
     audit as run_audit,
-    chain_keys_rng,
-    enrollment_keys_rng,
+    build_system,
     enrollment_stages,
     generate_synthetic_gallery,
     inject_template_noise,
     load_gallery,
     run_experiment,
     save_gallery,
+    setup_keys,
     tamper_extractor_block,
 )
 from .metrics import DimensionMismatch, NonFiniteFeature, ZeroVector
 from .ledger import Ledger, LedgerError
-from .matcher import (
-    MatcherTree,
-    Template,
-    build_hash_tree,
-    identify,
-    restore_leaves,
-    setup_tree_keys,
-)
+from .matcher import TreeTampered, identify, restore_leaves
 
 CONFIG_FILE = "config.json"
 GALLERY_FILE = "gallery.txt"
@@ -154,28 +154,17 @@ def _load_chain_params(path: Path) -> list[StageParams]:
     return stages
 
 
-def _build_system(
-    templates: list[Template], stages: list[StageParams], config: ExperimentConfig,
-    keys_rng: np.random.Generator,
-) -> tuple[MatcherTree, ExtractorChain]:
-    """The tree's hash structure over ``templates`` under the root's key
-    pair, the first draw of ``keys_rng``, then the chain over ``stages`` with
-    its keys; a command that queries continues ``keys_rng``."""
-    tree = build_hash_tree(templates, crypto.generate_keypair(keys_rng), config.fanout)
-    return tree, ExtractorChain.build(stages, tree.public_key, rng=chain_keys_rng(config.seed))
-
-
 class _EmptyArchive(click.ClickException):
     """``archive.txt`` parses but holds no record, so no tree can be built:
     an ``archive:`` finding for ``audit``, a one-line error elsewhere."""
 
 
 def _load_system(
-    out: Path, config: ExperimentConfig, keys_rng: np.random.Generator,
-    strict: bool = True, ledger: Optional[Ledger] = None,
+    out: Path, config: ExperimentConfig, strict: bool = True, ledger: Optional[Ledger] = None,
 ) -> EnrolledSystem:
     """Rebuild the enrolled deployment's checkable state from the state
-    directory, the archive and the stored stages, with :func:`_build_system`.
+    directory, the archive and the stored stages, with
+    :func:`harness.build_system`.
     The system's ledger is ``ledger``, or else ``ledger.bin`` replayed; it
     opens the file only if the command appends.
 
@@ -206,8 +195,8 @@ def _load_system(
             raise click.ClickException(f"{exc}; run audit")
         live_templates = None
     try:
-        tree, chain = _build_system(
-            archive_templates, _load_chain_params(out / CHAIN_FILE), config, keys_rng)
+        tree, chain = build_system(archive_templates, _load_chain_params(out / CHAIN_FILE),
+                                   config.fanout, config.seed)
     except ValueError as exc:
         raise click.ClickException(f"{CHAIN_FILE} holds no usable stage list: {exc}")
     try:
@@ -306,7 +295,7 @@ def enroll_cmd(ctx):
     except ValueError as exc:
         raise click.ClickException(str(exc))
     stages = enrollment_stages(templates, config.chain_spec, config.seed)
-    tree, chain = _build_system(templates, stages, config, enrollment_keys_rng(config.seed))
+    tree, chain = build_system(templates, stages, config.fanout, config.seed)
     chain.take_snapshot()
     save_gallery(out / ARCHIVE_FILE, templates)
     _save_chain_params(out / CHAIN_FILE, _chain_params(chain))
@@ -334,8 +323,7 @@ def identify_cmd(ctx, identity, probe_file, probe_noise):
     config = _config(ctx)
     if not probe_noise >= 0:
         raise click.ClickException("--probe-noise must be >= 0")
-    keys_rng = enrollment_keys_rng(config.seed)
-    system = _load_system(out, config, keys_rng)
+    system = _load_system(out, config)
     if probe_file is not None:
         try:
             records = load_gallery(probe_file)
@@ -355,13 +343,22 @@ def identify_cmd(ctx, identity, probe_file, probe_noise):
         probe = probe + np.random.default_rng([config.seed, 99]).normal(
             scale=probe_noise, size=probe.shape[0]
         )
+    # Both refusals come before the chain cycle opens, so they append nothing.
+    try:
+        system.tree.require_intact()
+    except TreeTampered as exc:
+        raise click.ClickException(
+            f"tree integrity check failed: {len(exc.rows)} tampered leaves; run audit")
+    try:
+        setup_keys(system.tree, config.seed)
+    except crypto.CryptoError as exc:
+        raise click.ClickException(f"tree key set-up failed: {exc}")
     try:
         entry = run_query_cycle(system.chain, system.ledger, probe)
     except IntegrityFailure as exc:
         raise click.ClickException(f"chain integrity check failed: {exc}; run audit")
     except ShapeMismatch as exc:
         raise click.ClickException(f"probe does not fit the extraction chain: {exc}")
-    setup_tree_keys(system.tree, keys_rng)
     try:
         result = identify(system.tree, handoff_envelope(entry), config.metric)
     except (DimensionMismatch, ZeroVector, NonFiniteFeature) as exc:
@@ -389,7 +386,7 @@ def tamper_cmd(ctx, fraction, sigma, block_index, epsilon):
     config = _config(ctx)
     if fraction is None and block_index is None:
         raise click.ClickException("pass --fraction and/or --block")
-    system = _load_system(out, config, enrollment_keys_rng(config.seed))
+    system = _load_system(out, config)
     noise = sigma if sigma is not None else config.effective_noise_sigma()
     # Both tampers run in memory first, so bad input leaves every file as it was.
     try:
@@ -422,8 +419,7 @@ def audit_cmd(ctx):
     except (ValueError, LedgerError) as exc:
         ledger, ledger_error = Ledger(), f"does not parse: {exc}"
     try:
-        system = _load_system(out, config, enrollment_keys_rng(config.seed), strict=False,
-                              ledger=ledger)
+        system = _load_system(out, config, strict=False, ledger=ledger)
     except _EmptyArchive as exc:
         click.echo(f"archive: {exc.message}")
         sys.exit(1)
@@ -442,7 +438,7 @@ def restore_cmd(ctx):
     """Repair whatever the audit locates, from snapshot and archive."""
     out: Path = ctx.obj["out"]
     config = _config(ctx)
-    system = _load_system(out, config, enrollment_keys_rng(config.seed), strict=False)
+    system = _load_system(out, config, strict=False)
     findings = run_audit(system)
     if findings.chain_first_tampered is not None:
         if not findings.snapshot_consistent:
@@ -465,7 +461,7 @@ def restore_cmd(ctx):
     if findings.tree_locators or findings.store_mismatch:
         save_gallery(out / GALLERY_FILE, system.tree.templates())
     del system  # one rebuilt deployment in memory at a time
-    system = _load_system(out, config, enrollment_keys_rng(config.seed))
+    system = _load_system(out, config)
     post = run_audit(system)
     click.echo("post-restore audit: " + ("clean" if post.clean else "STILL TAMPERED"))
     if not post.clean:

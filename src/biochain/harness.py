@@ -12,6 +12,10 @@ difference comes from integrity handling alone.
 Everything a command produces is a deterministic function of the
 configuration and its seed; wall-clock timings are kept out of the
 deterministic report and surfaced separately.
+
+:func:`build_system` builds every deployment, enrolled or rebuilt, and
+this module alone knows its key streams; :func:`setup_keys` adds the key
+set-up a query needs.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ from .matcher import (
     MatchTimings,
     MatcherTree,
     Template,
-    build_tree,
+    build_hash_tree,
     restore_leaves,
+    setup_tree_keys,
     verify_tree,
 )
 from .metrics import METRICS, CMCData, MatchScore, cmc_curve, flat_rank, rank_k_accuracy
@@ -63,24 +68,6 @@ _STREAM_CHAIN_KEYS = 5
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
-
-
-def enrollment_keys_rng(seed: int) -> np.random.Generator:
-    """The matching tree's key stream, in the order :func:`enroll` consumes
-    it: the root's key pair first, then :func:`matcher.setup_tree_keys`.
-
-    A command that only verifies, tampers or restores draws the root's key
-    pair alone, enough to build the tree's hash structure and the chain
-    that hands features to the root. A command that queries continues the
-    stream with the key set-up, which reproduces every node key, channel
-    and shard of the enrolled tree."""
-    return _rng(seed, _STREAM_KEYS)
-
-
-def chain_keys_rng(seed: int) -> np.random.Generator:
-    """The extraction chain's key stream: the notary's and every block's
-    keys, the same for every gallery enrolled under ``seed``."""
-    return _rng(seed, _STREAM_CHAIN_KEYS)
 
 
 def default_chain_spec() -> list[dict]:
@@ -357,6 +344,30 @@ class EnrolledSystem:
     flat_store: Optional[list[Template]]
 
 
+def build_system(
+    templates: Sequence[Template], stages: list[StageParams], fanout: int, seed: int
+) -> tuple[MatcherTree, ExtractorChain]:
+    """The tree's hash structure over ``templates`` under the root's key
+    pair, the first draw of the seed's tree-key stream, and the chain over
+    ``stages``, keyed from the chain's own stream."""
+    tree = build_hash_tree(templates, crypto.generate_keypair(_rng(seed, _STREAM_KEYS)), fanout)
+    return tree, ExtractorChain.build(stages, tree.public_key, rng=_rng(seed, _STREAM_CHAIN_KEYS))
+
+
+def setup_keys(tree: MatcherTree, seed: int) -> None:
+    """:func:`matcher.setup_tree_keys`, continuing the seed's tree-key
+    stream after the root's key pair.
+
+    Raises:
+        ValueError: the root's key pair is not that stream's first draw,
+            so the tree was built under another seed.
+    """
+    rng = _rng(seed, _STREAM_KEYS)
+    if crypto.generate_keypair(rng).private != tree.keys.private:
+        raise ValueError(f"the tree's root key pair was not drawn under seed {seed}")
+    setup_tree_keys(tree, rng)
+
+
 def enroll(
     gallery: Sequence[Template],
     chain_spec: Optional[Sequence[dict]] = None,
@@ -373,9 +384,9 @@ def enroll(
     """
     stages = enrollment_stages(
         gallery, chain_spec if chain_spec is not None else default_chain_spec(), seed)
-    tree = build_tree(list(gallery), fanout=fanout, rng=enrollment_keys_rng(seed))
-    chain = ExtractorChain.build(stages, tree.public_key, rng=chain_keys_rng(seed))
+    tree, chain = build_system(gallery, stages, fanout, seed)
     chain.take_snapshot()
+    setup_keys(tree, seed)
     return EnrolledSystem(
         chain=chain, ledger=ledger if ledger is not None else Ledger(), tree=tree,
         archive=[t.copy() for t in gallery], flat_store=[t.copy() for t in gallery],

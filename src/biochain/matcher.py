@@ -17,9 +17,13 @@ then enrolls the nodes and leaves the tree only what a query reads:
 ``shards``, ``weights`` and ``decision_commitments``. A node's X25519 key
 only agrees its links' keys and is not kept; the root's is the one key
 pair the tree holds. :func:`build_tree` runs both.
-``MatcherTree.write_template`` is the one way a stored template changes,
-so every edit (loading a live store, tampering, restoring from the
-archive) is seen by the next query and the next verification.
+``MatcherTree.write_template`` is the one way a stored template changes:
+``vectors`` is a read-only view of the matrix it writes. Every write
+hashes its one leaf and keeps ``MatcherTree.altered``, the set of rows
+whose template differs from its enrollment hash, so every edit (loading a
+live store, tampering, restoring from the archive) is seen by the next
+verification, and a query refuses a tree with any altered row
+(:class:`TreeTampered`), as the chain cycle refuses a tampered chain.
 
 Integrity uses aggregate hashing: a leaf's hash covers its identity and
 template row, and every parent's hash covers the ordered hashes of its
@@ -126,6 +130,15 @@ class KeysNotSetUp(Exception):
     """A query reached a tree that holds only its hash structure."""
 
 
+class TreeTampered(Exception):
+    """A query reached a tree whose stored templates differ from their
+    enrollment hashes at ``rows``, in enrollment order."""
+
+    def __init__(self, rows: Sequence[int]):
+        self.rows = list(rows)
+        super().__init__(f"rows {self.rows} differ from their enrollment hashes")
+
+
 # ---------------------------------------------------------------------------
 # Templates and hashing
 # ---------------------------------------------------------------------------
@@ -216,13 +229,16 @@ class MatcherTree:
     :func:`setup_tree_keys` has run. Its one key pair is the root's."""
 
     def __init__(self, gallery: Sequence[Template], keys: KeyPair, fanout: int):
-        self.vectors = np.array([t.vector for t in gallery], dtype=np.float64)
+        self._matrix = np.array([t.vector for t in gallery], dtype=np.float64)
+        self.vectors = self._matrix.view()  # read-only: write_template writes _matrix
+        self.vectors.flags.writeable = False
         self.identities = [t.identity for t in gallery]
         n = len(self.identities)
         self.fanout = fanout
         self.chief_rows = [slice(start, min(start + fanout, n)) for start in range(0, n, fanout)]
         self.keys = keys
         self.leaf_hashes: list[bytes] = []  # enrollment-time, one per row
+        self.altered: set[int] = set()  # rows whose leaf hash is not the enrolled one
         self.chief_hash_copies: list[bytes] = []
         self.chief_channels: list[crypto.SymCipher] = []  # one per chief
         self.leaf_channels: list[crypto.SymCipher] = []  # one per row
@@ -244,7 +260,8 @@ class MatcherTree:
         ]
 
     def write_template(self, index: int, template: Template) -> None:
-        """Store a copy of ``template`` at enrollment position ``index``.
+        """Store a copy of ``template`` at enrollment position ``index``,
+        and mark the row altered unless its leaf hash is the enrolled one.
 
         Raises:
             DimensionMismatch: the template does not fit a matrix row.
@@ -254,8 +271,18 @@ class MatcherTree:
                 f"template {template.identity!r} has {template.vector.shape[0]} values, "
                 f"the gallery {self.vectors.shape[1]}"
             )
-        self.vectors[index] = template.vector
+        self._matrix[index] = template.vector
         self.identities[index] = template.identity
+        if leaf_hash(template.identity, template.vector) == self.leaf_hashes[index]:
+            self.altered.discard(index)
+        else:
+            self.altered.add(index)
+
+    def require_intact(self) -> None:
+        """Raises :class:`TreeTampered` if a stored template differs from
+        its enrollment hash."""
+        if self.altered:
+            raise TreeTampered(sorted(self.altered))
 
     def current_leaf_hashes(self, rows: slice) -> list[bytes]:
         """Hashes of one chief's leaves, its ``rows``, recomputed from the
@@ -614,6 +641,7 @@ def identify(
     over all leaves, a :class:`Ranking`, is returned alongside the decision.
 
     Raises:
+        TreeTampered: a stored template differs from its enrollment hash.
         KeysNotSetUp: the tree holds only its hash structure.
         crypto.DecryptionFailure: payload not addressed to this tree.
         crypto.AuthenticationFailure: the envelope's ``ed`` or a delegated
@@ -623,6 +651,7 @@ def identify(
         ZeroVector: a zero-norm probe or template under cosine.
         NonFiniteFeature: the probe, or a score of it, is NaN or infinite.
     """
+    tree.require_intact()
     if not tree.chief_channels:
         raise KeysNotSetUp("the tree has no node keys; run setup_tree_keys before querying")
     t0 = time.perf_counter()

@@ -272,6 +272,35 @@ class TestIdentify:
         invoke(runner, out, "identify", "--identity", "id0002")
         assert (out / "ledger.bin").stat().st_size > size_one
 
+    def test_a_tampered_tree_is_refused_before_the_chain_cycle(self, runner, tmp_path):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        invoke(runner, out, "identify", "--identity", "id0007")
+        invoke(runner, out, "tamper", "--fraction", "0.1")
+        ledger = (out / "ledger.bin").read_bytes()
+        result = runner.invoke(main, ["--out", str(out), "identify", "--identity", "id0007"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            "Error: tree integrity check failed: 4 tampered leaves; run audit"]
+        assert (out / "ledger.bin").read_bytes() == ledger
+        invoke(runner, out, "restore")
+        assert "identity: id0007" in invoke(runner, out, "identify", "--identity", "id0007").output
+
+    def test_a_key_set_up_failure_is_a_one_line_error(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        bootstrap(runner, out)
+        invoke(runner, out, "identify", "--identity", "id0003")
+        ledger = (out / "ledger.bin").read_bytes()
+
+        def refused(own, peer, position):
+            raise crypto.CryptoError("no agreement")
+
+        monkeypatch.setattr(crypto, "link_key", refused)
+        result = runner.invoke(main, ["--out", str(out), "identify", "--identity", "id0003"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == ["Error: tree key set-up failed: no agreement"]
+        assert (out / "ledger.bin").read_bytes() == ledger
+
     def test_a_small_tree_never_imports_multiprocessing(self, runner, tmp_path):
         # 40 templates make 41 links, far below matcher.PARALLEL_MIN_LINKS:
         # the command agrees them in its own process and pays nothing for

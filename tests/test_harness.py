@@ -16,13 +16,17 @@ from biochain.extractor import (
 from biochain.harness import (
     ExperimentConfig,
     audit,
+    build_system,
+    default_chain_spec,
     enroll,
+    enrollment_stages,
     generate_synthetic_gallery,
     inject_template_noise,
     load_gallery,
     make_probes,
     run_experiment,
     save_gallery,
+    setup_keys,
     tamper_extractor_block,
 )
 from biochain.matcher import Template, verify_tree
@@ -164,6 +168,18 @@ class TestEnroll:
         assert s1.tree.hash == s2.tree.hash
         assert s1.chain.snapshot.notary_hash == s2.chain.snapshot.notary_hash
         assert s1.tree.keys == s2.tree.keys
+
+    def test_setup_keys_refuses_a_tree_built_under_another_seed(self):
+        gallery = generate_synthetic_gallery(small_config())
+        stages = enrollment_stages(gallery, default_chain_spec(), 8)
+        tree, _ = build_system(gallery, stages, fanout=50, seed=8)
+        with pytest.raises(ValueError, match="not drawn under seed 9"):
+            setup_keys(tree, 9)
+        assert tree.chief_channels == []
+        setup_keys(tree, 8)
+        enrolled = enroll(gallery, seed=8).tree
+        assert tree.decision_commitments == enrolled.decision_commitments
+        assert np.array_equal(tree.shards, enrolled.shards)
 
     def test_identity_chain_preserves_probes(self):
         gallery = generate_synthetic_gallery(small_config())

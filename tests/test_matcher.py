@@ -20,6 +20,7 @@ from biochain.matcher import (
     EmptyGallery,
     KeysNotSetUp,
     Template,
+    TreeTampered,
     build_hash_tree,
     build_tree,
     chief_drafts,
@@ -750,7 +751,8 @@ class TestCandidateRanking:
         snapshot = list(before)
         tree.write_template(3, Template("renamed", probe.copy()))
         assert before == snapshot and before[0] == ("id003", 0.0, "euclidean")
-        assert identify_probe(tree, probe, "euclidean").candidates[0].identity == "renamed"
+        with pytest.raises(TreeTampered, match=r"rows \[3\]"):
+            identify_probe(tree, probe, "euclidean")
 
 
 class TestRoundOutcomes:
@@ -804,15 +806,17 @@ class TestIdentifyRegressions:
         assert identify_probe(tree, probe, "euclidean").identity == "id004"
         perturb_template(tree, 4, 10.0)  # changed
         tree.write_template(11, Template("rebound", probe.copy()))  # replaced
-        result = identify_probe(tree, probe, "euclidean")
-        assert (result.identity, result.score) == ("rebound", 0.0)
-        live = [t.copy() for t in gallery]
-        live[4].vector = live[4].vector + 10.0
-        live[11] = Template("rebound", probe.copy())
-        assert result.candidates == flat_rank(live, probe, "euclidean")
+        with pytest.raises(TreeTampered) as refused:
+            identify_probe(tree, probe, "euclidean")
+        assert refused.value.rows == [4, 11]
         assert [(l.global_index, l.identity) for l in verify_tree(tree)] == [
             (4, "id004"), (11, "rebound")
         ]
+        restore_leaves(tree, verify_tree(tree), gallery)
+        assert tree.altered == set()
+        result = identify_probe(tree, probe, "euclidean")
+        assert (result.identity, result.score) == ("id004", 0.0)
+        assert result.candidates == flat_rank(gallery, probe, "euclidean")
 
     def test_gallery_is_one_matrix(self):
         gallery = make_gallery(12, seed=78)
@@ -837,6 +841,17 @@ class TestIdentifyRegressions:
         assert np.array_equal(tree.vectors, np.stack([t.vector for t in gallery]))
         assert tree.identities == [t.identity for t in gallery]
         assert identify_probe(tree, gallery[0].vector, "euclidean").score == 0.0
+
+    def test_the_matrix_changes_only_through_write_template(self):
+        gallery = make_gallery(12, seed=81)
+        tree = build_tree(gallery, fanout=5)
+        with pytest.raises(ValueError, match="read-only"):
+            tree.vectors[2] += 1.0
+        assert tree.altered == set() and verify_tree(tree) == []
+        perturb_template(tree, 2, 1.0)
+        assert tree.altered == {2}
+        tree.write_template(2, gallery[2])
+        assert tree.altered == set() and verify_tree(tree) == []
 
     def test_wrong_dimension_write_rejected(self):
         gallery = make_gallery(6, seed=80)
