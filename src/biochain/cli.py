@@ -22,22 +22,25 @@ only the parts it reads:
   structure (template matrix and enrollment hashes) under the root's key
   pair, and the chain with its keys;
 * ``identify`` rebuilds the same and loads the live templates. Before the
-  chain cycle opens, so that a refused query appends nothing, it refuses
-  a tree whose live templates differ from their enrollment hashes
-  (``Error: tree integrity check failed: <k> tampered leaves; run
-  audit``), then runs the tree's key set-up (``harness.setup_keys``),
-  whose failure is ``Error: tree key set-up failed: <reason>``. The
-  set-up makes X25519-only node keys, kept only until the ends of each
-  link agree its key, the channels, and each link's decision secret,
-  dealt as rows of the (chiefs, 2n + 1, 64) shard tensor (row k is field
-  point k + 1: rows 0..n-1 the leaves', row n the chief's, the rest the
-  root's). A tree of at least ``matcher.PARALLEL_MIN_LINKS`` links is
-  dealt in forked worker processes, each agreeing the links and splitting
-  the decision secrets of its own share of chiefs, to the same bytes; the
-  path is POSIX-only, and threads would not help, since X25519 holds the
-  GIL. A forked worker runs no BLAS routine, and ends with ``os._exit``,
-  so it never flushes a file writer it inherits. A smaller tree never
-  imports ``multiprocessing``;
+  chain cycle opens, so that a refused query appends nothing, it runs
+  ``audit``'s checks on what it loaded and refuses on any finding, naming
+  the first (``Error: integrity check failed: <finding>; run audit``),
+  then runs the tree's key set-up (``harness.setup_keys``), whose failure
+  is ``Error: tree key set-up failed: <reason>``. The set-up makes
+  X25519-only node keys, kept only until the ends of each link agree its
+  key, the channels, and each link's decision secret, dealt as rows of the
+  (chiefs, 2n + 1, 64) shard tensor (row k is field point k + 1: rows
+  0..n-1 the leaves', row n the chief's, the rest the root's). A tree of
+  at least ``matcher.PARALLEL_MIN_LINKS`` links is dealt in forked worker
+  processes, each agreeing the links and splitting the decision secrets
+  of its own share of chiefs, to the same bytes; the path is POSIX-only,
+  and threads would not help, since X25519 holds the GIL. Each worker then
+  stays, as its share's crossing worker, until the query is answered: it
+  crosses its share's leaf links, and the command ends it before it
+  exits, or it ends itself if the command is killed. A worker closes every
+  descriptor it inherited but its own two pipe ends, runs no BLAS routine,
+  and ends with ``os._exit``, so it never flushes a file writer it
+  inherits and holds no output pipe open;
 * ``experiment`` builds the whole deployment.
 
 Only ``identify`` appends to ``ledger.bin``; ``enroll`` replaces it with
@@ -107,7 +110,7 @@ from .harness import (
 )
 from .metrics import DimensionMismatch, NonFiniteFeature, ZeroVector
 from .ledger import Ledger, LedgerError
-from .matcher import TreeTampered, identify, restore_leaves
+from .matcher import identify, restore_leaves
 
 CONFIG_FILE = "config.json"
 GALLERY_FILE = "gallery.txt"
@@ -344,11 +347,10 @@ def identify_cmd(ctx, identity, probe_file, probe_noise):
             scale=probe_noise, size=probe.shape[0]
         )
     # Both refusals come before the chain cycle opens, so they append nothing.
-    try:
-        system.tree.require_intact()
-    except TreeTampered as exc:
+    findings = run_audit(system)
+    if not findings.clean:
         raise click.ClickException(
-            f"tree integrity check failed: {len(exc.rows)} tampered leaves; run audit")
+            f"integrity check failed: {findings.findings[0]}; run audit")
     try:
         setup_keys(system.tree, config.seed)
     except crypto.CryptoError as exc:

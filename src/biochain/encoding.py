@@ -73,11 +73,22 @@ def decode_vectors(records: Sequence[bytes]) -> np.ndarray:
     sizes = set(map(len, records))
     if len(sizes) != 1:
         raise ValueError(f"expected records of one size, got sizes {sorted(sizes)}")
-    size = sizes.pop()
+    return decode_joined(b"".join(records), sizes.pop())
+
+
+def decode_joined(data: bytes, size: int) -> np.ndarray:
+    """Decode the :func:`encode_vector` records of ``size`` bytes each laid
+    end to end in ``data`` as one (n, d) matrix, as :func:`decode_vectors`
+    decodes them one by one.
+
+    Raises:
+        ValueError: ``data`` is not a whole number of records, or as
+            :func:`decode_vectors`.
+    """
     dim, rest = divmod(size - 4, 8)
     if size < 4 or rest:
         raise ValueError(f"a {size}-byte record is not a vector record")
-    rows = np.frombuffer(b"".join(records), dtype=np.uint8).reshape(len(records), size)
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, size)
     if (rows[:, :4].view(">u4") != dim).any():
         raise ValueError(f"length header disagrees with a {dim}-entry record")
     return rows[:, 4:].view(">f8").astype(np.float64)

@@ -451,6 +451,11 @@ class AuditReport:
     clean: bool
     lines: list[str]
 
+    @property
+    def findings(self) -> list[str]:
+        """The lines that report a finding: every line but an ``intact`` one."""
+        return [line for line in self.lines if not line.endswith(": intact")]
+
 
 def audit(system: EnrolledSystem) -> AuditReport:
     """Run both integrity checks, compare the live store's record count

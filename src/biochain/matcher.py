@@ -85,32 +85,55 @@ workers need ``os.fork`` and CPU affinity, so the path is POSIX-only
 (Linux in practice); elsewhere, and with one usable CPU, every tree is
 dealt in this process. Python 3.12 and later warn that a fork while
 other threads run, such as OpenBLAS's, may deadlock the child; a worker
-runs X25519, HKDF, SHA-256 and numpy element-wise gathers, no BLAS
-routine, and ends with ``os._exit``. A
-query crosses every link as one ciphertext under a fresh nonce,
-and every leaf authenticates its own copy. Each link set, the root's C
-chief links and then all N leaf links, is crossed in one call that draws
-all its nonces at once and opens each copy as soon as it is sealed,
-about 2 us a link at N = 5000 and d = 16 on a 2-core Xeon host. The
-leaves' copies, in enrollment order, are decoded into one (N, d) probe
-matrix and scored against the template matrix with one row kernel whose
-scores are bit-identical to the scalar metrics; each chief reads its
-slice.
+runs X25519, HKDF, SHA-256, numpy element-wise gathers and AES-GCM, no
+BLAS routine, and ends with ``os._exit``.
+
+A query crosses every link as one ciphertext under a fresh nonce, and
+every leaf authenticates its own copy. A set of links is crossed in one
+call that draws all their nonces at once and opens each copy as soon as
+it is sealed, about 1.4 us a link on a 2-core Xeon host (5,000 links of
+132-byte copies, d = 16, in one process). The root crosses its C chief
+links so; the leaf links are crossed share by share, by the one
+function :func:`_cross_share`, in the processes that dealt them: a
+forked worker does not exit once it has dealt, but prepares its share's
+leaf ciphers and stays, owned by the tree, as its share's crossing
+worker. Each query sends a worker its chiefs' opened copies over a pipe
+while this process crosses its own share; the worker writes its leaves'
+opened copies into anonymous shared memory mapped before its fork, and
+its reply pipe carries back only a status byte and the query's number.
+A worker keeps no descriptor it inherited but its two pipe ends, and
+exits when its request pipe ends: when the tree is dropped or set up
+again, or this process exits or dies. A worker lost between queries
+fails the next query with :class:`crypto.CryptoError`, and later
+queries cross its share in this process, under the ciphers it already
+holds. The root parses its own copy of the probe first, so a record of
+another size or dimension crosses no link. The leaves' copies, in
+enrollment order, are decoded into one (N, d) probe matrix and scored
+against the template matrix with one row kernel whose scores are
+bit-identical to the scalar metrics; each chief reads its slice.
 """
 
 from __future__ import annotations
 
+import contextlib
+import mmap
 import os
+import pickle
+import select
+import signal
+import struct
 import time
+import traceback
+import weakref
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, NoReturn, Optional, Sequence
 
 import numpy as np
 
 from . import crypto
 from .crypto import KeyPair, SharingConfig
-from .encoding import decode_vectors, encode_u32, encode_vector, lp
+from .encoding import decode_joined, decode_vector, encode_u32, encode_vector, lp
 from .metrics import DimensionMismatch, NonFiniteFeature, Ranking, get_row_metric
 
 _LEAF_HASH_TAG = b"biochain/leaf-hash/v1"
@@ -245,6 +268,8 @@ class MatcherTree:
         self.shards = np.zeros((0, 0, 0), dtype=np.uint8)  # (C, 2 n_max + 1, 64) once set up
         self.weights = np.zeros((0, 0, 1), dtype=np.uint8)  # (C, n_max + 2, 1) once set up
         self.decision_commitments: list[bytes] = []  # one per chief
+        self.shares: list[_Share] = []  # who crosses which leaf links, once set up
+        self._end_shares: Optional[weakref.finalize] = None
         self.hash: bytes = b""
 
     @property
@@ -414,62 +439,222 @@ def _deal_shares(links: int) -> int:
     return min(len(os.sched_getaffinity(0)), 2 * links // max(PARALLEL_MIN_LINKS, 1))
 
 
-def _deal_in_worker(conn, root: crypto.AgreementKey, share: Sequence[_ChiefDraws]) -> None:
-    """A forked worker's share: what :func:`_deal` returns, or the
-    :class:`crypto.CryptoError` that stopped it, sent to the parent."""
+# A crossing worker that has not answered a request in this many seconds
+# is taken for lost, as is one whose reply pipe ends; a share's 2,500 leaf
+# links take a few milliseconds to cross.
+_REPLY_TIMEOUT_S = 10.0
+_U64 = struct.Struct(">Q")  # a dealt share's length, or a request's query number
+_REPLY = struct.Struct(">BQ")  # a crossing's status, then its query's number
+_CROSSED, _FORGED, _FAILED = range(3)
+
+
+@dataclass
+class _Worker:
+    """A forked worker: its process, the write end of its request pipe, the
+    read end of its reply pipe, the anonymous shared memory, mapped before
+    the fork, into which it writes its share's opened leaf copies, and the
+    number of the last query it was asked to cross."""
+
+    pid: int
+    requests: int
+    replies: int
+    copies: mmap.mmap
+    asked: int = 0
+
+
+@dataclass
+class _Share:
+    """Contiguous ``chiefs``, whose leaves are ``rows``, and the worker that
+    crosses their leaf links, or None where this process does."""
+
+    chiefs: slice
+    rows: slice
+    worker: Optional[_Worker] = None
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_exactly(fd: int, n: int) -> bytes:
+    """``n`` bytes from ``fd``, or fewer where it ends first."""
+    parts = []
+    while n:
+        part = os.read(fd, n)
+        if not part:
+            break
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
+
+
+def _cross_share(at_chiefs: Sequence[bytes], sizes: Sequence[int],
+                 channels: Sequence[crypto.SymCipher]) -> bytes:
+    """One share's leaf links crossed in one :func:`crypto.sym_cross_each`,
+    each leaf's message its chief's opened copy: ``at_chiefs[k]`` for the
+    ``sizes[k]`` leaves of the share's chief k. Returns the leaves' opened
+    copies laid end to end, in enrollment order. This process runs it for
+    the share it crosses, and every crossing worker for its own."""
+    return b"".join(crypto.sym_cross_each(
+        chain.from_iterable(map(repeat, at_chiefs, sizes)), channels))
+
+
+def _serve(requests: int, replies: int, copies: mmap.mmap, sizes: Sequence[int],
+           channels: Sequence[crypto.SymCipher]) -> None:
+    """A crossing worker's loop: read a request (the query's number, then
+    the share's chiefs' opened copies of one record size), cross the share
+    into ``copies``, reply with a status and the number; until the request
+    pipe ends."""
+    record = len(copies) // sum(sizes)
+    while True:
+        request = _read_exactly(requests, _U64.size + record * len(sizes))
+        if len(request) < _U64.size + record * len(sizes):
+            return
+        (number,) = _U64.unpack_from(request)
+        at_chiefs = [request[start:start + record]
+                     for start in range(_U64.size, len(request), record)]
+        try:
+            copies[:] = _cross_share(at_chiefs, sizes, channels)
+            status = _CROSSED
+        except crypto.AuthenticationFailure:
+            status = _FORGED
+        except Exception:
+            status = _FAILED
+        _write_all(replies, _REPLY.pack(status, number))
+
+
+def _work_share(root: crypto.AgreementKey, share: Sequence[_ChiefDraws], requests: int,
+                replies: int, copies: mmap.mmap) -> NoReturn:
+    """A forked worker's life. It deals its share (:func:`_deal`) and sends
+    the pickled result, or the :class:`crypto.CryptoError` that stopped it.
+    Having dealt, it closes every descriptor it inherited but its own two
+    pipe ends, prepares its share's leaf ciphers and crosses their links
+    (:func:`_serve`) until its request pipe ends. It never returns: it
+    ends with ``os._exit``, so no inherited writer, such as the ledger
+    file, is ever flushed from it."""
+    code = 1
     try:
-        result = _deal(root, share)
-    except crypto.CryptoError as exc:
-        result = exc
-    conn.send(result)
+        try:
+            dealt = _deal(root, share)
+        except crypto.CryptoError as exc:
+            dealt = exc
+        body = pickle.dumps(dealt)
+        _write_all(replies, _U64.pack(len(body)) + body)
+        if not isinstance(dealt, crypto.CryptoError):
+            low, high = sorted((requests, replies))
+            os.closerange(0, low)
+            os.closerange(low + 1, high)
+            os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+            channels = [crypto.SymCipher(key) for chief in dealt[0] for key in chief[1:]]
+            _serve(requests, replies, copies,
+                   [draws.rows.stop - draws.rows.start for draws in share], channels)
+        code = 0
+    except BaseException:
+        traceback.print_exc()  # to standard error while it is still open
+    finally:
+        os._exit(code)
 
 
-def _deal_all(root: crypto.AgreementKey, draws: list[_ChiefDraws]) -> list:
+def _fork_worker(root: crypto.AgreementKey, share: Sequence[_ChiefDraws], record: int) -> _Worker:
+    """Fork the worker of ``share``, whose leaves' copies are ``record``
+    bytes each."""
+    copies = mmap.mmap(-1, record * sum(draws.config.n for draws in share))
+    requests, request_end = os.pipe()
+    reply_end, replies = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (requests, request_end, reply_end, replies):
+            os.close(fd)
+        copies.close()
+        raise
+    if pid == 0:
+        _work_share(root, share, requests, replies, copies)
+    os.close(requests)
+    os.close(replies)
+    return _Worker(pid, request_end, reply_end, copies)
+
+
+def _dealt_by(worker: _Worker):
+    """What ``worker`` dealt, as :func:`_deal` returns it.
+
+    Raises:
+        crypto.CryptoError: the worker's, or it ended without a result.
+    """
+    header = _read_exactly(worker.replies, _U64.size)
+    length = _U64.unpack(header)[0] if len(header) == _U64.size else -1
+    body = _read_exactly(worker.replies, max(length, 0))
+    if len(body) != length:
+        raise crypto.CryptoError("a key-set-up worker ended without a result")
+    dealt = pickle.loads(body)
+    if isinstance(dealt, crypto.CryptoError):
+        raise dealt
+    return dealt
+
+
+def _stop(workers: Sequence[_Worker]) -> None:
+    """End and reap ``workers``: each exits at the end of its request pipe,
+    and its reply pipe, drained meanwhile, then ends; one whose reply pipe
+    has not ended within :data:`_REPLY_TIMEOUT_S` is killed."""
+    running = {}
+    poller = select.poll()
+    for worker in workers:
+        os.close(worker.requests)
+        running[worker.replies] = worker
+        poller.register(worker.replies, select.POLLIN)
+    deadline = time.monotonic() + _REPLY_TIMEOUT_S
+    while running and (ready := poller.poll(max(0, int(1e3 * (deadline - time.monotonic()))))):
+        for fd, _ in ready:
+            if not os.read(fd, 1 << 16):
+                poller.unregister(fd)
+                del running[fd]
+    for worker in workers:
+        if worker.replies in running:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(worker.pid, signal.SIGKILL)
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(worker.pid, 0)
+        os.close(worker.replies)
+        worker.copies.close()
+
+
+def _stop_shares(owner: int, shares: Sequence[_Share]) -> None:
+    """The tree's finalizer: stop its crossing workers, in the process
+    ``owner`` that forked them only."""
+    if os.getpid() == owner:
+        _stop([share.worker for share in shares if share.worker is not None])
+
+
+def _deal_all(root: crypto.AgreementKey, draws: list[_ChiefDraws],
+              record: int) -> tuple[list, list[_Share]]:
     """Every chief dealt by :func:`_deal`, one result per share, in chief
-    order.
+    order, and the shares.
 
     A large tree's chiefs are cut into contiguous shares
     (:func:`_deal_shares`): ``fork`` workers take all but the last, which
     this process deals meanwhile. A forked worker reads the root's key and
     the draws in the memory it was forked with, sends back only what it
-    dealt, and ends with ``os._exit``, so it never flushes a writer it
-    inherited, such as the ledger file. It runs X25519, HKDF, SHA-256 and
-    numpy element-wise gathers, and no BLAS routine. A worker's
-    :class:`crypto.CryptoError` is raised here once this process's share
-    is done; a worker that ends without sending, its traceback on standard
-    error, is a :class:`crypto.CryptoError` too."""
+    dealt, and then stays, as its share's crossing worker, until the tree
+    that owns it ends it (:func:`_work_share`). It runs X25519, HKDF,
+    SHA-256, numpy element-wise gathers and AES-GCM, and no BLAS routine.
+    A worker's :class:`crypto.CryptoError` is raised here once this
+    process's share is done; a worker that ends without sending, its
+    traceback on standard error, is a :class:`crypto.CryptoError` too.
+    Either way, and on any other failure, every worker is ended first."""
     shares = _deal_shares(sum(d.config.n + 1 for d in draws))
-    if shares == 1:
-        return [_deal(root, draws)]
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
     bounds = [len(draws) * k // shares for k in range(shares + 1)]
-    workers = []
+    cut = [_Share(slice(start, stop), slice(draws[start].rows.start, draws[stop - 1].rows.stop))
+           for start, stop in zip(bounds[:-1], bounds[1:])]
     try:
-        for start, stop in zip(bounds[:-2], bounds[1:-1]):
-            receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=_deal_in_worker, daemon=True,
-                                     args=(sender, root, draws[start:stop]))
-            worker.start()
-            sender.close()
-            workers.append((worker, receiver))
-        own = _deal(root, draws[bounds[-2]:])
-        dealt = []
-        for _, receiver in workers:
-            try:
-                got = receiver.recv()
-            except EOFError:
-                raise crypto.CryptoError("a key-set-up worker ended without a result") from None
-            if isinstance(got, crypto.CryptoError):
-                raise got
-            dealt.append(got)
-        return dealt + [own]
-    finally:
-        for worker, receiver in workers:
-            receiver.close()
-            worker.terminate()  # harmless once the worker has sent its share
-            worker.join()
+        for share in cut[:-1]:
+            share.worker = _fork_worker(root, draws[share.chiefs], record)
+        own = _deal(root, draws[cut[-1].chiefs])
+        return [_dealt_by(share.worker) for share in cut[:-1]] + [own], cut
+    except BaseException:
+        _stop([share.worker for share in cut if share.worker is not None])
+        raise
 
 
 def setup_tree_keys(tree: MatcherTree, rng: Optional[np.random.Generator] = None) -> None:
@@ -489,7 +674,10 @@ def setup_tree_keys(tree: MatcherTree, rng: Optional[np.random.Generator] = None
     (:func:`_deal_all`), in forked workers for a tree of at least
     :data:`PARALLEL_MIN_LINKS` links, to the same bytes either way; then
     the ciphers are prepared. The tree is changed only once every share
-    has been dealt.
+    has been dealt. It then owns the shares in ``tree.shares``, the forked
+    workers staying as their shares' crossing workers until the tree is
+    collected or set up again, which ends them (a failed set-up ends its
+    own workers, and keeps the earlier ones).
 
     Raises:
         crypto.CryptoError: the two ends of a link derived different keys,
@@ -502,19 +690,29 @@ def setup_tree_keys(tree: MatcherTree, rng: Optional[np.random.Generator] = None
         crypto.random_bytes(rng, _DECISION_SECRET_LEN),
         crypto.random_bytes(rng, (config.threshold - 1) * _DECISION_SECRET_LEN),
     ) for c, (rows, config) in enumerate(zip(tree.chief_rows, configs))]
-    keys, shards, commitments = zip(*_deal_all(tree.keys.decryption_key, draws))
-    # The first chief is the largest: its shards and its pool set the widths.
-    width = configs[0].total
-    tree.shards = np.concatenate([np.pad(held, ((0, 0), (0, width - held.shape[1]), (0, 0)))
-                                  for held in shards])
+    dealt, shares = _deal_all(tree.keys.decryption_key, draws, len(encode_vector(tree.vectors[0])))
+    try:
+        keys, shards, commitments = zip(*dealt)
+        # The first chief is the largest: its shards and its pool set the widths.
+        width = configs[0].total
+        shards = np.concatenate([np.pad(held, ((0, 0), (0, width - held.shape[1]), (0, 0)))
+                                 for held in shards])
+        columns = {config: crypto.lagrange_weights(tuple(range(1, config.threshold + 1)),
+                                                   config, configs[0].threshold)
+                   for config in dict.fromkeys(configs)}
+        keys = list(chain.from_iterable(keys))
+        chief_channels = [crypto.SymCipher(chief[0]) for chief in keys]
+        leaf_channels = [crypto.SymCipher(key) for chief in keys for key in chief[1:]]
+    except BaseException:
+        _stop_shares(os.getpid(), shares)
+        raise
+    if tree._end_shares is not None:
+        tree._end_shares()  # the workers of an earlier set-up
+    tree.shards, tree.chief_channels, tree.leaf_channels = shards, chief_channels, leaf_channels
     tree.decision_commitments = list(chain.from_iterable(commitments))
-    columns = {config: crypto.lagrange_weights(tuple(range(1, config.threshold + 1)), config,
-                                               configs[0].threshold)
-               for config in dict.fromkeys(configs)}
     tree.weights = np.array([columns[config] for config in configs])
-    keys = list(chain.from_iterable(keys))
-    tree.chief_channels = [crypto.SymCipher(chief[0]) for chief in keys]
-    tree.leaf_channels = [crypto.SymCipher(key) for chief in keys for key in chief[1:]]
+    tree.shares = shares
+    tree._end_shares = weakref.finalize(tree, _stop_shares, os.getpid(), shares)
 
 
 def build_tree(
@@ -625,6 +823,78 @@ def root_scrutinize(
 # Identification
 # ---------------------------------------------------------------------------
 
+def _cross_leaves(tree: MatcherTree, at_chiefs: Sequence[bytes]) -> bytes:
+    """Every leaf link of ``tree`` crossed, chief c's leaves carrying
+    ``at_chiefs[c]``: the leaves' opened copies laid end to end, in
+    enrollment order.
+
+    Each share's worker is sent its chiefs' copies under a fresh query
+    number while this process crosses every share without one; then every
+    worker's reply is awaited, one carrying an earlier number skipped, and
+    its copies read from its shared memory. A worker that cannot be asked,
+    ends, or does not answer in time is ended and its share crossed here
+    from the next query on, under the ciphers this process holds. A
+    tree's queries must not overlap: a worker answers its requests in turn.
+
+    Raises:
+        crypto.AuthenticationFailure: a copy fails its link's tag.
+        crypto.CryptoError: a worker was lost or failed.
+    """
+    sizes = [rows.stop - rows.start for rows in tree.chief_rows]
+    asked, lost, statuses = [], [], []
+    for share in tree.shares:
+        if share.worker is not None:
+            share.worker.asked += 1
+            try:
+                _write_all(share.worker.requests,
+                           _U64.pack(share.worker.asked) + b"".join(at_chiefs[share.chiefs]))
+                asked.append(share)
+            except OSError:
+                lost.append(share)
+    crossed = {}
+    try:
+        for share in tree.shares:
+            if share.worker is None:
+                crossed[share.chiefs.start] = _cross_share(
+                    at_chiefs[share.chiefs], sizes[share.chiefs], tree.leaf_channels[share.rows])
+    finally:
+        for share in asked:
+            status = _reply(share.worker)
+            if status is None:
+                lost.append(share)
+            elif status == _CROSSED:
+                crossed[share.chiefs.start] = share.worker.copies[:]
+            statuses.append(status)
+        for share in lost:
+            _stop([share.worker])
+            share.worker = None
+    if lost:
+        raise crypto.CryptoError(f"{len(lost)} crossing workers were lost; "
+                                 "their shares are crossed in this process from now on")
+    if _FORGED in statuses:
+        raise crypto.AuthenticationFailure("authentication tag mismatch")
+    if _FAILED in statuses:
+        raise crypto.CryptoError("a crossing worker failed")
+    return b"".join(crossed[share.chiefs.start] for share in tree.shares)
+
+
+def _reply(worker: _Worker) -> Optional[int]:
+    """The status ``worker`` replies for the last query it was asked to
+    cross; None once it ends, or has not replied within
+    :data:`_REPLY_TIMEOUT_S`."""
+    poller = select.poll()
+    poller.register(worker.replies, select.POLLIN)
+    deadline = time.monotonic() + _REPLY_TIMEOUT_S
+    while poller.poll(max(0, int(1e3 * (deadline - time.monotonic())))):
+        reply = _read_exactly(worker.replies, _REPLY.size)
+        if len(reply) < _REPLY.size:
+            return None
+        status, answered = _REPLY.unpack(reply)
+        if answered == worker.asked:
+            return status
+    return None
+
+
 def identify(
     tree: MatcherTree,
     envelope: crypto.Envelope,
@@ -646,6 +916,8 @@ def identify(
         crypto.DecryptionFailure: payload not addressed to this tree.
         crypto.AuthenticationFailure: the envelope's ``ed`` or a delegated
             copy fails its tag.
+        crypto.CryptoError: a crossing worker was lost or failed
+            (:func:`_cross_leaves`).
         ValueError: the probe's length header disagrees with its size.
         DimensionMismatch: probe dimension differs from the gallery's.
         ZeroVector: a zero-norm probe or template under cosine.
@@ -656,16 +928,20 @@ def identify(
         raise KeysNotSetUp("the tree has no node keys; run setup_tree_keys before querying")
     t0 = time.perf_counter()
     probe_bytes = crypto.open_envelope(envelope, tree.keys)
+    # The root parses its own copy first: a record of another size or
+    # dimension crosses no link, so every copy fits the crossing buffers.
+    dim = decode_vector(probe_bytes).shape[0]
+    if dim != tree.vectors.shape[1]:
+        raise DimensionMismatch(f"a probe of dimension {dim} against templates of dimension "
+                                f"{tree.vectors.shape[1]}")
 
-    # Fan the probe down the encrypted channels, one call per link set:
+    # Fan the probe down the encrypted channels, one crossing per link set:
     # root to chiefs, then chiefs to leaves, each leaf's message its chief's
     # opened copy. Every leaf authenticates its own copy, and row i of the
     # probe matrix is parsed from leaf i's copy, in enrollment order.
-    sizes = [rows.stop - rows.start for rows in tree.chief_rows]
-    at_chiefs = crypto.sym_cross_each(repeat(probe_bytes, len(sizes)), tree.chief_channels)
-    copies = crypto.sym_cross_each(
-        chain.from_iterable(map(repeat, at_chiefs, sizes)), tree.leaf_channels)
-    probes = decode_vectors(copies)
+    at_chiefs = crypto.sym_cross_each(repeat(probe_bytes, len(tree.chief_rows)),
+                                      tree.chief_channels)
+    probes = decode_joined(_cross_leaves(tree, at_chiefs), len(probe_bytes))
     t1 = time.perf_counter()
 
     # A non-finite probe scores non-finite against every template, so one

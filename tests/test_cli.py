@@ -280,11 +280,40 @@ class TestIdentify:
         ledger = (out / "ledger.bin").read_bytes()
         result = runner.invoke(main, ["--out", str(out), "identify", "--identity", "id0007"])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        audit = invoke(runner, out, "audit", expect=1).output.splitlines()
+        assert audit[0] == "chain: intact" and audit[1].startswith("tree: tampered leaf ")
+        assert len(audit) == 5
         assert result.output.splitlines() == [
-            "Error: tree integrity check failed: 4 tampered leaves; run audit"]
+            f"Error: integrity check failed: {audit[1]}; run audit"]
         assert (out / "ledger.bin").read_bytes() == ledger
         invoke(runner, out, "restore")
         assert "identity: id0007" in invoke(runner, out, "identify", "--identity", "id0007").output
+
+    @pytest.mark.parametrize("records,identity", [(50, "id0059"), (61, "id0004")],
+                             ids=["short", "long"])
+    def test_a_store_of_another_length_is_refused_before_the_chain_cycle(
+            self, runner, tmp_path, records, identity):
+        # The tree reads intact either way: the live records load over the
+        # archive's rows, and an extra one is not loaded at all.
+        out = tmp_path / "run"
+        bootstrap(runner, out, seed="2", size="60")
+        invoke(runner, out, "identify", "--identity", identity)
+        header, *lines = (out / "gallery.txt").read_text().splitlines()
+        lines = (lines + [lines[-1].replace("id0059", "id0060", 1)])[:records]
+        header = " ".join(header.split()[:3] + [str(records)])
+        (out / "gallery.txt").write_text("\n".join([header, *lines]) + "\n")
+        ledger = (out / "ledger.bin").read_bytes()
+        result = runner.invoke(main, ["--out", str(out), "identify", "--identity", identity])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            f"Error: integrity check failed: store: {records} live records, archive holds 60; "
+            "0 live records are not of dimension 8; restore rewrites the store from the tree; "
+            "run audit"]
+        assert (out / "ledger.bin").read_bytes() == ledger
+        assert "tree: intact" in invoke(runner, out, "audit", expect=1).output.splitlines()
+        invoke(runner, out, "restore")
+        assert f"identity: {identity}" in invoke(runner, out, "identify", "--identity",
+                                                 identity).output
 
     def test_a_key_set_up_failure_is_a_one_line_error(self, runner, tmp_path, monkeypatch):
         out = tmp_path / "run"
@@ -434,7 +463,9 @@ class TestTamperAuditRestore:
             "restore rewrites the stage list from the snapshot"
         ]
         blocked = runner.invoke(main, ["--out", str(out), "identify", "--identity", "id0001"])
-        assert blocked.exit_code == 1 and "chain integrity check failed" in blocked.output
+        assert blocked.exit_code == 1
+        assert blocked.output.splitlines() == [
+            f"Error: integrity check failed: {chain_lines[0]}; run audit"]
         restore_result = invoke(runner, out, "restore")
         assert "post-restore audit: clean" in restore_result.output
         restored = [l for l in restore_result.output.splitlines() if l.startswith("restored chain")]

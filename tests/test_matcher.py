@@ -6,7 +6,15 @@ import gc
 import hashlib
 import itertools
 import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +23,7 @@ from hypothesis import strategies as st
 
 from biochain import crypto, matcher, metrics
 from biochain.crypto import InsufficientShards, Shard, SharingConfig
+from biochain.encoding import encode_vector
 from biochain.matcher import (
     DecisionDocument,
     EmptyGallery,
@@ -307,6 +316,274 @@ class TestParallelAgreement:
         with pytest.raises(crypto.CryptoError, match="ended without a result"):
             setup_tree_keys(tree)
         assert not tree.chief_channels
+
+
+def running(pid):
+    """Whether process ``pid`` exists and has not exited; an exited child
+    nobody has reaped yet counts as ended."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            stat = f.read()
+    except FileNotFoundError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+def worker_pids(tree):
+    return [share.worker.pid for share in tree.shares if share.worker is not None]
+
+
+def fingerprint(cipher):
+    """A link's fingerprint: its cipher's tag over nothing, under a fixed nonce."""
+    return cipher.encrypt(bytes(12), b"", None)
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc")),
+                    reason="workers are forked, and found under /proc")
+class TestForkedCrossing:
+    """A forked key-set-up worker stays as its share's crossing worker:
+    queries answer as in one process, every link is crossed once, and no
+    worker outlives its tree or its parent, or wedges a query."""
+
+    @staticmethod
+    def _tree(monkeypatch, cpus):
+        """Chiefs of 50 leaves and a short last one of 20, set up over
+        ``cpus`` shares."""
+        monkeypatch.setattr(matcher, "PARALLEL_MIN_LINKS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return build_tree(make_gallery(320, seed=90), fanout=50, rng=np.random.default_rng(90))
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_forked_crossing_answers_as_in_process(self, monkeypatch, cpus):
+        forks = TestParallelAgreement._counting_forks(monkeypatch, cpus)
+        forked = self._tree(monkeypatch, cpus)
+        assert len(forks) == cpus - 1 and len(worker_pids(forked)) == cpus - 1
+        assert chief_sizes(forked)[-1] == 20
+        local = self._tree(monkeypatch, 1)
+        assert worker_pids(local) == []
+        rng = np.random.default_rng(91)
+        probes = [forked.vectors[row] + rng.normal(size=8) * 0.1 for row in (0, 149, 299, 319)]
+        faults = [lambda tree: contextlib.nullcontext(),
+                  lambda tree: dissenting_leaves([(6, 3)]),
+                  lambda tree: compromised_chief(
+                      2, lambda document: DecisionDocument(document.identity, document.score - 1)),
+                  lambda tree: corrupted_shard(tree, 160)]
+        scrutinized = []
+        for probe, fault in zip(probes, faults):
+            results = []
+            for tree in (forked, local):
+                with fault(tree):
+                    results.append(identify_probe(tree, probe, "euclidean"))
+            got, want = results
+            assert (got.identity, got.score) == (want.identity, want.score)
+            assert np.array_equal(got.candidates.order, want.candidates.order)
+            assert got.candidates.scores.tobytes() == want.candidates.scores.tobytes()
+            assert got.scrutinized_chiefs == want.scrutinized_chiefs
+            scrutinized.append(want.scrutinized_chiefs)
+        assert scrutinized == [(), (6,), (2,), (3,)]
+
+    def test_every_link_is_crossed_once_per_query(self, monkeypatch, tmp_path):
+        # The seam is installed before the set-up, so the worker runs it
+        # too; each process appends the fingerprints it seals and opens to
+        # files of its own.
+        def recording(kind):
+            real = getattr(crypto, f"sym_{kind}_each")
+
+            def seam(data, ciphers, nonces):
+                with open(tmp_path / f"{kind}.{os.getpid()}", "ab") as f:
+                    f.write(b"".join(map(fingerprint, ciphers)))
+                return real(data, ciphers, nonces)
+            return seam
+
+        monkeypatch.setattr(crypto, "sym_seal_each", recording("seal"))
+        monkeypatch.setattr(crypto, "sym_open_each", recording("open"))
+        tree = self._tree(monkeypatch, 2)
+        [worker] = worker_pids(tree)
+        links = list(map(fingerprint, tree.chief_channels + tree.leaf_channels))
+        share = set(map(fingerprint, tree.leaf_channels[tree.shares[0].rows]))
+        for query in range(2):
+            for path in tmp_path.iterdir():
+                path.unlink()
+            identify_probe(tree, np.full(8, float(query)), "euclidean")
+            for kind in ("seal", "open"):
+                drawn = {int(path.suffix[1:]): path.read_bytes()
+                         for path in tmp_path.glob(f"{kind}.*")}
+                assert set(drawn) == {os.getpid(), worker}
+                crossed = Counter(drawn[worker][k:k + 16] for k in range(0, len(drawn[worker]), 16))
+                assert set(crossed) == share and set(crossed.values()) == {1}
+                everywhere = crossed + Counter(drawn[os.getpid()][k:k + 16]
+                                               for k in range(0, len(drawn[os.getpid()]), 16))
+                # and once more, the probe envelope's own key, in this process
+                [envelope] = set(everywhere) - set(links)
+                assert everywhere == Counter(links + [envelope])
+
+    @pytest.mark.parametrize("where", ["worker", "this process"])
+    def test_a_copy_flipped_in_a_share_fails_only_its_query(self, monkeypatch, where):
+        # The first query's first leaf copy of the share, sealed in the
+        # worker's first call, or in this process's third, after the
+        # envelope's and the chiefs' links.
+        parent, real_seal, calls = os.getpid(), crypto.sym_seal_each, itertools.count()
+        flipped = 0 if where == "worker" else 2
+
+        def flip_one(messages, ciphers, nonces):
+            sealed = real_seal(messages, ciphers, nonces)
+            if (os.getpid() == parent) != (where == "this process") or next(calls) != flipped:
+                return sealed
+            first = next(sealed)
+            return itertools.chain([first[:-1] + bytes([first[-1] ^ 1])], sealed)
+
+        monkeypatch.setattr(crypto, "sym_seal_each", flip_one)
+        tree = self._tree(monkeypatch, 2)
+        with pytest.raises(crypto.AuthenticationFailure):
+            identify_probe(tree, tree.vectors[5], "euclidean")
+        # The failed query read its worker's reply: none is left waiting.
+        waiting = select.poll()
+        waiting.register(tree.shares[0].worker.replies, select.POLLIN)
+        assert not waiting.poll(200)
+        for row in (5, 7, 300):
+            assert identify_probe(tree, tree.vectors[row], "euclidean").identity == f"id{row:03d}"
+        assert len(worker_pids(tree)) == 1
+
+    def test_a_reply_left_by_an_interrupted_query_is_skipped(self, monkeypatch):
+        # The worker crosses each query 0.2 s late; the first query is
+        # interrupted before it reads the worker's reply, which then comes
+        # while the second query waits, before that query's copies are in.
+        parent, real_cross = os.getpid(), crypto.sym_cross_each
+
+        def late_in_the_worker(*args):
+            if os.getpid() != parent:
+                time.sleep(0.2)
+            return real_cross(*args)
+
+        monkeypatch.setattr(crypto, "sym_cross_each", late_in_the_worker)
+        tree = self._tree(monkeypatch, 2)
+        real_reply = matcher._reply
+
+        def interrupted(worker):
+            monkeypatch.setattr(matcher, "_reply", real_reply)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(matcher, "_reply", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            identify_probe(tree, tree.vectors[5], "euclidean")
+        for row in (7, 300):
+            assert identify_probe(tree, tree.vectors[row], "euclidean").identity == f"id{row:03d}"
+
+    @pytest.mark.parametrize("payload,error", [
+        (lambda record: record[:-8], ValueError),
+        (lambda record: record + bytes(8), ValueError),
+        (lambda record: encode_vector(np.ones(9)), DimensionMismatch),
+    ], ids=["short", "trailing", "wrong-dimension"])
+    def test_a_bad_probe_record_is_refused_before_any_link(self, monkeypatch, payload, error):
+        crossed = []
+        real_cross = crypto.sym_cross_each
+        monkeypatch.setattr(crypto, "sym_cross_each",
+                            lambda *args: crossed.append(1) or real_cross(*args))
+        tree = self._tree(monkeypatch, 2)
+        record = payload(encode_vector(tree.vectors[3]))
+        with pytest.raises(error):
+            matcher.identify(tree, crypto.seal(record, tree.public_key), "euclidean")
+        assert crossed == []
+        assert identify_probe(tree, tree.vectors[3], "euclidean").identity == "id003"
+
+    def test_a_worker_keeps_only_its_pipe_ends_and_flushes_nothing(self, monkeypatch, tmp_path):
+        with open(tmp_path / "ledger.bin", "wb") as ledger:
+            ledger.write(b"unflushed")
+            tree = self._tree(monkeypatch, 2)
+            identify_probe(tree, tree.vectors[0], "euclidean")
+            [worker] = worker_pids(tree)
+            assert len(os.listdir(f"/proc/{worker}/fd")) == 2
+            del tree
+            gc.collect()
+        assert not running(worker)
+        assert (tmp_path / "ledger.bin").read_bytes() == b"unflushed"
+
+    def test_no_worker_outlives_its_tree(self, monkeypatch):
+        tree = self._tree(monkeypatch, 3)
+        first = worker_pids(tree)
+        assert len(first) == 2 and all(map(running, first))
+        setup_tree_keys(tree)
+        second = worker_pids(tree)
+        assert not any(map(running, first)) and all(map(running, second))
+        assert identify_probe(tree, tree.vectors[200], "euclidean").identity == "id200"
+        del tree
+        gc.collect()
+        assert not any(map(running, second))
+
+    def test_a_failed_set_up_ends_its_workers(self, monkeypatch):
+        forks = TestParallelAgreement._counting_forks(monkeypatch, 3)
+        tree = build_hash_tree(make_gallery(320), crypto.generate_keypair(), fanout=50)
+        parent, real_split = os.getpid(), crypto.shamir_split_each
+
+        def failing_here(*args):
+            if os.getpid() == parent:
+                raise crypto.InvalidConfig("no split here")
+            return real_split(*args)
+
+        monkeypatch.setattr(crypto, "shamir_split_each", failing_here)
+        with pytest.raises(crypto.InvalidConfig):
+            setup_tree_keys(tree)
+        assert len(forks) == 2 and not any(map(running, forks))
+        assert tree.shares == [] and not tree.chief_channels
+
+    def test_a_lost_worker_fails_one_query_then_its_share_crosses_here(self, monkeypatch):
+        tree = self._tree(monkeypatch, 2)
+        want = identify_probe(tree, tree.vectors[42], "euclidean")
+        [worker] = worker_pids(tree)
+        os.kill(worker, signal.SIGKILL)
+        while running(worker):
+            time.sleep(0.01)
+        started = time.monotonic()
+        with pytest.raises(crypto.CryptoError, match="lost"):
+            identify_probe(tree, tree.vectors[42], "euclidean")
+        assert time.monotonic() - started < 5
+        assert worker_pids(tree) == []
+        for _ in range(2):
+            got = identify_probe(tree, tree.vectors[42], "euclidean")
+            assert (got.identity, got.score) == (want.identity, want.score)
+            assert np.array_equal(got.candidates.order, want.candidates.order)
+
+    @pytest.mark.parametrize("end", ["exit", "kill"])
+    def test_no_worker_outlives_its_parent(self, end):
+        # The child started before the fork stands for the benchmark's
+        # reference timer: it sees the end of its input only if no worker
+        # holds its pipe open.
+        script = textwrap.dedent("""
+            import os, subprocess, sys
+            import numpy as np
+            from biochain import crypto, matcher
+            from biochain.encoding import encode_vector
+            from biochain.matcher import Template, build_tree
+            matcher.PARALLEL_MIN_LINKS = 0
+            os.sched_getaffinity = lambda pid: {0, 1, 2}
+            child = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.read()"],
+                                     stdin=subprocess.PIPE)
+            gallery = [Template(f"id{i}", row) for i, row in enumerate(np.eye(200, 8))]
+            tree = build_tree(gallery, fanout=50)
+            probe = crypto.seal(encode_vector(gallery[7].vector), tree.public_key)
+            assert matcher.identify(tree, probe, "euclidean").identity == "id7"
+            child.stdin.close()
+            child.wait(timeout=5)
+            print(*[share.worker.pid for share in tree.shares[:-1]], flush=True)
+            if sys.argv[1] == "kill":
+                sys.stdin.read()
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(matcher.__file__).parents[1]))
+        parent = subprocess.Popen([sys.executable, "-c", script, end], stdin=subprocess.PIPE,
+                                  stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            workers = list(map(int, parent.stdout.readline().split()))
+            assert len(workers) == 2
+            if end == "kill":
+                assert all(map(running, workers))
+                parent.kill()
+        finally:
+            parent.stdin.close()
+            assert parent.wait(timeout=60) == (0 if end == "exit" else -signal.SIGKILL)
+        deadline = time.monotonic() + 5
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers))
 
 
 class TestNodeHash:
