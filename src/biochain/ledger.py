@@ -15,6 +15,9 @@ file: :meth:`Ledger.load` refuses a file whose sequence numbers skip or
 whose cycles' records are not contiguous, and the ledger it returns
 appends to the file it read.
 
+The ledger's store, a file or an in-memory buffer, holds the only copy
+of its entries; every read but that of the newest entry parses the store.
+
 File format (one record per entry, append-only):
 
     4-byte big-endian record length, then the record body:
@@ -24,10 +27,12 @@ File format (one record per entry, append-only):
 
 from __future__ import annotations
 
+import io
 import threading
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import BinaryIO, Iterator, Optional
 
 from .encoding import ByteReader, encode_u64, lp
 
@@ -81,36 +86,55 @@ class LedgerEntry:
 
 
 class Ledger:
-    """In-memory ledger, optionally mirrored to an append-only file opened
-    at the first append.
+    """Append-only ledger over its store: the file at ``path``, opened to
+    append at the first append, or else an in-memory buffer. It keeps in
+    memory only the newest entry, the open cycle and the offset of each
+    cycle's newest record. Appends and reads are serialized through one lock.
 
-    Appends are serialized through a single writer lock; reads of already
-    appended entries need no coordination because entries never change.
+    Raises:
+        LedgerError: the file at ``path`` already holds records; replay it
+            with :meth:`load` to append to it.
     """
 
     def __init__(self, path: Optional[Path] = None):
-        self._entries: list[LedgerEntry] = []
-        # Every cycle seen -> the seq of its newest entry; all but the open
-        # one are finalized.
+        self._path = Path(path) if path is not None else None
+        if self._path is not None and self._path.is_file() and self._path.stat().st_size:
+            raise LedgerError(f"{self._path} already holds records; open it with Ledger.load")
+        self._store: Optional[BinaryIO] = io.BytesIO() if path is None else None
+        self._latest: Optional[LedgerEntry] = None
+        # Every cycle seen -> the offset of its newest record; all but the
+        # open one are finalized.
         self._newest: dict[str, int] = {}
         self._open_cycle: Optional[str] = None
         self._lock = threading.Lock()
-        self._path = Path(path) if path is not None else None
-        self._file = None
 
-    def _admit(self, entry: LedgerEntry) -> None:
+    def _admit(self, entry: LedgerEntry, offset: int) -> None:
         """The one rule for every entry, appended or replayed: it takes the
         next seq, and its cycle is the open one or opens while none is."""
-        if entry.seq != len(self._entries):
-            raise LedgerError(f"sequence gap at {entry.seq}, expected {len(self._entries)}")
+        if entry.seq != len(self):
+            raise LedgerError(f"sequence gap at {entry.seq}, expected {len(self)}")
         if entry.cycle_id != self._open_cycle:
             if entry.cycle_id in self._newest:
                 raise ClosedCycle(f"cycle {entry.cycle_id} is finalized")
             if self._open_cycle is not None:
                 raise CycleConflict(f"cycle {self._open_cycle} is still open")
             self._open_cycle = entry.cycle_id
-        self._entries.append(entry)
-        self._newest[entry.cycle_id] = entry.seq
+        self._latest = entry
+        self._newest[entry.cycle_id] = offset
+
+    def _records(self, offset: int = 0) -> Iterator[tuple[int, LedgerEntry]]:
+        """The stored records from byte ``offset`` on, each with the offset
+        it starts at. A file not held open to append is opened for the read."""
+        held = self._store is not None
+        with nullcontext(self._store) if held else open(self._path, "rb") as store:
+            end = store.seek(0, io.SEEK_END)
+            store.seek(offset)
+            while offset < end:
+                size = int.from_bytes(store.read(4), "big")
+                if offset + 4 + size > end:
+                    raise ValueError("truncated record")
+                yield offset, LedgerEntry.from_body(store.read(size))
+                offset += 4 + size
 
     def append(
         self,
@@ -128,14 +152,13 @@ class Ledger:
         """
         with self._lock:
             entry = LedgerEntry(
-                seq=len(self._entries), cycle_id=cycle_id, ed=ed, ek=ek, em=em, sig=sig
+                seq=len(self), cycle_id=cycle_id, ed=ed, ek=ek, em=em, sig=sig
             )
-            self._admit(entry)
-            if self._path is not None:
-                if self._file is None:
-                    self._file = open(self._path, "ab")
-                self._file.write(entry.to_bytes())
-                self._file.flush()
+            if self._store is None:
+                self._store = open(self._path, "a+b")
+            self._admit(entry, self._store.seek(0, io.SEEK_END))
+            self._store.write(entry.to_bytes())
+            self._store.flush()
             return entry
 
     def close_cycle(self, cycle_id: str) -> None:
@@ -151,24 +174,30 @@ class Ledger:
         Raises:
             UnknownCycle: no entry has been appended under this id.
         """
-        if cycle_id not in self._newest:
-            raise UnknownCycle(cycle_id)
-        return self._entries[self._newest[cycle_id]]
+        with self._lock:
+            if self._latest is not None and self._latest.cycle_id == cycle_id:
+                return self._latest
+            if cycle_id not in self._newest:
+                raise UnknownCycle(cycle_id)
+            with closing(self._records(self._newest[cycle_id])) as records:
+                return next(records)[1]
 
     def entries(self, cycle_id: Optional[str] = None) -> list[LedgerEntry]:
-        if cycle_id is None:
-            return list(self._entries)
-        if cycle_id not in self._newest:
-            raise UnknownCycle(cycle_id)
-        return [entry for entry in self._entries if entry.cycle_id == cycle_id]
+        with self._lock:
+            if cycle_id is not None and cycle_id not in self._newest:
+                raise UnknownCycle(cycle_id)
+            if self._latest is None:
+                return []
+            return [entry for _, entry in self._records() if cycle_id in (None, entry.cycle_id)]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._latest.seq + 1 if self._latest is not None else 0
 
     def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+        with self._lock:
+            if self._path is not None and self._store is not None:
+                self._store.close()
+                self._store = None
 
     @classmethod
     def load(cls, path: Path) -> "Ledger":
@@ -176,12 +205,11 @@ class Ledger:
         passes the rule :meth:`append` applies, a recorded cycle ending where
         the next begins; every recorded cycle is finalized, so only new cycles
         accept appends, and sequence numbers continue where the file ends."""
-        ledger = cls(path)
-        reader = ByteReader(Path(path).read_bytes())
-        while not reader.exhausted:
-            entry = LedgerEntry.from_body(reader.read_lp())
+        ledger = cls()
+        ledger._path, ledger._store = Path(path), None
+        for offset, entry in ledger._records():
             if entry.cycle_id != ledger._open_cycle:
                 ledger._open_cycle = None
-            ledger._admit(entry)
+            ledger._admit(entry, offset)
         ledger._open_cycle = None
         return ledger

@@ -278,11 +278,23 @@ class MatcherTree:
 
     def templates(self) -> list[Template]:
         """The stored templates in enrollment order, as copies: editing
-        them leaves the tree unchanged."""
-        return [
-            Template(identity, row)
-            for identity, row in zip(self.identities, self.vectors.copy())
-        ]
+        them leaves the tree unchanged.
+
+        Raises:
+            ValueError: a stored entry is not finite.
+        """
+        rows = self.vectors.copy()
+        if not np.isfinite(rows).all():
+            raise ValueError("template entries must be finite")
+        # One check over the matrix stands for each template's own: the
+        # rows are made templates without running it again.
+        listed = []
+        for identity, row in zip(self.identities, rows):
+            template = object.__new__(Template)
+            template.identity = identity
+            template.vector = row
+            listed.append(template)
+        return listed
 
     def write_template(self, index: int, template: Template) -> None:
         """Store a copy of ``template`` at enrollment position ``index``,

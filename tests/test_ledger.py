@@ -1,6 +1,9 @@
 """Ledger contracts: append-only behavior, cycle bookkeeping, wire format."""
 
+import sys
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +140,126 @@ class TestWireFormat:
         entry = replayed.append("c2", ed=b"fresh")
         assert entry.seq == 1
         replayed.close()
+
+    def test_a_file_that_holds_records_is_refused_and_kept(self, tmp_path):
+        # Appending seq 0 behind the records would leave a file that no
+        # load accepts; the constructor points to Ledger.load instead.
+        path = tmp_path / "ledger.bin"
+        ledger = Ledger(path)
+        ledger.append("c1", ed=b"data")
+        ledger.close()
+        before = path.read_bytes()
+        with pytest.raises(LedgerError, match="Ledger.load"):
+            Ledger(path)
+        assert path.read_bytes() == before
+        reopened = Ledger.load(path)
+        assert reopened.append("c2", ed=b"more").seq == 1
+        reopened.close()
+        assert [e.seq for e in Ledger.load(path).entries()] == [0, 1]
+
+
+def three_cycles(ledger):
+    """Append cycles c0..c2 of 1, 2 and 3 entries, closing c0 and c1."""
+    for k, cycle_id in enumerate(("c0", "c1", "c2")):
+        for i in range(k + 1):
+            ledger.append(cycle_id, ed=f"{cycle_id}/{i}".encode(), sig=b"s" * i)
+        if cycle_id != "c2":
+            ledger.close_cycle(cycle_id)
+
+
+class TestReadsFromTheStore:
+    @pytest.fixture(params=["memory", "file", "loaded"])
+    def ledger(self, request, tmp_path):
+        path = tmp_path / "ledger.bin"
+        ledger = Ledger() if request.param == "memory" else Ledger(path)
+        three_cycles(ledger)
+        if request.param == "loaded":
+            ledger.close()
+            ledger = Ledger.load(path)
+        yield ledger
+        ledger.close()
+
+    def test_latest_of_an_older_cycle(self, ledger):
+        assert ledger.latest("c0") == LedgerEntry(0, "c0", b"c0/0", b"", b"", b"")
+        assert ledger.latest("c1") == LedgerEntry(2, "c1", b"c1/1", b"", b"", b"s")
+        assert ledger.latest("c2").ed == b"c2/2"
+
+    def test_entries_of_each_cycle(self, ledger):
+        assert [e.ed for e in ledger.entries("c1")] == [b"c1/0", b"c1/1"]
+        assert [e.seq for e in ledger.entries("c2")] == [3, 4, 5]
+        assert [e.cycle_id for e in ledger.entries()] == ["c0", "c1", "c1", "c2", "c2", "c2"]
+        assert len(ledger) == 6
+
+    def test_reads_after_a_further_cycle(self, ledger):
+        ledger.close_cycle("c2")
+        ledger.append("c3", ed=b"new")
+        assert ledger.latest("c2").seq == 5
+        assert ledger.latest("c3").seq == 6
+        assert [e.seq for e in ledger.entries()] == list(range(7))
+        with pytest.raises(UnknownCycle):
+            ledger.entries("c4")
+
+    def test_threaded_appends_and_reads(self, tmp_path):
+        # One writer thread appends cycles while three readers read closed
+        # cycles back from the store; every read sees whole records.
+        ledger = Ledger(tmp_path / "ledger.bin")
+        ledger.append("w0", ed=b"w0")
+        ledger.close_cycle("w0")
+        errors = []
+
+        def write():
+            for k in range(1, 120):
+                ledger.append(f"w{k}", ed=f"w{k}".encode())
+                ledger.append(f"w{k}", ed=f"w{k}".encode())
+                ledger.close_cycle(f"w{k}")
+
+        def read():
+            try:
+                for _ in range(60):
+                    entries = ledger.entries()
+                    assert [e.seq for e in entries] == list(range(len(entries)))
+                    newest = entries[-1]
+                    assert ledger.latest(newest.cycle_id).seq >= newest.seq
+                    assert ledger.latest("w0").ed == b"w0"
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write)] + [threading.Thread(target=read) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(ledger) == 1 + 2 * 119
+        ledger.close()
+        assert Ledger.load(tmp_path / "ledger.bin").entries() == ledger.entries()
+
+
+class TestMemory:
+    def test_memory_does_not_grow_with_the_entries(self, tmp_path):
+        # The store is the entries' only copy: the ledger keeps a few
+        # numbers per cycle, far less than a cycle's four records.
+        chain, _ = identity_chain(stages=1)
+        ledger = Ledger(tmp_path / "ledger.bin")
+        probe = np.ones(4)
+        for _ in range(20):
+            run_query_cycle(chain, ledger, probe)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(300):
+                run_query_cycle(chain, ledger, probe)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            ledger.close()
+        assert grown < 300 * 1024, f"{grown / 300:.0f} bytes a cycle"
 
 
 class TestConfidentiality:
